@@ -13,6 +13,7 @@ import logging
 import re
 import time
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -75,9 +76,18 @@ def use_template_directory(directory: str | Path | None) -> None:
 
 
 def load_template(name: str) -> str:
-    """Read a prompt template asset shipped with the package."""
-    if _template_directory is not None:
-        override = _template_directory / f"{name}.txt"
+    """A prompt template: the override directory's copy, else the packaged asset.
+
+    Each (directory, name) is read from disk once per process; later
+    edits to a template file are not seen by a running process.
+    """
+    return _read_template(_template_directory, name)
+
+
+@cache
+def _read_template(directory: Path | None, name: str) -> str:
+    if directory is not None:
+        override = directory / f"{name}.txt"
         if override.exists():
             return override.read_text(encoding="utf-8")
     return (resources.files(__package__) / "templates" / f"{name}.txt").read_text(encoding="utf-8")

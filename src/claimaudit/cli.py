@@ -18,7 +18,7 @@ from ._files import write_atomic
 from .audit import use_template_directory
 from .calibration import fit_boldness_model, grid_search, load_calibration_records, load_params, save_params
 from .config import RunConfig, load_config
-from .corpus import SCENARIO_LABELS, HashEmbedder, embed_chunks, ingest, load_corpus, save_corpus
+from .corpus import SCENARIO_LABELS, Corpus, HashEmbedder, embed_chunks, ingest, load_corpus, save_corpus
 from .evaluation import ALL_METHODS, build_report, csv_rows, dump_records, load_records, render_table, run_matrix
 from .llm import HttpChatClient, LlmClient
 from .scoring import HvParams
@@ -57,10 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(cfg: RunConfig):
-    if (cfg.store / "manifest.json").exists():
-        return load_corpus(cfg.store)
-    return ingest(cfg.manifest)
+def _load_corpus(cfg: RunConfig) -> Corpus:
+    if not (cfg.store / "manifest.json").exists():
+        return ingest(cfg.manifest)
+    corpus = load_corpus(cfg.store)
+    if any(chunk.embedding is not None for chunk in corpus.all_chunks()):
+        # The store keeps the vectors, not the embedder that made them.
+        corpus = replace(corpus, embedder=HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
+    return corpus
 
 
 def _load_or_default_params(cfg: RunConfig) -> tuple[HvParams, RidgeModel]:

@@ -12,8 +12,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Protocol, Sequence
+
+import numpy as np
 
 from ._files import write_atomic
 from ._rng import fnv1a64
@@ -118,13 +121,67 @@ class Corpus:
         return tuple(chunk for doc in self.documents.values() for chunk in doc.chunks)
 
     def chunk(self, chunk_id: str) -> EvidenceChunk:
-        chunk = self._chunk_index().get(chunk_id)
+        chunk = self._chunk_index.get(chunk_id)
         if chunk is None:
             raise CorpusIntegrityError(f"unknown chunk id {chunk_id!r}")
         return chunk
 
+    # Lookup structures are built on first use and live as long as the
+    # handle; a corpus with other chunks is a new handle with its own.
+
+    @cached_property
     def _chunk_index(self) -> dict[str, EvidenceChunk]:
         return {chunk.id: chunk for chunk in self.all_chunks()}
+
+    @cached_property
+    def _chunk_matrix(self) -> _ChunkMatrix:
+        return _ChunkMatrix(self.all_chunks())
+
+
+class _ChunkMatrix:
+    """Chunk embeddings as one (N, dim) float64 matrix, for cosine scoring.
+
+    Rows are in (doc_id, ordinal) order, so a stable sort on descending
+    score applies the retrieval tie-break. Every sum is accumulated one
+    column at a time, left to right, so each score is bit-identical to a
+    plain loop over the vector entries; `matrix @ query` and `np.sum`
+    add in another order and can flip near-ties in the last ulp.
+    """
+
+    def __init__(self, chunks: Iterable[EvidenceChunk]) -> None:
+        self.chunks = tuple(sorted(chunks, key=lambda chunk: (chunk.doc_id, chunk.ordinal)))
+        missing = [chunk.id for chunk in self.chunks if chunk.embedding is None]
+        if missing:
+            raise EmbeddingError(f"chunks are missing embeddings: {missing[:5]}")
+        dims = sorted({len(chunk.embedding) for chunk in self.chunks})
+        if len(dims) > 1:
+            raise EmbeddingError(f"chunk embeddings have mixed dimensions {dims}")
+        self.dim = dims[0] if dims else 0
+        vectors = np.array([chunk.embedding for chunk in self.chunks], dtype=np.float64)
+        # Column-major, so each column the sums walk is contiguous.
+        self.vectors = np.asfortranarray(vectors.reshape(len(self.chunks), self.dim))
+        squares = np.zeros(len(self.chunks))
+        for column in self.vectors.T:
+            squares += column * column
+        self.norms = np.sqrt(squares)
+
+    def cosine(self, query: Sequence[float]) -> np.ndarray:
+        """Cosine of every row to `query`; 0.0 where either norm is 0."""
+        if self.chunks and len(query) != self.dim:
+            raise EmbeddingError(
+                f"query embedding has dimension {len(query)} but the chunk embeddings have dimension "
+                f"{self.dim}; re-embed the corpus with the current embedder"
+            )
+        dots = np.zeros(len(self.chunks))
+        query_square = 0.0
+        for column, value in zip(self.vectors.T, query):
+            dots += column * value
+            query_square += value * value
+        query_norm = math.sqrt(query_square)
+        scores = np.zeros(len(self.chunks))
+        if query_norm != 0.0:
+            np.divide(dots, query_norm * self.norms, out=scores, where=self.norms != 0.0)
+        return scores
 
 
 def _require_keys(payload: Mapping[str, Any], required: set[str], what: str) -> None:
@@ -289,31 +346,16 @@ def embed_chunks(corpus: Corpus, embedder: Embedder) -> Corpus:
     return replace(corpus, documents=new_documents, embedder=embedder)
 
 
-def _cosine_dense(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
-
-
 def retrieve(claim: Claim, corpus: Corpus, k: int = DEFAULT_RETRIEVAL_K) -> list[EvidenceChunk]:
-    """Top-k chunks by cosine to the claim embedding; ties by (doc_id, ordinal)."""
+    """Top-k chunks by exact cosine to the claim embedding; ties by (doc_id, ordinal)."""
     if k <= 0:
         raise ValueError(f"retrieval depth k must be positive, got {k}")
     if corpus.embedder is None:
         raise EmbeddingError("corpus has no embedder; run embed_chunks first")
-    chunks = corpus.all_chunks()
-    missing = [chunk.id for chunk in chunks if chunk.embedding is None]
-    if missing:
-        raise EmbeddingError(f"chunks are missing embeddings: {missing[:5]}")
+    matrix = corpus._chunk_matrix
     claim_vector = tuple(float(x) for x in corpus.embedder.embed(claim.text))
-    scored = sorted(
-        chunks,
-        key=lambda chunk: (-_cosine_dense(claim_vector, chunk.embedding), chunk.doc_id, chunk.ordinal),
-    )
-    return list(scored[:k])
+    order = np.argsort(-matrix.cosine(claim_vector), kind="stable")
+    return [matrix.chunks[i] for i in order[:k]]
 
 
 def filter_scenario(chunks: Iterable[EvidenceChunk], scenario: Scenario) -> list[EvidenceChunk]:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own code paths: the score
 formulas are recomputed with 50-digit mpmath arithmetic, the metric
-formulas with exact Fraction arithmetic, and the grid search by a
-separate exhaustive enumerator. If an implementation shortcut ever
+formulas with exact Fraction arithmetic, the grid search by a
+separate exhaustive enumerator, and the retrieval ranking by a plain
+cosine loop. If an implementation shortcut ever
 drifts from the written formulas, these disagree loudly.
 """
 
@@ -109,3 +110,29 @@ def dempster_pair(m1: tuple[float, float, float], m2: tuple[float, float, float]
     r = (r1 * r2 + r1 * t2 + t1 * r2) / norm
     t = (t1 * t2) / norm
     return s, r, t
+
+
+def cosine_left_to_right(a, b) -> float:
+    """Cosine with every sum added strictly left to right; 0.0 if a norm is 0.
+
+    An explicit loop, not `sum()`: from Python 3.12 `sum()` compensates
+    float rounding, which would change the last ulp.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    dot = norm_a_sq = norm_b_sq = 0.0
+    for x, y in zip(a, b):
+        dot += x * y
+        norm_a_sq += x * x
+        norm_b_sq += y * y
+    norm_a, norm_b = sqrt(norm_a_sq), sqrt(norm_b_sq)
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def rank_by_cosine(query, chunks) -> list[tuple[str, float]]:
+    """Every chunk as (id, cosine to query), by (-cosine, doc_id, ordinal)."""
+    scored = [(chunk, cosine_left_to_right(query, chunk.embedding)) for chunk in chunks]
+    scored.sort(key=lambda pair: (-pair[1], pair[0].doc_id, pair[0].ordinal))
+    return [(chunk.id, score) for chunk, score in scored]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -158,14 +159,47 @@ class TestLoadConfig:
 
 class TestTemplateOverride:
     def test_directory_shadows_packaged_templates(self, tmp_path):
+        packaged = {name: load_template(name) for name in ("cot_verdict", "batch_audit")}
+        assert "CUSTOM" not in packaged["cot_verdict"]
         (tmp_path / "cot_verdict.txt").write_text("CUSTOM {{CLAIM_TEXT}}", encoding="utf-8")
-        use_template_directory(tmp_path)
         try:
-            assert load_template("cot_verdict") == "CUSTOM {{CLAIM_TEXT}}"
-            assert "CUSTOM" not in load_template("batch_audit")
+            # Twice: switching back and forth must never serve the other directory's cached text.
+            for _ in range(2):
+                use_template_directory(tmp_path)
+                assert load_template("cot_verdict") == "CUSTOM {{CLAIM_TEXT}}"
+                assert load_template("batch_audit") == packaged["batch_audit"]
+                use_template_directory(None)
+                assert load_template("cot_verdict") == packaged["cot_verdict"]
+                assert load_template("batch_audit") == packaged["batch_audit"]
         finally:
             use_template_directory(None)
-        assert "CUSTOM" not in load_template("cot_verdict")
+
+    def test_each_directory_and_name_is_read_once(self, tmp_path, monkeypatch):
+        for name in ("cot_verdict", "batch_audit"):
+            (tmp_path / f"{name}.txt").write_text(f"CUSTOM {name}", encoding="utf-8")
+        reads: Counter[Path] = Counter()
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads[self] += 1
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        try:
+            for _ in range(3):
+                use_template_directory(tmp_path)
+                assert load_template("cot_verdict") == "CUSTOM cot_verdict"
+                assert load_template("batch_audit") == "CUSTOM batch_audit"
+                # Absent from the directory: falls back to the packaged copy.
+                assert "CUSTOM" not in load_template("flare_initial")
+                use_template_directory(None)
+                load_template("cot_verdict")
+        finally:
+            use_template_directory(None)
+        overrides = {path: count for path, count in reads.items() if path.parent == tmp_path}
+        assert overrides == {tmp_path / "cot_verdict.txt": 1, tmp_path / "batch_audit.txt": 1}
+        assert reads[next(path for path in reads if path.name == "flare_initial.txt")] == 1
+        assert set(reads.values()) == {1}
 
 
 class TestUsageErrors:
@@ -267,6 +301,18 @@ class TestVerify:
         assert "verdict records" in out
         records = load_records(tmp_path / "out" / "records.jsonl")
         assert len(records) == 2 * len(ALL_METHODS) * len(SCENARIO_LABELS)
+
+    def test_mock_verify_retrieves_when_no_evidence_is_pinned(self, tmp_path):
+        config_path = setup_workspace(tmp_path)
+        manifest = make_manifest()
+        manifest["evidence_map"] = {}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["--config", str(config_path), "embed"]) == 0
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 0
+        records = load_records(tmp_path / "out" / "records.jsonl")
+        assert len(records) == 2 * len(ALL_METHODS) * len(SCENARIO_LABELS)
+        assert {record.retrieval_mode for record in records} == {"retrieval"}
+        assert not [record.failure for record in records if record.failure and "evidence lookup" in record.failure]
 
     def test_mock_verify_is_byte_identical_across_reruns(self, tmp_path):
         config_path = setup_workspace(tmp_path)

@@ -2,11 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from claimaudit.core import CheckId, Verdict
 from claimaudit.corpus import (
+    Corpus,
     CorpusIntegrityError,
     EmbeddingError,
     EVIDENCE_FROM_MAP,
@@ -23,8 +26,10 @@ from claimaudit.corpus import (
     save_corpus,
 )
 
+from oracles import rank_by_cosine
 from test_core import make_analysis, make_claim
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DUPLICATE_TEXT = "Duplicate summary of the antipyretic trial."
 
 
@@ -283,11 +288,36 @@ class TestEmbedChunks:
         assert embedded.chunk("D03-c1").embedding == (0.0,) * 64
 
 
-def _cosine(a, b):
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
-    return 0.0 if norm_a == 0.0 or norm_b == 0.0 else dot / (norm_a * norm_b)
+def replicated_fixture_manifest(replicas: int) -> dict:
+    """The shipped fixture corpus `replicas` times over, for retrieval tests.
+
+    Replica r suffixes every document and chunk id with `_r<r>` and keeps
+    the texts, so every chunk text has exact duplicates. One chunk and one
+    extra claim are tokenless, so their embeddings are zero vectors. The
+    evidence map is empty: every claim takes the retrieval path.
+    """
+    fixture = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+    documents = [
+        {
+            **doc,
+            "id": f"{doc['id']}_r{replica}",
+            "chunks": [{**chunk, "id": f"{chunk['id']}_r{replica}"} for chunk in doc["chunks"]],
+        }
+        for replica in range(replicas)
+        for doc in fixture["documents"]
+    ]
+    documents[-1]["chunks"][0]["text"] = "?"
+    tokenless_claim = {**fixture["claims"][0], "id": "K_TOKENLESS", "text": "?"}
+    scenarios = {
+        label: [f"{doc_id}_r{replica}" for replica in range(replicas) for doc_id in members]
+        for label, members in fixture["scenarios"].items()
+    }
+    return {
+        "documents": documents,
+        "claims": [*fixture["claims"], tokenless_claim],
+        "scenarios": scenarios,
+        "evidence_map": {},
+    }
 
 
 class TestRetrieve:
@@ -310,15 +340,49 @@ class TestRetrieve:
         second = retrieve(embedded.claim("K02"), embedded, k=5)
         assert [c.id for c in first] == [c.id for c in second]
 
+    def test_requires_every_chunk_embedded(self, tmp_path):
+        corpus = replace(make_corpus(tmp_path), embedder=HashEmbedder())
+        with pytest.raises(EmbeddingError, match="missing embeddings"):
+            retrieve(corpus.claim("K02"), corpus)
+
+    def test_query_dimension_mismatch_names_both_dimensions(self, embedded):
+        reconfigured = replace(embedded, embedder=HashEmbedder(dim=32))
+        with pytest.raises(EmbeddingError, match="dimension 32 .* dimension 64"):
+            retrieve(reconfigured.claim("K02"), reconfigured)
+
+    def test_mixed_chunk_dimensions_in_a_store_are_rejected(self, embedded, tmp_path):
+        save_corpus(embedded, tmp_path / "store")
+        path = tmp_path / "store" / "embeddings.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        record["embedding"] = record["embedding"][:32]
+        path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+        loaded = replace(load_corpus(tmp_path / "store"), embedder=HashEmbedder())
+        with pytest.raises(EmbeddingError, match=r"mixed dimensions \[32, 64\]"):
+            retrieve(loaded.claim("K02"), loaded)
+
     def test_matches_bruteforce_ranking(self, embedded):
         claim = embedded.claim("K02")
-        query = HashEmbedder().embed(claim.text)
-        expected = sorted(
-            embedded.all_chunks(),
-            key=lambda chunk: (-_cosine(query, chunk.embedding), chunk.doc_id, chunk.ordinal),
-        )
+        expected = rank_by_cosine(HashEmbedder().embed(claim.text), embedded.all_chunks())
         got = retrieve(claim, embedded, k=5)
-        assert [c.id for c in got] == [c.id for c in expected[:5]]
+        assert [c.id for c in got] == [chunk_id for chunk_id, _ in expected[:5]]
+
+    def test_full_ranking_is_bit_identical_to_the_oracle(self, tmp_path):
+        corpus = embed_chunks(make_corpus(tmp_path, replicated_fixture_manifest(4)), HashEmbedder())
+        chunks = corpus.all_chunks()
+        assert sum(1 for chunk in chunks if not any(chunk.embedding)) == 1
+        matrix = corpus._chunk_matrix
+        for claim in corpus.claims.values():
+            query = HashEmbedder().embed(claim.text)
+            scores = dict(zip((chunk.id for chunk in matrix.chunks), matrix.cosine(query)))
+            got = [(chunk.id, scores[chunk.id].hex()) for chunk in retrieve(claim, corpus, k=len(chunks))]
+            assert got == [(chunk_id, score.hex()) for chunk_id, score in rank_by_cosine(query, chunks)], claim.id
+
+    def test_matrix_is_built_once_per_handle(self, embedded, monkeypatch):
+        calls = _count_all_chunks(monkeypatch)
+        for _ in range(5):
+            retrieve(embedded.claim("K02"), embedded, k=3)
+        assert len(calls) == 1
 
     def test_identical_texts_tie_break_by_doc_then_ordinal(self, embedded):
         claim = make_claim(id="KQ", text=DUPLICATE_TEXT)
@@ -334,6 +398,31 @@ class TestRetrieve:
         claim = make_claim(id="KQ", text="Aspirin reduces fever in adults within hours.")
         got = retrieve(claim, embedded, k=1)
         assert got[0].id == "D01-c0"
+
+
+def _count_all_chunks(monkeypatch) -> list[None]:
+    """Record one entry per Corpus.all_chunks call from here on."""
+    calls: list[None] = []
+    original = Corpus.all_chunks
+
+    def counting(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(Corpus, "all_chunks", counting)
+    return calls
+
+
+class TestChunkLookup:
+    def test_index_is_built_once_per_handle(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path)
+        ids = [chunk.id for chunk in corpus.all_chunks()]
+        calls = _count_all_chunks(monkeypatch)
+        for _ in range(3):
+            assert [corpus.chunk(chunk_id).id for chunk_id in ids] == ids
+        with pytest.raises(CorpusIntegrityError, match="GHOST"):
+            corpus.chunk("GHOST")
+        assert len(calls) == 1
 
 
 class TestEvidenceForClaim:
