@@ -261,20 +261,6 @@ def render_audit_response(results: Sequence[AuditResult]) -> str:
     return json.dumps({"all_papers_audit": entries}, indent=2)
 
 
-_APPLICABILITY_PATH = re.compile(r"^\$\.veritable_check_signals\.(C(?:1[01]|[1-9]))\.is_applicable$")
-
-
-def applicability_query(analysis: AnalysisDocument, path: str) -> bool:
-    """Evaluate the one supported JSONPath shape against an analysis."""
-    match = _APPLICABILITY_PATH.match(path)
-    if match is None:
-        raise ValueError(
-            f"unsupported applicability path {path!r}; "
-            "expected $.veritable_check_signals.<CheckId>.is_applicable"
-        )
-    return analysis.veritable_check_signals[CheckId[match.group(1)]].is_applicable
-
-
 _MOCK_STANCE_WEIGHTS = (("Supports", 45.0), ("Refutes", 30.0), ("Neutral", 25.0))
 _MOCK_SCORE_WEIGHTS = ((1.0, 60.0), (0.5, 20.0), (0.0, 20.0))
 

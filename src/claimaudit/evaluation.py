@@ -30,6 +30,7 @@ from .baselines import (
     METHOD_COT,
     METHOD_FLARE,
     METHOD_SELFRAG,
+    BaselineVerdict,
     run_ciber,
     run_cot,
     run_flare,
@@ -45,7 +46,7 @@ from .corpus import (
     filter_scenario,
     n_evidence_docs,
 )
-from .llm import LlmClient, MockLlm, approx_token_count
+from .llm import LlmClient, LlmError, MockLlm
 from .redundancy import NoVocabularyError, document_weight, redundancy_for_texts
 from .scoring import DocumentContribution, HvParams, Tallies, aggregate, hv, intrinsic_quality, make_contribution
 from .threshold import RidgeModel, ThresholdConfig, threshold_for_claim
@@ -54,7 +55,6 @@ from .threshold import verdict as hv_verdict
 logger = logging.getLogger(__name__)
 
 METHOD_AUDIT = "audit"
-ALL_METHODS = (METHOD_AUDIT, METHOD_COT, METHOD_SELFRAG, METHOD_FLARE, METHOD_CIBER)
 
 # Threshold used when the dynamic-threshold ablation is switched off:
 # the neutral cut of a sigmoid score.
@@ -168,36 +168,11 @@ def gwet_ac1(labels_a: Sequence[Hashable], labels_b: Sequence[Hashable]) -> floa
     return (p_observed - p_expected) / (1.0 - p_expected)
 
 
-def count_tokens(
-    prompt: str,
-    response: str,
-    *,
-    prompt_tokens: int | None = None,
-    completion_tokens: int | None = None,
-) -> tuple[int, int, bool]:
-    """(in, out, approximate): provider counts when given, else ceil(bytes/4)."""
-    approximate = False
-    if prompt_tokens is None:
-        prompt_tokens = approx_token_count(prompt)
-        approximate = True
-    if completion_tokens is None:
-        completion_tokens = approx_token_count(response)
-        approximate = True
-    return prompt_tokens, completion_tokens, approximate
-
-
 @dataclass(frozen=True)
 class AblationFlags:
     use_hv_score: bool = True
     use_dynamic_threshold: bool = True
     use_redundancy_penalty: bool = True
-
-    def to_json(self) -> dict[str, bool]:
-        return {
-            "use_hv_score": self.use_hv_score,
-            "use_dynamic_threshold": self.use_dynamic_threshold,
-            "use_redundancy_penalty": self.use_redundancy_penalty,
-        }
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "AblationFlags":
@@ -208,24 +183,28 @@ class AblationFlags:
         return cls(**{key: bool(value) for key, value in payload.items()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VerdictRecord:
-    """One (claim, method, scenario) cell of the verify matrix."""
+    """One (claim, method, scenario) cell of the verify matrix.
+
+    The defaults describe a cell without an answer, so a failure record
+    needs only its key, ground truth, mode, doc count and `failure`.
+    """
 
     claim_id: str
     method: str
     scenario: str
-    verdict: str | None
+    verdict: str | None = None
     ground_truth: str
-    hv: float | None
-    tau: float | None
-    tallies: Tallies | None
-    contributions: tuple[DocumentContribution, ...]
-    n_evidence_docs: int
-    retrieval_mode: str | None
-    tokens_in: int
-    tokens_out: int
-    tokens_approximate: bool
+    hv: float | None = None
+    tau: float | None = None
+    tallies: Tallies | None = None
+    contributions: tuple[DocumentContribution, ...] = ()
+    n_evidence_docs: int = 0
+    retrieval_mode: str | None = None
+    tokens_in: int = 0
+    tokens_out: int = 0
+    tokens_approximate: bool = False
     failure: str | None = None
 
     def to_json(self) -> dict[str, Any]:
@@ -302,34 +281,6 @@ def load_records(path: str | Path) -> list[VerdictRecord]:
     return records
 
 
-def _failure_record(
-    claim_id: str,
-    ground_truth: str,
-    method: str,
-    scenario: str,
-    mode: str | None,
-    n_docs: int,
-    message: str,
-) -> VerdictRecord:
-    return VerdictRecord(
-        claim_id=claim_id,
-        method=method,
-        scenario=scenario,
-        verdict=None,
-        ground_truth=ground_truth,
-        hv=None,
-        tau=None,
-        tallies=None,
-        contributions=(),
-        n_evidence_docs=n_docs,
-        retrieval_mode=mode,
-        tokens_in=0,
-        tokens_out=0,
-        tokens_approximate=False,
-        failure=message,
-    )
-
-
 def _papers_for(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> tuple[PaperToAudit, ...]:
     grouped: dict[str, list[str]] = {}
     for chunk in chunks:
@@ -357,124 +308,114 @@ def _document_weights(
     return {doc_id: document_weight(doc_rhos)[1] for doc_id, doc_rhos in rhos_by_doc.items()}
 
 
-def _audit_cell(
-    corpus: Corpus,
-    claim: Claim,
-    scenario_label: str,
-    chunks: Sequence[EvidenceChunk],
-    mode: str,
-    flags: AblationFlags,
-    hv_params: HvParams,
-    ridge: RidgeModel,
-    cfg: ThresholdConfig,
-    *,
-    mock: bool,
-    seed: int,
-    client: LlmClient | None,
-    token_budget: int,
-    retries: int,
-    sleep: Callable[[float], None],
-) -> VerdictRecord:
-    n_docs = n_evidence_docs(chunks)
-    papers = _papers_for(corpus, chunks)
-    request = AuditRequest(claim_text=claim.text, papers=papers)
-    try:
-        if mock:
-            results, usage = mock_audit_with_usage(request, seed)
-        else:
-            results, usage = run_audit(client, request, token_budget=token_budget, retries=retries, sleep=sleep)
-    except (AuditFailureError, ValueError) as exc:
-        return _failure_record(claim.id, claim.ground_truth.value, METHOD_AUDIT, scenario_label, mode, n_docs, str(exc))
+@dataclass(frozen=True)
+class RunContext:
+    """Everything a cell needs that is fixed for one `run_matrix` call."""
 
-    weights = _document_weights(chunks, papers, flags.use_redundancy_penalty)
+    corpus: Corpus
+    flags: AblationFlags
+    hv_params: HvParams
+    ridge: RidgeModel
+    cfg: ThresholdConfig
+    seed: int
+    mock: bool
+    client: LlmClient
+    token_budget: int
+    retries: int
+    sleep: Callable[[float], None]
+
+
+CellFields = dict[str, Any]
+
+
+def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> CellFields:
+    papers = _papers_for(ctx.corpus, chunks)
+    request = AuditRequest(claim_text=claim.text, papers=papers)
+    if ctx.mock:
+        results, usage = mock_audit_with_usage(request, ctx.seed)
+    else:
+        results, usage = run_audit(
+            ctx.client, request, token_budget=ctx.token_budget, retries=ctx.retries, sleep=ctx.sleep
+        )
+
+    weights = _document_weights(chunks, papers, ctx.flags.use_redundancy_penalty)
     contributions: list[DocumentContribution] = []
     for result in results:
-        mask = derive_mask(corpus.document(result.paper_id).analysis)
+        mask = derive_mask(ctx.corpus.document(result.paper_id).analysis)
         if mask.k == 0:
             logger.warning("document %s has no applicable checks; it contributes nothing", result.paper_id)
             continue
         quality = intrinsic_quality(result.audit, mask)
         contributions.append(make_contribution(result.paper_id, result.stance, quality, weights[result.paper_id]))
     tallies = aggregate(contributions)
+    fields: CellFields = {
+        "tallies": tallies,
+        "contributions": tuple(contributions),
+        "tokens_in": usage.tokens_in,
+        "tokens_out": usage.tokens_out,
+        "tokens_approximate": usage.approximate,
+    }
 
-    if flags.use_hv_score:
-        score = hv(tallies, hv_params)
-        tau = threshold_for_claim(claim, n_docs, cfg, ridge) if flags.use_dynamic_threshold else FIXED_TAU
-        cell_verdict = hv_verdict(score, tau)
-        hv_out: float | None = score
-        tau_out: float | None = tau
-    else:
-        supports = sum(1 for result in results if result.stance == STANCE_SUPPORTS)
-        refutes = sum(1 for result in results if result.stance == STANCE_REFUTES)
-        cell_verdict = Verdict.VALID if supports > refutes else Verdict.INVALID
-        hv_out = tau_out = None
-
-    return VerdictRecord(
-        claim_id=claim.id,
-        method=METHOD_AUDIT,
-        scenario=scenario_label,
-        verdict=cell_verdict.value,
-        ground_truth=claim.ground_truth.value,
-        hv=hv_out,
-        tau=tau_out,
-        tallies=tallies,
-        contributions=tuple(contributions),
-        n_evidence_docs=n_docs,
-        retrieval_mode=mode,
-        tokens_in=usage.tokens_in,
-        tokens_out=usage.tokens_out,
-        tokens_approximate=usage.approximate,
-        failure=None,
-    )
+    if ctx.flags.use_hv_score:
+        score = hv(tallies, ctx.hv_params)
+        if ctx.flags.use_dynamic_threshold:
+            tau = threshold_for_claim(claim, n_evidence_docs(chunks), ctx.cfg, ctx.ridge)
+        else:
+            tau = FIXED_TAU
+        return {**fields, "verdict": hv_verdict(score, tau).value, "hv": score, "tau": tau}
+    supports = sum(1 for result in results if result.stance == STANCE_SUPPORTS)
+    refutes = sum(1 for result in results if result.stance == STANCE_REFUTES)
+    majority = Verdict.VALID if supports > refutes else Verdict.INVALID
+    return {**fields, "verdict": majority.value}
 
 
-def _baseline_cell(
-    corpus: Corpus,
+def _baseline(
+    run: Callable[..., BaselineVerdict],
+    ctx: RunContext,
     claim: Claim,
-    scenario_label: str,
     chunks: Sequence[EvidenceChunk],
-    mode: str,
-    method: str,
-    *,
-    client: LlmClient,
-    retries: int,
-    sleep: Callable[[float], None],
-) -> VerdictRecord:
+    *extra: Any,
+) -> CellFields:
+    result = run(ctx.client, claim, chunks, *extra, retries=ctx.retries, sleep=ctx.sleep)
+    return {
+        "verdict": result.verdict.value,
+        "tokens_in": result.tokens_in,
+        "tokens_out": result.tokens_out,
+        "tokens_approximate": result.tokens_approximate,
+    }
+
+
+def _full_texts(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> dict[str, str]:
+    return {
+        doc_id: "\n\n".join(chunk.text for chunk in corpus.document(doc_id).chunks)
+        for doc_id in sorted({chunk.doc_id for chunk in chunks})
+    }
+
+
+# One entry per method, in report order. Each entry names the function
+# it runs (`_audit`'s are `mock_audit_with_usage` and `run_audit`) inside
+# a function body, so that name is looked up on this module when the
+# cell runs and a wrapper installed there (a tracer, a test spy) sees
+# every call.
+_CELLS: dict[str, Callable[[RunContext, Claim, Sequence[EvidenceChunk]], CellFields]] = {
+    METHOD_AUDIT: _audit,
+    METHOD_COT: lambda ctx, claim, chunks: _baseline(run_cot, ctx, claim, chunks),
+    METHOD_SELFRAG: lambda ctx, claim, chunks: _baseline(run_selfrag, ctx, claim, chunks),
+    METHOD_FLARE: lambda ctx, claim, chunks: _baseline(run_flare, ctx, claim, chunks, _full_texts(ctx.corpus, chunks)),
+    METHOD_CIBER: lambda ctx, claim, chunks: _baseline(run_ciber, ctx, claim, chunks),
+}
+ALL_METHODS = tuple(_CELLS)
+
+
+def _cell(ctx: RunContext, method: str, claim: Claim, label: str, chunks: Sequence[EvidenceChunk]) -> CellFields:
+    """The record fields of one cell; a cell whose method raises is a failure."""
+    if not chunks:
+        return {"failure": f"no evidence chunks survive scenario {label}"}
     n_docs = n_evidence_docs(chunks)
     try:
-        if method == METHOD_COT:
-            result = run_cot(client, claim, chunks, retries=retries, sleep=sleep)
-        elif method == METHOD_SELFRAG:
-            result = run_selfrag(client, claim, chunks, retries=retries, sleep=sleep)
-        elif method == METHOD_CIBER:
-            result = run_ciber(client, claim, chunks, retries=retries, sleep=sleep)
-        elif method == METHOD_FLARE:
-            full_texts = {
-                doc_id: "\n\n".join(chunk.text for chunk in corpus.document(doc_id).chunks)
-                for doc_id in sorted({chunk.doc_id for chunk in chunks})
-            }
-            result = run_flare(client, claim, chunks, full_texts, retries=retries, sleep=sleep)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    except ValueError as exc:
-        return _failure_record(claim.id, claim.ground_truth.value, method, scenario_label, mode, n_docs, str(exc))
-    return VerdictRecord(
-        claim_id=claim.id,
-        method=method,
-        scenario=scenario_label,
-        verdict=result.verdict.value,
-        ground_truth=claim.ground_truth.value,
-        hv=None,
-        tau=None,
-        tallies=None,
-        contributions=(),
-        n_evidence_docs=n_docs,
-        retrieval_mode=mode,
-        tokens_in=result.tokens_in,
-        tokens_out=result.tokens_out,
-        tokens_approximate=result.tokens_approximate,
-        failure=None,
-    )
+        return {"n_evidence_docs": n_docs, **_CELLS[method](ctx, claim, chunks)}
+    except (AuditFailureError, LlmError, ValueError) as exc:
+        return {"n_evidence_docs": n_docs, "failure": str(exc)}
 
 
 def run_matrix(
@@ -500,12 +441,24 @@ def run_matrix(
     the matrix itself never aborts. Record order is claim-major, then
     method, then scenario, so assembly is deterministic.
     """
-    unknown = [method for method in methods if method not in ALL_METHODS]
+    unknown = [method for method in methods if method not in _CELLS]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
     if not mock and client is None:
         raise ValueError("a live run needs an LLM client; pass client= or use mock=True")
-    baseline_client: LlmClient = MockLlm(seed) if mock else client  # type: ignore[assignment]
+    ctx = RunContext(
+        corpus=corpus,
+        flags=flags,
+        hv_params=hv_params,
+        ridge=ridge,
+        cfg=cfg,
+        seed=seed,
+        mock=mock,
+        client=MockLlm(seed) if mock else client,  # type: ignore[arg-type]
+        token_budget=token_budget,
+        retries=retries,
+        sleep=sleep,
+    )
 
     records: list[VerdictRecord] = []
     for claim in corpus.claims.values():
@@ -513,73 +466,26 @@ def run_matrix(
             evidence, mode = evidence_for_claim(corpus, claim, retrieval_k)
         except (EmbeddingError, ValueError) as exc:
             logger.warning("evidence lookup failed for claim %s: %s", claim.id, exc)
-            for method in methods:
-                for label in scenario_labels:
-                    records.append(
-                        _failure_record(
-                            claim.id,
-                            claim.ground_truth.value,
-                            method,
-                            label,
-                            None,
-                            0,
-                            f"evidence lookup failed: {exc}",
-                        )
-                    )
-            continue
-        chunks_by_scenario = {
-            label: filter_scenario(evidence, corpus.scenario(label)) for label in scenario_labels
-        }
+            lookup_failure: CellFields | None = {"failure": f"evidence lookup failed: {exc}"}
+            mode = None
+        else:
+            lookup_failure = None
+            chunks_by_scenario = {
+                label: filter_scenario(evidence, corpus.scenario(label)) for label in scenario_labels
+            }
         for method in methods:
             for label in scenario_labels:
-                chunks = chunks_by_scenario[label]
-                if not chunks:
-                    records.append(
-                        _failure_record(
-                            claim.id,
-                            claim.ground_truth.value,
-                            method,
-                            label,
-                            mode,
-                            0,
-                            f"no evidence chunks survive scenario {label}",
-                        )
+                fields = lookup_failure or _cell(ctx, method, claim, label, chunks_by_scenario[label])
+                records.append(
+                    VerdictRecord(
+                        claim_id=claim.id,
+                        method=method,
+                        scenario=label,
+                        ground_truth=claim.ground_truth.value,
+                        retrieval_mode=mode,
+                        **fields,
                     )
-                    continue
-                if method == METHOD_AUDIT:
-                    records.append(
-                        _audit_cell(
-                            corpus,
-                            claim,
-                            label,
-                            chunks,
-                            mode,
-                            flags,
-                            hv_params,
-                            ridge,
-                            cfg,
-                            mock=mock,
-                            seed=seed,
-                            client=client,
-                            token_budget=token_budget,
-                            retries=retries,
-                            sleep=sleep,
-                        )
-                    )
-                else:
-                    records.append(
-                        _baseline_cell(
-                            corpus,
-                            claim,
-                            label,
-                            chunks,
-                            mode,
-                            method,
-                            client=baseline_client,
-                            retries=retries,
-                            sleep=sleep,
-                        )
-                    )
+                )
     return build_report(records)
 
 

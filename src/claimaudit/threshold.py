@@ -66,33 +66,6 @@ class ThresholdConfig:
     def prior_for(self, standard: RequiredStandard) -> float:
         return self.priors[standard]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "priors": {standard.value: self.priors[standard] for standard in STANDARD_ORDER},
-            "C": self.scaling_c,
-            "N_base": self.n_base,
-            "clamp": [self.clamp_lo, self.clamp_hi],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ThresholdConfig":
-        known = {"priors", "C", "N_base", "clamp"}
-        unknown = payload.keys() - known
-        if unknown:
-            raise ConfigError(f"unknown threshold config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        if "priors" in payload:
-            kwargs["priors"] = {RequiredStandard(name): float(value) for name, value in payload["priors"].items()}
-        if "C" in payload:
-            kwargs["scaling_c"] = float(payload["C"])
-        if "N_base" in payload:
-            kwargs["n_base"] = int(payload["N_base"])
-        if "clamp" in payload:
-            lo, hi = payload["clamp"]
-            kwargs["clamp_lo"] = float(lo)
-            kwargs["clamp_hi"] = float(hi)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class RidgeModel:

@@ -12,7 +12,6 @@ from claimaudit.audit import (
     BATCH_AUDIT_SCHEMA,
     PaperToAudit,
     PromptBudgetError,
-    applicability_query,
     build_audit_prompt,
     load_template,
     mock_audit,
@@ -192,30 +191,6 @@ class TestParseAuditResponse:
         good["all_papers_audit"] *= 2
         with pytest.raises(AuditParseError, match="duplicate"):
             parse_audit_response(json.dumps(good), request)
-
-
-class TestApplicabilityQuery:
-    def test_true_and_false_lookups(self):
-        analysis = make_analysis({CheckId.C6})
-        assert applicability_query(analysis, "$.veritable_check_signals.C6.is_applicable") is True
-        assert applicability_query(analysis, "$.veritable_check_signals.C10.is_applicable") is False
-
-    def test_two_digit_checks_parse(self):
-        analysis = make_analysis({CheckId.C10, CheckId.C11})
-        assert applicability_query(analysis, "$.veritable_check_signals.C11.is_applicable") is True
-
-    @pytest.mark.parametrize(
-        "path",
-        [
-            "$.foo.bar",
-            "$.veritable_check_signals.C12.is_applicable",
-            "$.veritable_check_signals.C1.objective_analysis",
-            "veritable_check_signals.C1.is_applicable",
-        ],
-    )
-    def test_unsupported_paths_rejected(self, path):
-        with pytest.raises(ValueError, match="unsupported"):
-            applicability_query(make_analysis({CheckId.C1}), path)
 
 
 class TestMockAudit:

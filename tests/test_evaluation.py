@@ -1,10 +1,12 @@
 """Evaluation tests: metrics against exact oracles, the verify matrix, reports."""
 
+import dataclasses
 import itertools
 import math
 
 import pytest
 
+import claimaudit.evaluation as evaluation
 from claimaudit.core import Verdict
 from claimaudit.corpus import EVIDENCE_FROM_MAP, EVIDENCE_FROM_RETRIEVAL, HashEmbedder, embed_chunks
 from claimaudit.evaluation import (
@@ -15,7 +17,6 @@ from claimaudit.evaluation import (
     VerdictRecord,
     build_report,
     cohen_kappa,
-    count_tokens,
     csv_rows,
     dump_records,
     gwet_ac1,
@@ -25,6 +26,7 @@ from claimaudit.evaluation import (
     render_table,
     run_matrix,
 )
+from claimaudit.llm import ScriptedTranscript
 from claimaudit.scoring import HvParams, Tallies, make_contribution
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
@@ -131,18 +133,6 @@ class TestAgreementCoefficients:
                 )
 
 
-class TestCountTokens:
-    def test_provider_counts_pass_through(self):
-        assert count_tokens("x", "y", prompt_tokens=12, completion_tokens=5) == (12, 5, False)
-
-    def test_missing_counts_fall_back_to_byte_estimate(self):
-        tokens_in, tokens_out, approximate = count_tokens("abcdefgh", "abcd")
-        assert (tokens_in, tokens_out, approximate) == (2, 1, True)
-
-    def test_partial_counts_are_flagged_approximate(self):
-        assert count_tokens("abcdefgh", "abcd", prompt_tokens=3) == (3, 1, True)
-
-
 class TestAblationFlags:
     def test_defaults_enable_everything(self):
         flags = AblationFlags()
@@ -150,7 +140,7 @@ class TestAblationFlags:
 
     def test_json_round_trip(self):
         flags = AblationFlags(use_hv_score=False, use_redundancy_penalty=False)
-        assert AblationFlags.from_json(flags.to_json()) == flags
+        assert AblationFlags.from_json(dataclasses.asdict(flags)) == flags
 
     def test_partial_json_fills_defaults(self):
         assert AblationFlags.from_json({"use_hv_score": False}) == AblationFlags(use_hv_score=False)
@@ -289,6 +279,22 @@ class TestRunMatrix:
         assert all("evidence lookup failed" in record.failure for record in by_claim["K02"])
         assert len(by_claim["K02"]) == 4
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_client_errors_become_failure_records_for_every_method(self, corpus, method):
+        answered = run(corpus, methods=(method,))
+        unanswered = run_matrix(
+            corpus, (method,), ("TY0", "TY5"), AblationFlags(), PARAMS, RIDGE, CFG,
+            seed=7, mock=False, client=ScriptedTranscript({}),
+        )
+        assert len(unanswered.records) == len(answered.records) == 4
+        for record, reference in zip(unanswered.records, answered.records):
+            assert reference.failure is None
+            assert "no scripted response" in record.failure
+            assert record.verdict is None
+            assert (record.tokens_in, record.tokens_out) == (0, 0)
+            assert record.retrieval_mode == reference.retrieval_mode
+            assert record.n_evidence_docs == reference.n_evidence_docs >= 1
+
     def test_document_without_applicable_checks_contributes_nothing(self, tmp_path, caplog):
         payload = make_manifest()
         for check in payload["documents"][3]["analysis"]["veritable_check_signals"].values():
@@ -302,6 +308,42 @@ class TestRunMatrix:
         assert k01.failure is None
         assert "D04" not in {contribution.doc_id for contribution in k01.contributions}
         assert {contribution.doc_id for contribution in k01.contributions} == {"D01"}
+
+
+class TestCellDispatch:
+    """Each method calls its function through the evaluation module's attribute."""
+
+    @pytest.mark.parametrize(
+        "name,mock",
+        [
+            ("run_cot", True),
+            ("run_selfrag", True),
+            ("run_flare", True),
+            ("run_ciber", True),
+            ("mock_audit_with_usage", True),
+            ("run_audit", False),
+        ],
+    )
+    def test_called_once_per_nonempty_cell(self, tmp_path, monkeypatch, name, mock):
+        payload = make_manifest()
+        payload["evidence_map"]["K01"] = ["D03-c0"]  # D03 is not in TY0
+        corpus = embed_chunks(make_corpus(tmp_path, payload), HashEmbedder())
+        original = getattr(evaluation, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, spy)
+        report = run_matrix(
+            corpus, ALL_METHODS, ("TY0", "TY5"), AblationFlags(), PARAMS, RIDGE, CFG,
+            seed=7, mock=mock, client=None if mock else ScriptedTranscript({}),
+        )
+        empty = [record for record in report.records if record.n_evidence_docs == 0]
+        assert {(record.claim_id, record.scenario) for record in empty} == {("K01", "TY0")}
+        assert len(empty) == len(ALL_METHODS)
+        assert len(calls) == 3
 
 
 class TestAblationSemantics:

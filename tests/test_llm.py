@@ -47,6 +47,11 @@ class TestTokenUsage:
         usage.record("abcdefgh", LlmReply(text="abcd"))
         assert (usage.tokens_in, usage.tokens_out, usage.approximate) == (2, 1, True)
 
+    def test_partial_counts_are_flagged_approximate(self):
+        usage = TokenUsage()
+        usage.record("abcdefgh", LlmReply(text="abcd", prompt_tokens=3))
+        assert (usage.tokens_in, usage.tokens_out, usage.approximate) == (3, 1, True)
+
     def test_merge_accumulates_and_taints(self):
         exact = TokenUsage(tokens_in=5, tokens_out=5, approximate=False)
         rough = TokenUsage(tokens_in=1, tokens_out=1, approximate=True)

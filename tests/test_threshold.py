@@ -128,16 +128,6 @@ class TestVerdict:
 
 
 class TestThresholdConfig:
-    def test_json_round_trip(self):
-        cfg = ThresholdConfig(scaling_c=0.07, n_base=12)
-        payload = cfg.to_json()
-        assert set(payload) == {"priors", "C", "N_base", "clamp"}
-        assert ThresholdConfig.from_json(payload) == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            ThresholdConfig.from_json({"C": 0.05, "n_basis": 10})
-
     def test_priors_must_cover_every_standard(self):
         with pytest.raises(ConfigError, match="SettledScience"):
             ThresholdConfig(priors={RequiredStandard.ROBUST_STUDY: 0.75, RequiredStandard.PLAUSIBLE_EVIDENCE: 0.6})
