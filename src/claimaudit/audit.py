@@ -8,11 +8,12 @@ runnable offline.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -37,6 +38,7 @@ from .llm import (
     LlmReply,
     TokenUsage,
     approx_token_count,
+    complete_parsed,
     extract_json_object,
 )
 
@@ -322,28 +324,11 @@ def run_audit(
         return results, usage
 
     masks = {paper.paper_id: derive_mask(paper.analysis) for paper in req.papers}
-    last_error: AuditParseError | None = None
-    for attempt in range(retries + 1):
-        if attempt > 0:
-            sleep(float(2 ** (attempt - 1)))
-        try:
-            reply = client.complete(prompt, schema=BATCH_AUDIT_SCHEMA)
-        except LlmError as exc:
-            raise AuditFailureError(f"audit transport failed: {exc}") from exc
-        usage.record(prompt, reply)
-        try:
-            parsed = parse_audit_response(reply.text, req)
-        except AuditParseError as exc:
-            last_error = exc
-            logger.warning("audit parse attempt %d failed: %s", attempt + 1, exc)
-            continue
-        validated = [
-            AuditResult(
-                paper_id=result.paper_id,
-                stance=result.stance,
-                audit=validate_audit(result.audit, masks[result.paper_id]),
-            )
-            for result in parsed
-        ]
-        return validated, usage
-    raise AuditFailureError(f"audit response unparseable after {retries + 1} attempts: {last_error}")
+    try:
+        parse = functools.partial(parse_audit_response, req=req)
+        parsed = complete_parsed(client, prompt, BATCH_AUDIT_SCHEMA, parse, usage, retries=retries, sleep=sleep)
+    except LlmError as exc:
+        raise AuditFailureError(f"audit transport failed: {exc}") from exc
+    except AuditParseError as exc:
+        raise AuditFailureError(f"audit response unparseable after {retries + 1} attempts: {exc}") from exc
+    return [replace(result, audit=validate_audit(result.audit, masks[result.paper_id])) for result in parsed], usage

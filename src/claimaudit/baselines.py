@@ -1,8 +1,10 @@
 """The four baseline verification protocols, as prompt-chain drivers.
 
 Each driver runs a fixed chain of turns over the shared `LlmClient`
-interface, validates every structured reply, and degrades gracefully:
-an unparseable or failed turn never raises past the driver.
+interface and validates every structured reply. A required turn that
+fails (a client error, or a reply unparseable after the retries) raises
+out of the driver; a failed optional turn falls back: a CIBER probe adds
+vacuous mass, a FLARE full review keeps the first verdict.
 
 COT     one pass: verdict + justification.
 SELFRAG two turns: per-passage critiques feed a synthesis verdict,
@@ -16,12 +18,12 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .audit import load_template, render_template
 from .core import Claim, Verdict
-from .llm import LlmClient, LlmTransportError, TokenUsage, extract_json_object
+from .llm import LlmClient, LlmError, TokenUsage, complete_parsed, extract_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -295,38 +297,33 @@ def _read_flare_initial(payload: Any) -> tuple[Verdict, str, float, str]:
     return verdict, justification, confidence, str(payload.get("request_full_review", "None"))
 
 
-def _call_with_retries(
-    client: LlmClient,
-    prompt: str,
-    schema: Mapping[str, Any],
-    usage: TokenUsage,
-    parse: Callable[[Any], T],
-    *,
-    retries: int,
-    sleep: Callable[[float], None],
-) -> T | None:
-    """One turn with parse retries; None means the turn is a lost cause.
+@dataclass
+class _Chain:
+    """One driver run: its client, retry policy and accumulated tokens."""
 
-    Transport errors are not retried here (the client already retried);
-    parse/validation errors retry with 1s, 2s, 4s backoff.
-    """
-    last_error: ValueError | None = None
-    for attempt in range(retries + 1):
-        if attempt > 0:
-            sleep(float(2 ** (attempt - 1)))
-        try:
-            reply = client.complete(prompt, schema=schema)
-        except LlmTransportError as exc:
-            logger.warning("turn failed in transport: %s", exc)
-            return None
-        usage.record(prompt, reply)
-        try:
-            return parse(extract_json_object(reply.text))
-        except ValueError as exc:
-            last_error = exc
-            logger.warning("turn parse attempt %d failed: %s", attempt + 1, exc)
-    logger.warning("turn unparseable after %d attempts: %s", retries + 1, last_error)
-    return None
+    method: str
+    client: LlmClient
+    retries: int
+    sleep: Callable[[float], None]
+    usage: TokenUsage = field(default_factory=TokenUsage)
+
+    def ask(self, prompt: str, schema: Mapping[str, Any], read: Callable[[Any], T]) -> T:
+        """One structured turn; `read` validates the reply's JSON object."""
+
+        def parse(text: str) -> T:
+            return read(extract_json_object(text))
+
+        return complete_parsed(self.client, prompt, schema, parse, self.usage, retries=self.retries, sleep=self.sleep)
+
+    def finish(self, verdict: Verdict, justification: str) -> BaselineVerdict:
+        return BaselineVerdict(
+            method=self.method,
+            verdict=verdict,
+            justification=justification,
+            tokens_in=self.usage.tokens_in,
+            tokens_out=self.usage.tokens_out,
+            tokens_approximate=self.usage.approximate,
+        )
 
 
 def enforce_synthesis_rules(model_verdict: Verdict, critiques: Sequence[Critique]) -> Verdict:
@@ -348,39 +345,17 @@ def enforce_synthesis_rules(model_verdict: Verdict, critiques: Sequence[Critique
     return model_verdict
 
 
-def _finish(method: str, verdict: Verdict, justification: str, usage: TokenUsage) -> BaselineVerdict:
-    return BaselineVerdict(
-        method=method,
-        verdict=verdict,
-        justification=justification,
-        tokens_in=usage.tokens_in,
-        tokens_out=usage.tokens_out,
-        tokens_approximate=usage.approximate,
-    )
-
-
 def _require_snippets(snippets: Sequence[EvidenceLike]) -> None:
     if not snippets:
         raise ValueError("baseline run needs at least one evidence snippet")
 
 
-def _cot_turn(
-    client: LlmClient,
-    claim: Claim,
-    snippets: Sequence[EvidenceLike],
-    usage: TokenUsage,
-    *,
-    retries: int,
-    sleep: Callable[[float], None],
-) -> tuple[Verdict, str, float]:
+def _cot_turn(chain: _Chain, claim: Claim, snippets: Sequence[EvidenceLike]) -> tuple[Verdict, str, float]:
     prompt = render_template(
         load_template("cot_verdict"),
         {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS": render_snippets(snippets)},
     )
-    parsed = _call_with_retries(client, prompt, COT_VERDICT_SCHEMA, usage, _read_verdict, retries=retries, sleep=sleep)
-    if parsed is None:
-        return Verdict.UNVERIFIABLE, "no parseable verdict was produced", 0.5
-    return parsed
+    return chain.ask(prompt, COT_VERDICT_SCHEMA, _read_verdict)
 
 
 def run_cot(
@@ -393,9 +368,9 @@ def run_cot(
 ) -> BaselineVerdict:
     """Single-pass verdict with justification."""
     _require_snippets(snippets)
-    usage = TokenUsage()
-    verdict, justification, _ = _cot_turn(client, claim, snippets, usage, retries=retries, sleep=sleep)
-    return _finish(METHOD_COT, verdict, justification, usage)
+    chain = _Chain(METHOD_COT, client, retries, sleep)
+    verdict, justification, _ = _cot_turn(chain, claim, snippets)
+    return chain.finish(verdict, justification)
 
 
 def run_selfrag(
@@ -408,17 +383,13 @@ def run_selfrag(
 ) -> BaselineVerdict:
     """Critique turn feeding a synthesis turn, with rules re-enforced."""
     _require_snippets(snippets)
-    usage = TokenUsage()
+    chain = _Chain(METHOD_SELFRAG, client, retries, sleep)
     rendered = render_snippets(snippets)
     critique_prompt = render_template(
         load_template("selfrag_critique"),
         {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered},
     )
-    critiques = _call_with_retries(
-        client, critique_prompt, SELFRAG_CRITIQUES_SCHEMA, usage, _read_critiques, retries=retries, sleep=sleep
-    )
-    if critiques is None:
-        return _finish(METHOD_SELFRAG, Verdict.UNVERIFIABLE, "critique turn produced no usable output", usage)
+    critiques = chain.ask(critique_prompt, SELFRAG_CRITIQUES_SCHEMA, _read_critiques)
     critiques_json = json.dumps(
         {"critiques": [critique.__dict__ for critique in critiques]}, indent=2
     )
@@ -426,17 +397,11 @@ def run_selfrag(
         load_template("selfrag_synthesis"),
         {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered, "CRITIQUES_JSON": critiques_json},
     )
-    parsed = _call_with_retries(
-        client, synthesis_prompt, SELFRAG_VERDICT_SCHEMA, usage, _read_verdict, retries=retries, sleep=sleep
-    )
-    if parsed is None:
-        model_verdict, justification = Verdict.UNVERIFIABLE, "synthesis turn produced no usable output"
-    else:
-        model_verdict, justification, _ = parsed
+    model_verdict, justification, _ = chain.ask(synthesis_prompt, SELFRAG_VERDICT_SCHEMA, _read_verdict)
     final = enforce_synthesis_rules(model_verdict, critiques)
     if final is not model_verdict:
         justification = f"{justification} [adjusted to {final.value} by the synthesis rules]"
-    return _finish(METHOD_SELFRAG, final, justification, usage)
+    return chain.finish(final, justification)
 
 
 def run_flare(
@@ -451,10 +416,11 @@ def run_flare(
     """Snippet verdict first; optionally one full-text review turn.
 
     The review request must match a listed paper id exactly; anything
-    else (or a paper without stored full text) keeps the first verdict.
+    else (or a paper without stored full text, or a failed review turn)
+    keeps the first verdict.
     """
     _require_snippets(snippets)
-    usage = TokenUsage()
+    chain = _Chain(METHOD_FLARE, client, retries, sleep)
     rendered = render_snippets(snippets)
     paper_ids = snippet_paper_ids(snippets)
     initial_prompt = render_template(
@@ -466,21 +432,16 @@ def run_flare(
             "EVIDENCE_SNIPPETS": rendered,
         },
     )
-    parsed = _call_with_retries(
-        client, initial_prompt, FLARE_INITIAL_SCHEMA, usage, _read_flare_initial, retries=retries, sleep=sleep
-    )
-    if parsed is None:
-        return _finish(METHOD_FLARE, Verdict.UNVERIFIABLE, "initial turn produced no usable output", usage)
-    verdict, justification, _, request = parsed
+    verdict, justification, _, request = chain.ask(initial_prompt, FLARE_INITIAL_SCHEMA, _read_flare_initial)
     if request == "None":
-        return _finish(METHOD_FLARE, verdict, justification, usage)
+        return chain.finish(verdict, justification)
     if request not in paper_ids:
         logger.warning("full-review request %r matches no listed paper id; keeping the first verdict", request)
-        return _finish(METHOD_FLARE, verdict, justification, usage)
+        return chain.finish(verdict, justification)
     full_text = full_texts.get(request)
     if full_text is None:
         logger.warning("paper %r has no stored full text; keeping the first verdict", request)
-        return _finish(METHOD_FLARE, verdict, justification, usage)
+        return chain.finish(verdict, justification)
     review_prompt = render_template(
         load_template("flare_full_review"),
         {
@@ -490,14 +451,11 @@ def run_flare(
             "FULL_PAPER_TEXT": full_text,
         },
     )
-    reviewed = _call_with_retries(
-        client, review_prompt, FLARE_FINAL_SCHEMA, usage, _read_verdict, retries=retries, sleep=sleep
-    )
-    if reviewed is None:
-        logger.warning("full-review turn produced no usable output; keeping the first verdict")
-        return _finish(METHOD_FLARE, verdict, justification, usage)
-    final_verdict, final_justification, _ = reviewed
-    return _finish(METHOD_FLARE, final_verdict, final_justification, usage)
+    try:
+        verdict, justification, _ = chain.ask(review_prompt, FLARE_FINAL_SCHEMA, _read_verdict)
+    except (LlmError, ValueError) as exc:
+        logger.warning("full-review turn failed (%s); keeping the first verdict", exc)
+    return chain.finish(verdict, justification)
 
 
 # Probe order convention: [agreement, conflict, paraphrase]; an "Agree"
@@ -527,13 +485,13 @@ def run_ciber(
 ) -> BaselineVerdict:
     """COT turn plus three probe turns, fused by Dempster's rule.
 
-    Failed sub-calls contribute vacuous mass. The fused Supports /
+    Failed probes contribute vacuous mass. The fused Supports /
     Refutes / Neutral outcome maps to Valid / Invalid / Unverifiable.
     """
     _require_snippets(snippets)
-    usage = TokenUsage()
+    chain = _Chain(METHOD_CIBER, client, retries, sleep)
     rendered = render_snippets(snippets)
-    cot_verdict, _, cot_confidence = _cot_turn(client, claim, snippets, usage, retries=retries, sleep=sleep)
+    cot_verdict, _, cot_confidence = _cot_turn(chain, claim, snippets)
     pairs: list[tuple[Verdict, float]] = [(cot_verdict, cot_confidence)]
     probe_answers: list[str] = []
     for index, question in enumerate(claim.probe_questions):
@@ -541,14 +499,13 @@ def run_ciber(
             load_template("ciber_probe"),
             {"PROBE_QUESTION": question, "EVIDENCE_SNIPPETS": rendered},
         )
-        parsed = _call_with_retries(
-            client, prompt, CIBER_PROBE_SCHEMA, usage, _read_probe, retries=retries, sleep=sleep
-        )
-        if parsed is None:
+        try:
+            probe_verdict, confidence = chain.ask(prompt, CIBER_PROBE_SCHEMA, _read_probe)
+        except (LlmError, ValueError) as exc:
+            logger.warning("probe %d failed: %s", index + 1, exc)
             probe_answers.append("failed")
             pairs.append((Verdict.NEUTRAL, 0.5))
             continue
-        probe_verdict, confidence = parsed
         probe_answers.append(probe_verdict.value)
         if index == _CONFLICT_PROBE_INDEX:
             probe_verdict = _FLIP[probe_verdict]
@@ -558,4 +515,4 @@ def run_ciber(
         f"belief fusion of the primary verdict {cot_verdict.value} "
         f"with probe answers [{', '.join(probe_answers)}]"
     )
-    return _finish(METHOD_CIBER, _FUSED_TO_VERDICT[fused], justification, usage)
+    return chain.finish(_FUSED_TO_VERDICT[fused], justification)

@@ -573,7 +573,7 @@ def _ordered_unique(values: Sequence[str]) -> list[str]:
 
 
 def render_table(report: RunReport) -> str:
-    """Plain-text grid: methods down, scenarios across, F1/MCC per cell."""
+    """Plain-text grid: methods down, scenarios across, F1/MCC and "(k failed)" per cell."""
     methods = _ordered_unique([cell.method for cell in report.cells])
     scenarios = _ordered_unique([cell.scenario for cell in report.cells])
     by_key = {(cell.method, cell.scenario): cell for cell in report.cells}
@@ -586,10 +586,11 @@ def render_table(report: RunReport) -> str:
         method_cells = [by_key[(method, s)] for s in scenarios if (method, s) in by_key]
         for scenario in scenarios:
             cell = by_key.get((method, scenario))
-            if cell is None or cell.macro_f1 is None:
+            if cell is None:
                 row.append("-")
-            else:
-                row.append(f"F1 {cell.macro_f1:.3f} MCC {cell.mcc:+.3f}")
+                continue
+            text = "-" if cell.macro_f1 is None else f"F1 {cell.macro_f1:.3f} MCC {cell.mcc:+.3f}"
+            row.append(f"{text} ({cell.failures} failed)" if cell.failures else text)
         total_n = sum(cell.n for cell in method_cells)
         if total_n:
             avg_in = sum(cell.avg_tokens_in * cell.n for cell in method_cells) / total_n

@@ -9,16 +9,21 @@ from __future__ import annotations
 
 import abc
 import json
+import logging
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 import requests
 
 from ._rng import DeterministicStream, fnv1a64
+
+T = TypeVar("T")
+
+logger = logging.getLogger(__name__)
 
 
 class LlmError(RuntimeError):
@@ -30,7 +35,7 @@ class LlmConfigError(LlmError):
 
 
 class LlmTransportError(LlmError):
-    """All transport attempts failed."""
+    """The request failed: a non-retryable answer, or every attempt failed."""
 
 
 class ScriptMissError(LlmError):
@@ -100,6 +105,52 @@ def extract_json_object(raw: str) -> Any:
         raise ValueError("reply does not contain a JSON object") from None
 
 
+Delay = Callable[[Exception, float], float | None]
+
+
+def with_retries(attempt: Callable[[], T], delay: Delay, *, retries: int, sleep: Callable[[float], None]) -> T:
+    """Run `attempt` once plus up to `retries` more times: the one retry loop.
+
+    `delay(exc, backoff)` gives the wait before the next attempt (backoff
+    is 1, 2, 4 s, ...), or None to re-raise `exc` at once. The last
+    attempt's error propagates.
+    """
+    for index in range(retries):
+        try:
+            return attempt()
+        except Exception as exc:
+            wait = delay(exc, float(2 ** index))
+            if wait is None:
+                raise
+        sleep(wait)
+    return attempt()
+
+
+def _retry_on_parse_error(exc: Exception, backoff: float) -> float | None:
+    if not isinstance(exc, ValueError):
+        return None
+    logger.warning("reply unparseable (%s); asking again in %.0f s", exc, backoff)
+    return backoff
+
+
+def complete_parsed(
+    client: LlmClient, prompt: str, schema: Mapping[str, Any], parse: Callable[[str], T], usage: TokenUsage,
+    *, retries: int, sleep: Callable[[float], None],
+) -> T:
+    """One structured turn: ask, record usage, parse the reply text.
+
+    A ValueError (a reply `parse` rejects) asks again. A client error
+    (LlmError) propagates at once: the client applied its own policy.
+    """
+
+    def attempt() -> T:
+        reply = client.complete(prompt, schema=schema)
+        usage.record(prompt, reply)
+        return parse(reply.text)
+
+    return with_retries(attempt, _retry_on_parse_error, retries=retries, sleep=sleep)
+
+
 class LlmClient(abc.ABC):
     @abc.abstractmethod
     def complete(self, prompt: str, *, schema: Mapping[str, Any] | None = None) -> LlmReply:
@@ -157,28 +208,40 @@ class HttpChatClient(LlmClient):
                 "json_schema": {"name": schema.get("title", "response"), "schema": dict(schema)},
             }
         headers = {"Authorization": f"Bearer {self._api_key}"}
-        last_error: Exception | None = None
+        attempts = 0
+
+        def attempt() -> LlmReply:
+            nonlocal attempts
+            attempts += 1
+            response = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
+            response.raise_for_status()
+            payload = response.json()
+            usage = payload.get("usage", {})
+            return LlmReply(
+                text=str(payload["choices"][0]["message"]["content"]),
+                prompt_tokens=usage.get("prompt_tokens"),
+                completion_tokens=usage.get("completion_tokens"),
+            )
+
         with self._gate:
-            # One initial attempt plus `retries` retries, backing off 1s, 2s, 4s.
-            for attempt in range(self._retries + 1):
-                if attempt > 0:
-                    self._sleep(float(2 ** (attempt - 1)))
-                try:
-                    response = self._session.post(
-                        self._url, json=body, headers=headers, timeout=self._timeout
-                    )
-                    response.raise_for_status()
-                    payload = response.json()
-                    choice = payload["choices"][0]["message"]["content"]
-                    usage = payload.get("usage", {})
-                    return LlmReply(
-                        text=str(choice),
-                        prompt_tokens=usage.get("prompt_tokens"),
-                        completion_tokens=usage.get("completion_tokens"),
-                    )
-                except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                    last_error = exc
-        raise LlmTransportError(f"LLM request failed after {self._retries + 1} attempts: {last_error}")
+            try:
+                return with_retries(attempt, _http_retry_delay, retries=self._retries, sleep=self._sleep)
+            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                plural = "" if attempts == 1 else "s"
+                raise LlmTransportError(f"LLM request failed after {attempts} attempt{plural}: {exc}") from exc
+
+
+def _http_retry_delay(exc: Exception, backoff: float) -> float | None:
+    """Retry connection errors, timeouts, 5xx, 429 (after a numeric Retry-After) and malformed payloads."""
+    if isinstance(exc, requests.HTTPError) and exc.response is not None:
+        status = exc.response.status_code
+        retry_after = exc.response.headers.get("Retry-After", "").strip()
+        if status == 429 and retry_after.isascii() and retry_after.isdigit():
+            return float(retry_after)
+        return backoff if status == 429 or status >= 500 else None
+    if isinstance(exc, (requests.ConnectionError, requests.Timeout, KeyError, IndexError, ValueError)):
+        return backoff
+    return None
 
 
 def prompt_fingerprint(prompt: str) -> str:

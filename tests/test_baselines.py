@@ -303,6 +303,19 @@ def probe_prompt(question, snippets):
     )
 
 
+class _TitleClient(LlmClient):
+    """Answers by schema title and records the title of every call."""
+
+    def __init__(self, replies_by_title):
+        self.replies_by_title = replies_by_title
+        self.titles = []
+
+    def complete(self, prompt, *, schema=None):
+        title = (schema or {}).get("title")
+        self.titles.append(title)
+        return LlmReply(text=self.replies_by_title[title])
+
+
 class TestRunCot:
     def test_scripted_valid_passes_through(self):
         claim = make_claim()
@@ -320,11 +333,13 @@ class TestRunCot:
         with pytest.raises(ValueError):
             run_cot(MockLlm(1), make_claim(), [], sleep=lambda _: None)
 
-    def test_unparseable_after_retries_is_unverifiable(self):
-        claim = make_claim()
-        client = script((cot_prompt(claim, SNIPPETS), "word salad"))
-        result = run_cot(client, claim, SNIPPETS, sleep=lambda _: None)
-        assert result.verdict is Verdict.UNVERIFIABLE
+    def test_unparseable_after_retries_raises(self):
+        client = _TitleClient({"cot_verdict": "word salad"})
+        sleeps = []
+        with pytest.raises(ValueError, match="JSON"):
+            run_cot(client, make_claim(), SNIPPETS, sleep=sleeps.append)
+        assert client.titles == ["cot_verdict"] * 4
+        assert sleeps == [1.0, 2.0, 4.0]
 
     def test_scripted_run_is_deterministic(self):
         claim = make_claim()
@@ -410,11 +425,13 @@ class TestRunSelfrag:
         result = run_selfrag(client, claim, SNIPPETS, sleep=lambda _: None)
         assert result.verdict is Verdict.INVALID
 
-    def test_failed_critique_turn_is_unverifiable(self):
-        claim = make_claim()
-        client = script((critique_prompt(claim, SNIPPETS), "not json"))
-        result = run_selfrag(client, claim, SNIPPETS, sleep=lambda _: None)
-        assert result.verdict is Verdict.UNVERIFIABLE
+    def test_failed_critique_turn_raises(self):
+        client = _TitleClient({"selfrag_critiques": "not json"})
+        sleeps = []
+        with pytest.raises(ValueError, match="JSON"):
+            run_selfrag(client, make_claim(), SNIPPETS, sleep=sleeps.append)
+        assert client.titles == ["selfrag_critiques"] * 4
+        assert sleeps == [1.0, 2.0, 4.0]
 
 
 FLARE_VALID_NO_REVIEW = (
@@ -470,6 +487,19 @@ class TestRunFlare:
             result = run_flare(client, claim, SNIPPETS, {}, sleep=lambda _: None)
         assert result.verdict is Verdict.VALID
         assert "full text" in caplog.text
+
+    def test_unparseable_full_review_keeps_first_verdict_with_warning(self, caplog):
+        initial = (
+            '{"verdict": "Valid", "justification": "snippets lean valid", "confidence": 64, '
+            '"request_full_review": "D02"}'
+        )
+        client = _TitleClient({"flare_initial_verdict": initial, "flare_final_verdict": "word salad"})
+        with caplog.at_level("WARNING"):
+            result = run_flare(client, make_claim(), SNIPPETS, {"D02": "text"}, sleep=lambda _: None)
+        assert result.verdict is Verdict.VALID
+        assert result.justification == "snippets lean valid"
+        assert client.titles == ["flare_initial_verdict"] + ["flare_final_verdict"] * 4
+        assert "full-review turn failed" in caplog.text
 
 
 class _CotOnlyClient(LlmClient):
@@ -537,6 +567,17 @@ class TestRunCiber:
         result = run_ciber(client, claim, SNIPPETS, sleep=lambda _: None)
         assert result.verdict is Verdict.VALID
         assert "failed" in result.justification
+
+    def test_unparseable_probes_fall_back_to_cot_signal(self):
+        client = _TitleClient(
+            {
+                "cot_verdict": '{"verdict": "Valid", "justification": "", "confidence": 60}',
+                "ciber_probe_verdict": "word salad",
+            }
+        )
+        result = run_ciber(client, make_claim(), SNIPPETS, sleep=lambda _: None)
+        assert result.verdict is Verdict.VALID
+        assert "[failed, failed, failed]" in result.justification
 
 
 class TestMockDrivers:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 
@@ -26,7 +27,7 @@ from claimaudit.evaluation import (
     render_table,
     run_matrix,
 )
-from claimaudit.llm import ScriptedTranscript
+from claimaudit.llm import LlmClient, LlmReply, LlmTransportError, ScriptedTranscript
 from claimaudit.scoring import HvParams, Tallies, make_contribution
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
@@ -195,6 +196,16 @@ class TestVerdictRecord:
         assert dump_records(records) == dump_records(records)
 
 
+class _OutageClient(LlmClient):
+    def complete(self, prompt, *, schema=None):
+        raise LlmTransportError("endpoint down")
+
+
+class _WordSaladClient(LlmClient):
+    def complete(self, prompt, *, schema=None):
+        return LlmReply(text="word salad")
+
+
 class TestRunMatrix:
     def test_cartesian_count_and_order(self, corpus):
         report = run(corpus, methods=("audit", "cot"), scenarios=("TY0", "TY5"))
@@ -279,17 +290,29 @@ class TestRunMatrix:
         assert all("evidence lookup failed" in record.failure for record in by_claim["K02"])
         assert len(by_claim["K02"]) == 4
 
-    @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_client_errors_become_failure_records_for_every_method(self, corpus, method):
+    # The script-miss case keeps the bare method id.
+    @pytest.mark.parametrize(
+        ("method", "client", "failure_text"),
+        [
+            pytest.param(method, client, text, id=method + suffix)
+            for suffix, client, text in (
+                ("", ScriptedTranscript({}), "no scripted response"),
+                ("-outage", _OutageClient(), "endpoint down"),
+                ("-unparseable", _WordSaladClient(), "JSON"),
+            )
+            for method in ALL_METHODS
+        ],
+    )
+    def test_client_errors_become_failure_records_for_every_method(self, corpus, method, client, failure_text):
         answered = run(corpus, methods=(method,))
         unanswered = run_matrix(
             corpus, (method,), ("TY0", "TY5"), AblationFlags(), PARAMS, RIDGE, CFG,
-            seed=7, mock=False, client=ScriptedTranscript({}),
+            seed=7, mock=False, client=client, sleep=lambda _: None,
         )
         assert len(unanswered.records) == len(answered.records) == 4
         for record, reference in zip(unanswered.records, answered.records):
             assert reference.failure is None
-            assert "no scripted response" in record.failure
+            assert failure_text in record.failure
             assert record.verdict is None
             assert (record.tokens_in, record.tokens_out) == (0, 0)
             assert record.retrieval_mode == reference.retrieval_mode
@@ -447,6 +470,17 @@ class TestReports:
         assert any(line.startswith("audit") for line in lines)
         assert any(line.startswith("flare") for line in lines)
         assert "token counts are approximate" in table
+        assert "failed" not in table
+
+    def test_render_table_counts_failed_records(self, corpus):
+        answered = run(corpus, methods=("cot",), scenarios=("TY0",)).records
+        failed = [dataclasses.replace(answered[0], verdict=None, failure="endpoint down")]
+        only_failed = [dataclasses.replace(record, scenario="TY5", verdict=None, failure="down") for record in answered]
+        table = render_table(build_report(failed + list(answered[1:]) + only_failed))
+        row = next(line for line in table.splitlines() if line.startswith("cot"))
+        assert len(answered) >= 2
+        assert re.search(r"F1 \S+ MCC \S+ \(1 failed\)", row)
+        assert f"- ({len(answered)} failed)" in row
 
     def test_report_json_mirrors_cells(self, corpus):
         report = run(corpus)

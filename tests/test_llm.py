@@ -101,13 +101,14 @@ class TestScriptedTranscript:
 
 
 class _FakeResponse:
-    def __init__(self, payload, status=200):
+    def __init__(self, payload, status=200, headers=None):
         self._payload = payload
-        self._status = status
+        self.status_code = status
+        self.headers = headers or {}
 
     def raise_for_status(self):
-        if self._status >= 400:
-            raise requests.HTTPError(f"status {self._status}")
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"status {self.status_code}", response=self)
 
     def json(self):
         return self._payload
@@ -206,6 +207,36 @@ class TestHttpChatClient:
         session = _FakeSession([_FakeResponse({"weird": True})] * 4)
         with pytest.raises(LlmTransportError):
             _client(session).complete("p")
+
+    @pytest.mark.parametrize("status", [400, 401])
+    def test_client_error_status_is_not_retried(self, status):
+        session = _FakeSession([_FakeResponse({}, status=status)])
+        sleeps = []
+        with pytest.raises(LlmTransportError, match=f"after 1 attempt: status {status}"):
+            _client(session, sleeps=sleeps).complete("p")
+        assert len(session.calls) == 1
+        assert sleeps == []
+
+    def test_rate_limit_honours_numeric_retry_after(self):
+        session = _FakeSession(
+            [_FakeResponse({}, status=429, headers={"Retry-After": "7"}), _FakeResponse(_chat_payload("ok"))]
+        )
+        sleeps = []
+        assert _client(session, sleeps=sleeps).complete("p").text == "ok"
+        assert sleeps == [7.0]
+
+    def test_rate_limit_without_retry_after_backs_off(self):
+        session = _FakeSession([_FakeResponse({}, status=429), _FakeResponse(_chat_payload("ok"))])
+        sleeps = []
+        assert _client(session, sleeps=sleeps).complete("p").text == "ok"
+        assert sleeps == [1.0]
+
+    def test_server_error_is_retried(self):
+        session = _FakeSession([_FakeResponse({}, status=503), _FakeResponse(_chat_payload("ok"))])
+        sleeps = []
+        assert _client(session, sleeps=sleeps).complete("p").text == "ok"
+        assert sleeps == [1.0]
+        assert len(session.calls) == 2
 
 
 VERDICT_SCHEMA = {"title": "cot_verdict"}
