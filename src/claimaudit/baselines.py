@@ -313,7 +313,11 @@ class _Chain:
         def parse(text: str) -> T:
             return read(extract_json_object(text))
 
-        return complete_parsed(self.client, prompt, schema, parse, self.usage, retries=self.retries, sleep=self.sleep)
+        try:
+            return complete_parsed(self.client, prompt, schema, parse, self.usage, retries=self.retries, sleep=self.sleep)
+        except ValueError as exc:
+            title = schema["title"]
+            raise ValueError(f"{self.method} {title} reply unparseable after {self.retries + 1} attempts: {exc}") from exc
 
     def finish(self, verdict: Verdict, justification: str) -> BaselineVerdict:
         return BaselineVerdict(

@@ -407,10 +407,8 @@ _CELLS: dict[str, Callable[[RunContext, Claim, Sequence[EvidenceChunk]], CellFie
 ALL_METHODS = tuple(_CELLS)
 
 
-def _cell(ctx: RunContext, method: str, claim: Claim, label: str, chunks: Sequence[EvidenceChunk]) -> CellFields:
-    """The record fields of one cell; a cell whose method raises is a failure."""
-    if not chunks:
-        return {"failure": f"no evidence chunks survive scenario {label}"}
+def _cell(ctx: RunContext, method: str, claim: Claim, chunks: Sequence[EvidenceChunk]) -> CellFields:
+    """The record fields of one nonempty cell; a cell whose method raises is a failure."""
     n_docs = n_evidence_docs(chunks)
     try:
         return {"n_evidence_docs": n_docs, **_CELLS[method](ctx, claim, chunks)}
@@ -439,7 +437,10 @@ def run_matrix(
 
     Claim-level failures become records with the failure field set;
     the matrix itself never aborts. Record order is claim-major, then
-    method, then scenario, so assembly is deterministic.
+    method, then scenario, so assembly is deterministic. A cell reads
+    its method and ordered evidence, never the scenario label, so the
+    scenarios that leave a claim the same evidence share one computed
+    result, a failure included.
     """
     unknown = [method for method in methods if method not in _CELLS]
     if unknown:
@@ -473,9 +474,18 @@ def run_matrix(
             chunks_by_scenario = {
                 label: filter_scenario(evidence, corpus.scenario(label)) for label in scenario_labels
             }
+        computed: dict[tuple[str, tuple[str, ...]], CellFields] = {}
         for method in methods:
             for label in scenario_labels:
-                fields = lookup_failure or _cell(ctx, method, claim, label, chunks_by_scenario[label])
+                if lookup_failure is not None:
+                    fields = lookup_failure
+                elif not (chunks := chunks_by_scenario[label]):
+                    fields = {"failure": f"no evidence chunks survive scenario {label}"}
+                else:
+                    key = (method, tuple(chunk.id for chunk in chunks))
+                    if key not in computed:
+                        computed[key] = _cell(ctx, method, claim, chunks)
+                    fields = computed[key]
                 records.append(
                     VerdictRecord(
                         claim_id=claim.id,

@@ -2,14 +2,26 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import re
+import zlib
+from pathlib import Path
 
 import pytest
 
 import claimaudit.evaluation as evaluation
-from claimaudit.core import Verdict
-from claimaudit.corpus import EVIDENCE_FROM_MAP, EVIDENCE_FROM_RETRIEVAL, HashEmbedder, embed_chunks
+from claimaudit.audit import BATCH_AUDIT_SCHEMA
+from claimaudit.core import CheckId, Verdict
+from claimaudit.corpus import (
+    EVIDENCE_FROM_MAP,
+    EVIDENCE_FROM_RETRIEVAL,
+    HashEmbedder,
+    embed_chunks,
+    evidence_for_claim,
+    filter_scenario,
+    ingest,
+)
 from claimaudit.evaluation import (
     ALL_METHODS,
     AblationFlags,
@@ -27,12 +39,15 @@ from claimaudit.evaluation import (
     render_table,
     run_matrix,
 )
-from claimaudit.llm import LlmClient, LlmReply, LlmTransportError, ScriptedTranscript
+from claimaudit.llm import LlmClient, LlmReply, LlmTransportError, MockLlm, ScriptedTranscript
 from claimaudit.scoring import HvParams, Tallies, make_contribution
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
 from oracles import cohen_kappa_exact, gwet_ac1_exact, macro_f1_exact, mcc_exact
 from test_corpus import make_corpus, make_manifest
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SCENARIOS = ("TY0", "TY1", "TY3", "TY5")
 
 CFG = ThresholdConfig()
 RIDGE = constant_boldness_model()
@@ -196,14 +211,44 @@ class TestVerdictRecord:
         assert dump_records(records) == dump_records(records)
 
 
-class _OutageClient(LlmClient):
+class _CountingClient(LlmClient):
+    def __init__(self):
+        self.calls = 0
+
+
+class _OutageClient(_CountingClient):
     def complete(self, prompt, *, schema=None):
+        self.calls += 1
         raise LlmTransportError("endpoint down")
 
 
-class _WordSaladClient(LlmClient):
+class _WordSaladClient(_CountingClient):
     def complete(self, prompt, *, schema=None):
+        self.calls += 1
         return LlmReply(text="word salad")
+
+
+class _LiveDouble(_CountingClient):
+    """Answers the baselines as MockLlm does and each audit prompt with a stance drawn from its text."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.mock = MockLlm(seed)
+
+    def complete(self, prompt, *, schema=None):
+        self.calls += 1
+        if schema is not BATCH_AUDIT_SCHEMA:
+            return self.mock.complete(prompt, schema=schema)
+        stances = ("Supports", "Refutes", "Neutral")
+        entries = [
+            {
+                "paper_id": paper_id,
+                "stance": stances[zlib.crc32(f"{paper_id}:{prompt}".encode("utf-8")) % 3],
+                "checks": {check.name: {"score": "Pass"} for check in CheckId},
+            }
+            for paper_id in dict.fromkeys(re.findall(r'"paper_id": "([^"]+)"', prompt))
+        ]
+        return LlmReply(text=json.dumps({"all_papers_audit": entries}))
 
 
 class TestRunMatrix:
@@ -298,7 +343,7 @@ class TestRunMatrix:
             for suffix, client, text in (
                 ("", ScriptedTranscript({}), "no scripted response"),
                 ("-outage", _OutageClient(), "endpoint down"),
-                ("-unparseable", _WordSaladClient(), "JSON"),
+                ("-unparseable", _WordSaladClient(), "unparseable after 4 attempts"),
             )
             for method in ALL_METHODS
         ],
@@ -333,23 +378,33 @@ class TestRunMatrix:
         assert {contribution.doc_id for contribution in k01.contributions} == {"D01"}
 
 
+_DISPATCHED = (
+    ("run_cot", True),
+    ("run_selfrag", True),
+    ("run_flare", True),
+    ("run_ciber", True),
+    ("mock_audit_with_usage", True),
+    ("run_audit", False),
+)
+
+
 class TestCellDispatch:
     """Each method calls its function through the evaluation module's attribute."""
 
     @pytest.mark.parametrize(
-        "name,mock",
-        [
-            ("run_cot", True),
-            ("run_selfrag", True),
-            ("run_flare", True),
-            ("run_ciber", True),
-            ("mock_audit_with_usage", True),
-            ("run_audit", False),
-        ],
+        "name,mock,shared",
+        [pytest.param(name, mock, False, id=f"{name}-{mock}") for name, mock in _DISPATCHED]
+        + [pytest.param(name, mock, True, id=f"{name}-{mock}-shared") for name, mock in _DISPATCHED],
     )
-    def test_called_once_per_nonempty_cell(self, tmp_path, monkeypatch, name, mock):
+    def test_called_once_per_nonempty_cell(self, tmp_path, monkeypatch, name, mock, shared):
         payload = make_manifest()
-        payload["evidence_map"]["K01"] = ["D03-c0"]  # D03 is not in TY0
+        if shared:
+            # TY1 and TY3 keep all of K01's pins, so K01 has one distinct
+            # evidence list for two scenarios; K02's retrieved lists differ.
+            scenarios, expected_empty = ("TY1", "TY3"), set()
+        else:
+            payload["evidence_map"]["K01"] = ["D03-c0"]  # D03 is not in TY0
+            scenarios, expected_empty = ("TY0", "TY5"), {("K01", "TY0")}
         corpus = embed_chunks(make_corpus(tmp_path, payload), HashEmbedder())
         original = getattr(evaluation, name)
         calls = []
@@ -360,13 +415,83 @@ class TestCellDispatch:
 
         monkeypatch.setattr(evaluation, name, spy)
         report = run_matrix(
-            corpus, ALL_METHODS, ("TY0", "TY5"), AblationFlags(), PARAMS, RIDGE, CFG,
+            corpus, ALL_METHODS, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
             seed=7, mock=mock, client=None if mock else ScriptedTranscript({}),
         )
         empty = [record for record in report.records if record.n_evidence_docs == 0]
-        assert {(record.claim_id, record.scenario) for record in empty} == {("K01", "TY0")}
-        assert len(empty) == len(ALL_METHODS)
+        assert {(record.claim_id, record.scenario) for record in empty} == expected_empty
+        assert len(empty) == len(ALL_METHODS) * len(expected_empty)
+        assert len(report.records) - len(empty) == len(ALL_METHODS) * (4 if shared else 3)
         assert len(calls) == 3
+
+
+def _run_fixtures(corpus, scenarios, *, mock, client=None):
+    return run_matrix(
+        corpus, ALL_METHODS, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
+        seed=7, mock=mock, client=client, sleep=lambda _: None,
+    ).records
+
+
+class TestSharedCells:
+    """Scenarios that leave a claim the same evidence share one computed cell."""
+
+    @pytest.fixture(scope="class")
+    def fixtures_corpus(self):
+        corpus = ingest(FIXTURES / "manifest.json")
+        repeats = []
+        for claim in corpus.claims.values():
+            evidence, _ = evidence_for_claim(corpus, claim)
+            if filter_scenario(evidence, corpus.scenario("TY3")) == filter_scenario(evidence, corpus.scenario("TY5")):
+                repeats.append(claim.id)
+        assert len(repeats) == 8  # TY3 and TY5 leave 8 of the 10 claims the same evidence
+        return corpus
+
+    @pytest.mark.parametrize("mock", [True, False], ids=["mock", "live"])
+    def test_sharing_is_invisible_in_the_records(self, fixtures_corpus, mock):
+        joint_client, split_client = _LiveDouble(7), _LiveDouble(7)
+        joint = _run_fixtures(fixtures_corpus, SCENARIOS, mock=mock, client=None if mock else joint_client)
+        by_key = {
+            (record.claim_id, record.method, record.scenario): record
+            for label in SCENARIOS
+            for record in _run_fixtures(fixtures_corpus, (label,), mock=mock, client=None if mock else split_client)
+        }
+        split = [
+            by_key[(claim_id, method, label)]
+            for claim_id in fixtures_corpus.claims
+            for method in ALL_METHODS
+            for label in SCENARIOS
+        ]
+        assert len(joint) == len(split) == 200
+        assert dump_records(joint) == dump_records(split)
+        if not mock:
+            assert all(record.failure is None for record in joint)
+            assert 0 < joint_client.calls < split_client.calls
+
+    # Every method's first turn is required; a parse failure asks four times.
+    @pytest.mark.parametrize(("client_class", "attempts"), [(_OutageClient, 1), (_WordSaladClient, 4)])
+    def test_failed_cell_is_computed_once_and_shared(self, corpus, client_class, attempts):
+        client = client_class()
+        records = run_matrix(
+            corpus, ALL_METHODS, ("TY1", "TY3"), AblationFlags(), PARAMS, RIDGE, CFG,
+            seed=7, mock=False, client=client, sleep=lambda _: None,
+        ).records
+        # K01's pins survive both scenarios; K02's retrieved lists differ.
+        assert client.calls == len(ALL_METHODS) * 3 * attempts
+        assert all(record.failure is not None for record in records)
+        k01 = [record for record in records if record.claim_id == "K01"]
+        for ty1, ty3 in zip(k01[::2], k01[1::2]):
+            assert (ty1.scenario, ty3.scenario, ty3.method) == ("TY1", "TY3", ty1.method)
+            assert ty1.failure == ty3.failure
+
+    def test_each_empty_scenario_names_its_own_label(self, tmp_path):
+        payload = make_manifest()
+        payload["evidence_map"]["K01"] = ["D03-c0"]  # D03 is in neither TY0 nor TY1
+        corpus = embed_chunks(make_corpus(tmp_path, payload), HashEmbedder())
+        records = run(corpus, methods=ALL_METHODS, scenarios=("TY0", "TY1")).records
+        k01 = [record for record in records if record.claim_id == "K01"]
+        assert [record.failure for record in k01] == [
+            f"no evidence chunks survive scenario {label}" for _ in ALL_METHODS for label in ("TY0", "TY1")
+        ]
 
 
 class TestAblationSemantics:
