@@ -329,6 +329,6 @@ def run_audit(
         parsed = complete_parsed(client, prompt, BATCH_AUDIT_SCHEMA, parse, usage, retries=retries, sleep=sleep)
     except LlmError as exc:
         raise AuditFailureError(f"audit transport failed: {exc}") from exc
-    except AuditParseError as exc:
-        raise AuditFailureError(f"audit response unparseable after {retries + 1} attempts: {exc}") from exc
+    except ValueError as exc:
+        raise AuditFailureError(f"audit response {exc}") from exc
     return [replace(result, audit=validate_audit(result.audit, masks[result.paper_id])) for result in parsed], usage

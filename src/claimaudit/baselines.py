@@ -316,8 +316,7 @@ class _Chain:
         try:
             return complete_parsed(self.client, prompt, schema, parse, self.usage, retries=self.retries, sleep=self.sleep)
         except ValueError as exc:
-            title = schema["title"]
-            raise ValueError(f"{self.method} {title} reply unparseable after {self.retries + 1} attempts: {exc}") from exc
+            raise ValueError(f"{self.method} {schema['title']} reply {exc}") from exc
 
     def finish(self, verdict: Verdict, justification: str) -> BaselineVerdict:
         return BaselineVerdict(

@@ -139,7 +139,8 @@ def complete_parsed(
 ) -> T:
     """One structured turn: ask, record usage, parse the reply text.
 
-    A ValueError (a reply `parse` rejects) asks again. A client error
+    A ValueError (a reply `parse` rejects) asks again; the last one is
+    re-raised as a ValueError naming the attempts made. A client error
     (LlmError) propagates at once: the client applied its own policy.
     """
 
@@ -148,7 +149,10 @@ def complete_parsed(
         usage.record(prompt, reply)
         return parse(reply.text)
 
-    return with_retries(attempt, _retry_on_parse_error, retries=retries, sleep=sleep)
+    try:
+        return with_retries(attempt, _retry_on_parse_error, retries=retries, sleep=sleep)
+    except ValueError as exc:
+        raise ValueError(f"unparseable after {retries + 1} attempts: {exc}") from exc
 
 
 class LlmClient(abc.ABC):

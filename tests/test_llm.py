@@ -16,6 +16,7 @@ from claimaudit.llm import (
     ScriptMissError,
     TokenUsage,
     approx_token_count,
+    complete_parsed,
     extract_json_object,
     prompt_fingerprint,
 )
@@ -76,6 +77,16 @@ class TestExtractJsonObject:
     def test_truncated_object_raises(self):
         with pytest.raises(ValueError):
             extract_json_object('{"a": [1, 2')
+
+
+class TestCompleteParsed:
+    def test_last_parse_error_names_the_attempts_made(self):
+        transcript = ScriptedTranscript({prompt_fingerprint("p"): "word salad"})
+        usage, sleeps = TokenUsage(), []
+        with pytest.raises(ValueError, match=r"^unparseable after 2 attempts: .*JSON") as info:
+            complete_parsed(transcript, "p", {}, extract_json_object, usage, retries=1, sleep=sleeps.append)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert (sleeps, usage.tokens_out) == ([1.0], 2 * approx_token_count("word salad"))
 
 
 class TestScriptedTranscript:
