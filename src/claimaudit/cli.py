@@ -185,8 +185,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--config is required")
     try:
         cfg = load_config(config_path)
-        if cfg.templates is not None:
-            use_template_directory(cfg.templates)
+        # Unconditional: None restores the packaged templates after an
+        # earlier call in the same process pointed elsewhere.
+        use_template_directory(cfg.templates)
         seed = getattr(args, "seed", None)
         if seed is not None:
             cfg = replace(cfg, seed=seed)

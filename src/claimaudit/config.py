@@ -94,6 +94,12 @@ def _as_path(base: Path, value: Any, context: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _at_least(value: int, minimum: int, context: str) -> int:
+    if value < minimum:
+        raise ConfigError(f"{context}: must be at least {minimum}, got {value}")
+    return value
+
+
 def _parse_threshold(payload: Mapping[str, Any]) -> ThresholdConfig:
     _check_keys(payload, {"priors", "C", "N_base", "clamp"}, "threshold")
     kwargs: dict[str, Any] = {}
@@ -137,7 +143,7 @@ def _parse_llm(payload: Mapping[str, Any]) -> LlmSettings:
         model=payload.get("model"),
         api_key=payload.get("api_key"),
         max_in_flight=int(payload.get("max_in_flight", 4)),
-        retries=int(payload.get("retries", 3)),
+        retries=_at_least(int(payload.get("retries", 3)), 0, "llm.retries"),
         timeout=float(payload.get("timeout", 60.0)),
     )
 
@@ -231,8 +237,8 @@ def load_config(config_path: str | Path) -> RunConfig:
         llm=llm,
         embed_dim=embed_dim,
         embed_seed=embed_seed,
-        retrieval_k=int(raw_run.get("retrieval_k", DEFAULT_RETRIEVAL_K)),
-        token_budget=int(raw_run.get("token_budget", 100_000)),
+        retrieval_k=_at_least(int(raw_run.get("retrieval_k", DEFAULT_RETRIEVAL_K)), 1, "run.retrieval_k"),
+        token_budget=_at_least(int(raw_run.get("token_budget", 100_000)), 1, "run.token_budget"),
         methods=methods,
         scenarios=scenarios,
         ablations=ablations,

@@ -1,9 +1,9 @@
 """Corpus store: manifest ingestion, embeddings, retrieval, scenarios.
 
 The corpus is an immutable value after ingestion; embedding returns a
-new handle. Persistence is a directory of plain files (manifest JSON,
-one analysis JSON per document, JSON-lines chunk and embedding stores)
-so fixtures stay reviewable and diffable.
+new handle. The store is a directory of two plain files: the corpus as a
+manifest in the ingest schema, read back by the same parser and checks as
+any manifest, and a JSON-lines embedding file once chunks are embedded.
 """
 
 from __future__ import annotations
@@ -383,35 +383,29 @@ def n_evidence_docs(chunks: Iterable[EvidenceChunk]) -> int:
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write the directory-of-files layout (embeddings included if present)."""
+    """Write the store: one ingest-schema manifest, plus embeddings if present.
+
+    `manifest.json` holds every document with its analysis and chunks
+    inline, so `load_corpus` is `ingest` plus the `embeddings.jsonl` merge.
+    """
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "analyses").mkdir(exist_ok=True)
     manifest = {
         "documents": [
-            {"id": doc.id, "title": doc.title, "source_uri": doc.source_uri, "retracted": doc.retracted}
+            {
+                "id": doc.id,
+                "title": doc.title,
+                "source_uri": doc.source_uri,
+                "retracted": doc.retracted,
+                "analysis": doc.analysis.to_json(),
+                "chunks": [{"id": chunk.id, "ordinal": chunk.ordinal, "text": chunk.text} for chunk in doc.chunks],
+            }
             for doc in corpus.documents.values()
         ],
         "claims": [claim.to_json() for claim in corpus.claims.values()],
         "scenarios": {label: sorted(corpus.scenarios[label].member_doc_ids) for label in SCENARIO_LABELS},
         "evidence_map": {claim_id: list(chunk_ids) for claim_id, chunk_ids in corpus.evidence_map.items()},
     }
-    write_atomic(root / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
-    for doc in corpus.documents.values():
-        write_atomic(
-            root / "analyses" / f"{doc.id}.json", json.dumps(doc.analysis.to_json(), indent=2, sort_keys=True)
-        )
-    write_atomic(
-        root / "chunks.jsonl",
-        "".join(
-            json.dumps(
-                {"id": chunk.id, "doc_id": chunk.doc_id, "ordinal": chunk.ordinal, "text": chunk.text},
-                sort_keys=True,
-            )
-            + "\n"
-            for chunk in corpus.all_chunks()
-        ),
-    )
+    write_atomic(root / "manifest.json", json.dumps(manifest, sort_keys=True, separators=(",", ":")))
     embedded = [chunk for chunk in corpus.all_chunks() if chunk.embedding is not None]
     if embedded:
         write_atomic(
@@ -426,43 +420,20 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 def load_corpus(directory: str | Path) -> Corpus:
     """Rebuild a corpus from `save_corpus` output, re-running all checks."""
     root = Path(directory)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    chunks_by_doc: dict[str, list[dict[str, Any]]] = {}
-    with (root / "chunks.jsonl").open(encoding="utf-8") as handle:
+    try:
+        corpus = ingest(root / "manifest.json")
+    except CorpusIntegrityError as exc:
+        raise CorpusIntegrityError(f"store {root}: {exc}; run `claimaudit ingest` again to rebuild it") from None
+    embeddings_path = root / "embeddings.jsonl"
+    if not embeddings_path.exists():
+        return corpus
+    vectors: dict[str, tuple[float, ...]] = {}
+    with embeddings_path.open(encoding="utf-8") as handle:
         for line in handle:
             record = json.loads(line)
-            chunks_by_doc.setdefault(record["doc_id"], []).append(
-                {"id": record["id"], "ordinal": record["ordinal"], "text": record["text"]}
-            )
-    payload = {
-        "documents": [
-            {
-                **doc,
-                "analysis": json.loads((root / "analyses" / f"{doc['id']}.json").read_text(encoding="utf-8")),
-                "chunks": chunks_by_doc.get(doc["id"], []),
-            }
-            for doc in manifest["documents"]
-        ],
-        "claims": manifest["claims"],
-        "scenarios": manifest["scenarios"],
-        "evidence_map": manifest["evidence_map"],
+            vectors[record["chunk_id"]] = tuple(float(x) for x in record["embedding"])
+    new_documents = {
+        doc_id: replace(doc, chunks=tuple(replace(chunk, embedding=vectors.get(chunk.id)) for chunk in doc.chunks))
+        for doc_id, doc in corpus.documents.items()
     }
-    corpus = _build_corpus(payload)
-    embeddings_path = root / "embeddings.jsonl"
-    if embeddings_path.exists():
-        vectors: dict[str, tuple[float, ...]] = {}
-        with embeddings_path.open(encoding="utf-8") as handle:
-            for line in handle:
-                record = json.loads(line)
-                vectors[record["chunk_id"]] = tuple(float(x) for x in record["embedding"])
-        new_documents = {
-            doc_id: replace(
-                doc,
-                chunks=tuple(
-                    replace(chunk, embedding=vectors.get(chunk.id)) for chunk in doc.chunks
-                ),
-            )
-            for doc_id, doc in corpus.documents.items()
-        }
-        corpus = replace(corpus, documents=new_documents)
-    return corpus
+    return replace(corpus, documents=new_documents)

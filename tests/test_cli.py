@@ -1,6 +1,7 @@
 """Config validation and CLI command tests (in-process, exit-code driven)."""
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -88,15 +89,23 @@ class TestLoadConfig:
             ({"embedding": {"dims": 64}}, "dims"),
             ({"run": {"k": 10}}, "'k'"),
             ({"ablations": {"use_turbo": True}}, "use_turbo"),
+            ({"llm": {"retries": -1}}, "llm.retries"),
+            ({"run": {"retrieval_k": 0}}, "run.retrieval_k"),
+            ({"run": {"token_budget": 0}}, "run.token_budget"),
         ],
     )
-    def test_unknown_keys_rejected_at_every_level(self, tmp_path, mutation, needle):
+    def test_unknown_keys_and_bad_values_rejected(self, tmp_path, mutation, needle):
         config_path = setup_workspace(tmp_path)
         payload = json.loads(config_path.read_text(encoding="utf-8"))
         payload.update(mutation)
         config_path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ConfigError, match=needle):
             load_config(config_path)
+
+    def test_smallest_valid_counts_accepted(self, tmp_path):
+        config_path = setup_workspace(tmp_path, {"llm": {"retries": 0}, "run": {"retrieval_k": 1, "token_budget": 1}})
+        cfg = load_config(config_path)
+        assert (cfg.llm.retries, cfg.retrieval_k, cfg.token_budget) == (0, 1, 1)
 
     def test_env_interpolation_resolves_set_variables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CA_TEST_URL", "https://llm.example")
@@ -200,6 +209,31 @@ class TestTemplateOverride:
         assert overrides == {tmp_path / "cot_verdict.txt": 1, tmp_path / "batch_audit.txt": 1}
         assert reads[next(path for path in reads if path.name == "flare_initial.txt")] == 1
         assert set(reads.values()) == {1}
+
+
+    def test_a_later_config_without_templates_gets_the_packaged_ones(self, tmp_path):
+        (tmp_path / "templates").mkdir()
+        (tmp_path / "templates" / "cot_verdict.txt").write_text(
+            "CUSTOM {{CLAIM_TEXT}}\n{{EVIDENCE_SNIPPETS}}", encoding="utf-8"
+        )
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "embed"]) == 0
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["paths"]["store"] = "out/store"
+
+        def verify(name: str, **paths: str) -> bytes:
+            config_path = tmp_path / f"{name}.json"
+            config = {**payload, "paths": {**payload["paths"], "output": name, **paths}}
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7", "--method", "cot"]) == 0
+            return (tmp_path / name / "records.jsonl").read_bytes()
+
+        try:
+            clean = verify("clean")
+            assert verify("custom", templates="templates") != clean
+            assert verify("after") == clean
+        finally:
+            use_template_directory(None)
 
 
 class TestUsageErrors:
@@ -420,31 +454,53 @@ class TestReport:
 class TestShippedFixtures:
     def test_generator_reproduces_committed_fixtures(self, tmp_path):
         script = FIXTURES.parent / "demos" / "build_demo_corpus.py"
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
         result = subprocess.run(
-            [sys.executable, str(script), str(tmp_path / "regen")], capture_output=True, text=True
+            [sys.executable, str(script), str(tmp_path / "regen")], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
         for name in ("manifest.json", "calibration.jsonl", "config.json"):
             assert (tmp_path / "regen" / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
-    def test_fixture_matrix_runs_clean(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
+    @staticmethod
+    def _fixture_config(directory: Path) -> Path:
+        """A config over the shipped fixtures that writes under `directory`/out."""
+        directory.mkdir(exist_ok=True)
+        config_path = directory / "config.json"
         config_path.write_text(
             json.dumps(
                 {
                     "paths": {
                         "manifest": str(FIXTURES / "manifest.json"),
                         "calibration": str(FIXTURES / "calibration.jsonl"),
-                        "output": str(tmp_path / "out"),
+                        "output": str(directory / "out"),
                     },
                     "seed": 0,
                 }
             ),
             encoding="utf-8",
         )
+        return config_path
+
+    def test_fixture_matrix_runs_clean(self, tmp_path, capsys):
+        config_path = self._fixture_config(tmp_path)
         assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 0
         records = load_records(tmp_path / "out" / "records.jsonl")
         assert len(records) == 10 * len(ALL_METHODS) * len(SCENARIO_LABELS)
         assert all(record.failure is None for record in records)
         assert main(["--config", str(config_path), "report"]) == 0
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_store_and_manifest_fallback_write_identical_records(self, tmp_path):
+        stored = self._fixture_config(tmp_path / "stored")
+        store = tmp_path / "stored" / "out" / "store"
+        assert main(["--config", str(stored), "ingest"]) == 0
+        assert [path.name for path in store.iterdir()] == ["manifest.json"]
+        assert main(["--config", str(stored), "embed"]) == 0
+        assert sorted(path.name for path in store.iterdir()) == ["embeddings.jsonl", "manifest.json"]
+        fallback = self._fixture_config(tmp_path / "fallback")
+        for config_path in (stored, fallback):
+            assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 0
+        assert not (tmp_path / "fallback" / "out" / "store").exists()
+        records = [(tmp_path / name / "out" / "records.jsonl").read_bytes() for name in ("stored", "fallback")]
+        assert records[0] == records[1]

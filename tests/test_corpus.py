@@ -471,10 +471,11 @@ class TestSaveLoad:
         corpus = make_corpus(tmp_path)
         save_corpus(corpus, tmp_path / "store")
         assert load_corpus(tmp_path / "store") == corpus
-        assert (tmp_path / "store" / "manifest.json").exists()
-        assert (tmp_path / "store" / "analyses" / "D01.json").exists()
-        assert (tmp_path / "store" / "chunks.jsonl").exists()
-        assert not (tmp_path / "store" / "embeddings.jsonl").exists()
+        assert [path.name for path in (tmp_path / "store").iterdir()] == ["manifest.json"]
+
+    def test_store_manifest_is_an_ingestible_manifest(self, tmp_path):
+        save_corpus(make_corpus(tmp_path), tmp_path / "store")
+        assert ingest(tmp_path / "store" / "manifest.json") == load_corpus(tmp_path / "store")
 
     def test_round_trip_preserves_embeddings(self, tmp_path):
         corpus = embed_chunks(make_corpus(tmp_path), HashEmbedder())
@@ -482,7 +483,7 @@ class TestSaveLoad:
         loaded = load_corpus(tmp_path / "store")
         assert loaded == corpus
         assert loaded.chunk("D01-c0").embedding == corpus.chunk("D01-c0").embedding
-        assert (tmp_path / "store" / "embeddings.jsonl").exists()
+        assert sorted(path.name for path in (tmp_path / "store").iterdir()) == ["embeddings.jsonl", "manifest.json"]
 
     def test_load_reruns_integrity_checks(self, tmp_path):
         corpus = make_corpus(tmp_path)
@@ -493,3 +494,16 @@ class TestSaveLoad:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(CorpusIntegrityError, match="D04"):
             load_corpus(tmp_path / "store")
+
+    def test_old_layout_store_asks_for_a_new_ingest(self, tmp_path):
+        store = tmp_path / "store"
+        manifest = make_manifest()
+        (store / "analyses").mkdir(parents=True)
+        chunk_lines = []
+        for doc in manifest["documents"]:
+            (store / "analyses" / f"{doc['id']}.json").write_text(json.dumps(doc.pop("analysis")), encoding="utf-8")
+            chunk_lines += [json.dumps({**chunk, "doc_id": doc["id"]}) + "\n" for chunk in doc.pop("chunks")]
+        (store / "chunks.jsonl").write_text("".join(chunk_lines), encoding="utf-8")
+        (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CorpusIntegrityError, match="run `claimaudit ingest` again"):
+            load_corpus(store)
