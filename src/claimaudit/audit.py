@@ -36,6 +36,7 @@ from .llm import (
     LlmClient,
     LlmError,
     LlmReply,
+    ReplyMemo,
     TokenUsage,
     approx_token_count,
     complete_parsed,
@@ -297,6 +298,7 @@ def run_audit(
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     retries: int = 3,
     sleep: Callable[[float], None] = time.sleep,
+    memo: ReplyMemo | None = None,
 ) -> tuple[list[AuditResult], TokenUsage]:
     """Audit every paper in the request, splitting batches over budget.
 
@@ -318,6 +320,7 @@ def run_audit(
                 token_budget=token_budget,
                 retries=retries,
                 sleep=sleep,
+                memo=memo,
             )
             results.extend(sub_results)
             usage.merge(sub_usage)
@@ -326,7 +329,9 @@ def run_audit(
     masks = {paper.paper_id: derive_mask(paper.analysis) for paper in req.papers}
     try:
         parse = functools.partial(parse_audit_response, req=req)
-        parsed = complete_parsed(client, prompt, BATCH_AUDIT_SCHEMA, parse, usage, retries=retries, sleep=sleep)
+        parsed = complete_parsed(
+            client, prompt, BATCH_AUDIT_SCHEMA, parse, usage, retries=retries, sleep=sleep, memo=memo
+        )
     except LlmError as exc:
         raise AuditFailureError(f"audit transport failed: {exc}") from exc
     except ValueError as exc:

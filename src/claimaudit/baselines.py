@@ -11,6 +11,9 @@ SELFRAG two turns: per-passage critiques feed a synthesis verdict,
         with the synthesis rules re-enforced on our side.
 FLARE   two turns: the first may request one paper's full text.
 CIBER   one COT turn plus three probe turns, fused by Dempster's rule.
+
+CIBER's COT turn renders the COT prompt byte for byte: given the claim's
+reply memo (`llm.complete_parsed`), it reuses the COT method's reply.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .audit import load_template, render_template
 from .core import Claim, Verdict
-from .llm import LlmClient, LlmError, TokenUsage, complete_parsed, extract_json_object
+from .llm import LlmClient, LlmError, ReplyMemo, TokenUsage, complete_parsed, extract_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -305,6 +308,7 @@ class _Chain:
     client: LlmClient
     retries: int
     sleep: Callable[[float], None]
+    memo: ReplyMemo | None = None
     usage: TokenUsage = field(default_factory=TokenUsage)
 
     def ask(self, prompt: str, schema: Mapping[str, Any], read: Callable[[Any], T]) -> T:
@@ -314,7 +318,9 @@ class _Chain:
             return read(extract_json_object(text))
 
         try:
-            return complete_parsed(self.client, prompt, schema, parse, self.usage, retries=self.retries, sleep=self.sleep)
+            return complete_parsed(
+                self.client, prompt, schema, parse, self.usage, retries=self.retries, sleep=self.sleep, memo=self.memo
+            )
         except ValueError as exc:
             raise ValueError(f"{self.method} {schema['title']} reply {exc}") from exc
 
@@ -368,10 +374,11 @@ def run_cot(
     *,
     retries: int = 3,
     sleep: Callable[[float], None] = time.sleep,
+    memo: ReplyMemo | None = None,
 ) -> BaselineVerdict:
     """Single-pass verdict with justification."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_COT, client, retries, sleep)
+    chain = _Chain(METHOD_COT, client, retries, sleep, memo)
     verdict, justification, _ = _cot_turn(chain, claim, snippets)
     return chain.finish(verdict, justification)
 
@@ -383,10 +390,11 @@ def run_selfrag(
     *,
     retries: int = 3,
     sleep: Callable[[float], None] = time.sleep,
+    memo: ReplyMemo | None = None,
 ) -> BaselineVerdict:
     """Critique turn feeding a synthesis turn, with rules re-enforced."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_SELFRAG, client, retries, sleep)
+    chain = _Chain(METHOD_SELFRAG, client, retries, sleep, memo)
     rendered = render_snippets(snippets)
     critique_prompt = render_template(
         load_template("selfrag_critique"),
@@ -415,6 +423,7 @@ def run_flare(
     *,
     retries: int = 3,
     sleep: Callable[[float], None] = time.sleep,
+    memo: ReplyMemo | None = None,
 ) -> BaselineVerdict:
     """Snippet verdict first; optionally one full-text review turn.
 
@@ -423,7 +432,7 @@ def run_flare(
     keeps the first verdict.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_FLARE, client, retries, sleep)
+    chain = _Chain(METHOD_FLARE, client, retries, sleep, memo)
     rendered = render_snippets(snippets)
     paper_ids = snippet_paper_ids(snippets)
     initial_prompt = render_template(
@@ -485,6 +494,7 @@ def run_ciber(
     *,
     retries: int = 3,
     sleep: Callable[[float], None] = time.sleep,
+    memo: ReplyMemo | None = None,
 ) -> BaselineVerdict:
     """COT turn plus three probe turns, fused by Dempster's rule.
 
@@ -492,7 +502,7 @@ def run_ciber(
     Refutes / Neutral outcome maps to Valid / Invalid / Unverifiable.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_CIBER, client, retries, sleep)
+    chain = _Chain(METHOD_CIBER, client, retries, sleep, memo)
     rendered = render_snippets(snippets)
     cot_verdict, _, cot_confidence = _cot_turn(chain, claim, snippets)
     pairs: list[tuple[Verdict, float]] = [(cot_verdict, cot_confidence)]

@@ -100,6 +100,12 @@ def _at_least(value: int, minimum: int, context: str) -> int:
     return value
 
 
+def _positive(value: float, context: str) -> float:
+    if not value > 0:
+        raise ConfigError(f"{context}: must be positive, got {value}")
+    return value
+
+
 def _parse_threshold(payload: Mapping[str, Any]) -> ThresholdConfig:
     _check_keys(payload, {"priors", "C", "N_base", "clamp"}, "threshold")
     kwargs: dict[str, Any] = {}
@@ -142,9 +148,9 @@ def _parse_llm(payload: Mapping[str, Any]) -> LlmSettings:
         base_url=payload.get("base_url"),
         model=payload.get("model"),
         api_key=payload.get("api_key"),
-        max_in_flight=int(payload.get("max_in_flight", 4)),
+        max_in_flight=_at_least(int(payload.get("max_in_flight", 4)), 1, "llm.max_in_flight"),
         retries=_at_least(int(payload.get("retries", 3)), 0, "llm.retries"),
-        timeout=float(payload.get("timeout", 60.0)),
+        timeout=_positive(float(payload.get("timeout", 60.0)), "llm.timeout"),
     )
 
 

@@ -387,6 +387,8 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 
     `manifest.json` holds every document with its analysis and chunks
     inline, so `load_corpus` is `ingest` plus the `embeddings.jsonl` merge.
+    A corpus without embeddings removes the store's `embeddings.jsonl`,
+    so vectors of an earlier corpus never attach to re-ingested chunks.
     """
     root = Path(directory)
     manifest = {
@@ -415,6 +417,8 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
                 for chunk in embedded
             ),
         )
+    else:
+        (root / "embeddings.jsonl").unlink(missing_ok=True)
 
 
 def load_corpus(directory: str | Path) -> Corpus:

@@ -13,7 +13,7 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
@@ -46,7 +46,7 @@ from .corpus import (
     filter_scenario,
     n_evidence_docs,
 )
-from .llm import LlmClient, LlmError, MockLlm
+from .llm import LlmClient, LlmError, MockLlm, ReplyMemo
 from .redundancy import NoVocabularyError, document_weight, redundancy_for_texts
 from .scoring import DocumentContribution, HvParams, Tallies, aggregate, hv, intrinsic_quality, make_contribution
 from .threshold import RidgeModel, ThresholdConfig, threshold_for_claim
@@ -310,7 +310,7 @@ def _document_weights(
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything a cell needs that is fixed for one `run_matrix` call."""
+    """Everything a cell needs: fixed for one `run_matrix` call but `memo`, the current claim's replies."""
 
     corpus: Corpus
     flags: AblationFlags
@@ -323,6 +323,7 @@ class RunContext:
     token_budget: int
     retries: int
     sleep: Callable[[float], None]
+    memo: ReplyMemo | None = None
 
 
 CellFields = dict[str, Any]
@@ -335,7 +336,7 @@ def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> Ce
         results, usage = mock_audit_with_usage(request, ctx.seed)
     else:
         results, usage = run_audit(
-            ctx.client, request, token_budget=ctx.token_budget, retries=ctx.retries, sleep=ctx.sleep
+            ctx.client, request, token_budget=ctx.token_budget, retries=ctx.retries, sleep=ctx.sleep, memo=ctx.memo
         )
 
     weights = _document_weights(chunks, papers, ctx.flags.use_redundancy_penalty)
@@ -376,7 +377,7 @@ def _baseline(
     chunks: Sequence[EvidenceChunk],
     *extra: Any,
 ) -> CellFields:
-    result = run(ctx.client, claim, chunks, *extra, retries=ctx.retries, sleep=ctx.sleep)
+    result = run(ctx.client, claim, chunks, *extra, retries=ctx.retries, sleep=ctx.sleep, memo=ctx.memo)
     return {
         "verdict": result.verdict.value,
         "tokens_in": result.tokens_in,
@@ -440,7 +441,9 @@ def run_matrix(
     method, then scenario, so assembly is deterministic. A cell reads
     its method and ordered evidence, never the scenario label, so the
     scenarios that leave a claim the same evidence share one computed
-    result, a failure included.
+    result, a failure included. A claim's cells share one reply memo, so
+    a prompt reaches the client at most once per claim; every prompt
+    holds the claim text, so no memo outlives its claim.
     """
     unknown = [method for method in methods if method not in _CELLS]
     if unknown:
@@ -475,6 +478,7 @@ def run_matrix(
                 label: filter_scenario(evidence, corpus.scenario(label)) for label in scenario_labels
             }
         computed: dict[tuple[str, tuple[str, ...]], CellFields] = {}
+        claim_ctx = replace(ctx, memo={})
         for method in methods:
             for label in scenario_labels:
                 if lookup_failure is not None:
@@ -484,7 +488,7 @@ def run_matrix(
                 else:
                     key = (method, tuple(chunk.id for chunk in chunks))
                     if key not in computed:
-                        computed[key] = _cell(ctx, method, claim, chunks)
+                        computed[key] = _cell(claim_ctx, method, claim, chunks)
                     fields = computed[key]
                 records.append(
                     VerdictRecord(

@@ -15,11 +15,12 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from ._rng import DeterministicStream, fnv1a64
+
+if TYPE_CHECKING:
+    import requests
 
 T = TypeVar("T")
 
@@ -133,21 +134,39 @@ def _retry_on_parse_error(exc: Exception, backoff: float) -> float | None:
     return backoff
 
 
+# Replies that parsed, keyed by (schema title, prompt).
+ReplyMemo = dict[tuple[str, str], LlmReply]
+
+
 def complete_parsed(
     client: LlmClient, prompt: str, schema: Mapping[str, Any], parse: Callable[[str], T], usage: TokenUsage,
-    *, retries: int, sleep: Callable[[float], None],
+    *, retries: int, sleep: Callable[[float], None], memo: ReplyMemo | None = None,
 ) -> T:
     """One structured turn: ask, record usage, parse the reply text.
 
     A ValueError (a reply `parse` rejects) asks again; the last one is
     re-raised as a ValueError naming the attempts made. A client error
     (LlmError) propagates at once: the client applied its own policy.
+
+    With a `memo`, a (schema title, prompt) pair reaches the client at
+    most once: a reply that parsed is stored, and a later turn with the
+    same pair records that reply's usage again and parses its text
+    without a call. An unparseable reply or a client error is never
+    stored, so the next turn with that pair asks the client anew.
     """
+    key = (str(schema.get("title")), prompt)
+    if memo is not None and key in memo:
+        reply = memo[key]
+        usage.record(prompt, reply)
+        return parse(reply.text)
 
     def attempt() -> T:
         reply = client.complete(prompt, schema=schema)
         usage.record(prompt, reply)
-        return parse(reply.text)
+        parsed = parse(reply.text)
+        if memo is not None:
+            memo[key] = reply
+        return parsed
 
     try:
         return with_retries(attempt, _retry_on_parse_error, retries=retries, sleep=sleep)
@@ -181,6 +200,8 @@ class HttpChatClient(LlmClient):
         sleep: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ) -> None:
+        import requests
+
         base_url = base_url or os.environ.get("LLM_BASE_URL")
         model = model or os.environ.get("LLM_MODEL")
         api_key = api_key or os.environ.get("LLM_API_KEY")
@@ -202,6 +223,8 @@ class HttpChatClient(LlmClient):
         self._gate = threading.Semaphore(max_in_flight)
 
     def complete(self, prompt: str, *, schema: Mapping[str, Any] | None = None) -> LlmReply:
+        import requests
+
         body: dict[str, Any] = {
             "model": self._model,
             "messages": [{"role": "user", "content": prompt}],
@@ -237,6 +260,8 @@ class HttpChatClient(LlmClient):
 
 def _http_retry_delay(exc: Exception, backoff: float) -> float | None:
     """Retry connection errors, timeouts, 5xx, 429 (after a numeric Retry-After) and malformed payloads."""
+    import requests
+
     if isinstance(exc, requests.HTTPError) and exc.response is not None:
         status = exc.response.status_code
         retry_after = exc.response.headers.get("Retry-After", "").strip()

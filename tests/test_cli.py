@@ -12,7 +12,7 @@ import pytest
 from claimaudit.audit import load_template, use_template_directory
 from claimaudit.cli import main
 from claimaudit.config import load_config
-from claimaudit.corpus import SCENARIO_LABELS
+from claimaudit.corpus import SCENARIO_LABELS, load_corpus
 from claimaudit.evaluation import ALL_METHODS, load_records
 from claimaudit.threshold import ConfigError
 
@@ -90,6 +90,9 @@ class TestLoadConfig:
             ({"run": {"k": 10}}, "'k'"),
             ({"ablations": {"use_turbo": True}}, "use_turbo"),
             ({"llm": {"retries": -1}}, "llm.retries"),
+            ({"llm": {"timeout": 0}}, "llm.timeout"),
+            ({"llm": {"timeout": -1.5}}, "llm.timeout"),
+            ({"llm": {"max_in_flight": 0}}, "llm.max_in_flight"),
             ({"run": {"retrieval_k": 0}}, "run.retrieval_k"),
             ({"run": {"token_budget": 0}}, "run.token_budget"),
         ],
@@ -103,9 +106,13 @@ class TestLoadConfig:
             load_config(config_path)
 
     def test_smallest_valid_counts_accepted(self, tmp_path):
-        config_path = setup_workspace(tmp_path, {"llm": {"retries": 0}, "run": {"retrieval_k": 1, "token_budget": 1}})
+        config_path = setup_workspace(
+            tmp_path,
+            {"llm": {"retries": 0, "max_in_flight": 1, "timeout": 0.5}, "run": {"retrieval_k": 1, "token_budget": 1}},
+        )
         cfg = load_config(config_path)
-        assert (cfg.llm.retries, cfg.retrieval_k, cfg.token_budget) == (0, 1, 1)
+        assert (cfg.llm.retries, cfg.llm.max_in_flight, cfg.llm.timeout) == (0, 1, 0.5)
+        assert (cfg.retrieval_k, cfg.token_budget) == (1, 1)
 
     def test_env_interpolation_resolves_set_variables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CA_TEST_URL", "https://llm.example")
@@ -293,6 +300,18 @@ class TestIngestAndEmbed:
         assert main(["--config", str(config_path), "embed"]) == 0
         assert (tmp_path / "out" / "store" / "embeddings.jsonl").exists()
 
+    def test_reingest_drops_the_vectors_of_the_old_text(self, tmp_path):
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "ingest"]) == 0
+        assert main(["--config", str(config_path), "embed"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        manifest["documents"][0]["chunks"][0]["text"] = "entirely new wording of the first chunk"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["--config", str(config_path), "ingest"]) == 0
+        store = tmp_path / "out" / "store"
+        assert load_corpus(store).chunk("D01-c0").embedding is None
+        assert [path.name for path in store.iterdir()] == ["manifest.json"]
+
 
 class TestCalibrate:
     def test_writes_params(self, tmp_path, capsys):
@@ -449,6 +468,15 @@ class TestReport:
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "report"]) == 1
         assert "run verify first" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_import_leaves_requests_unloaded(self):
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+        probe = "import sys, claimaudit.cli; print('requests' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestShippedFixtures:

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -212,19 +213,30 @@ class TestVerdictRecord:
 
 
 class _CountingClient(LlmClient):
+    """Keeps the (schema title, prompt) pair of every call; `answer` replies."""
+
     def __init__(self):
-        self.calls = 0
+        self.sent = []
+
+    @property
+    def calls(self):
+        return len(self.sent)
+
+    def titles(self):
+        return Counter(title for title, _ in self.sent)
+
+    def complete(self, prompt, *, schema=None):
+        self.sent.append((schema["title"], prompt))
+        return self.answer(prompt, schema)
 
 
 class _OutageClient(_CountingClient):
-    def complete(self, prompt, *, schema=None):
-        self.calls += 1
+    def answer(self, prompt, schema):
         raise LlmTransportError("endpoint down")
 
 
 class _WordSaladClient(_CountingClient):
-    def complete(self, prompt, *, schema=None):
-        self.calls += 1
+    def answer(self, prompt, schema):
         return LlmReply(text="word salad")
 
 
@@ -235,8 +247,7 @@ class _LiveDouble(_CountingClient):
         super().__init__()
         self.mock = MockLlm(seed)
 
-    def complete(self, prompt, *, schema=None):
-        self.calls += 1
+    def answer(self, prompt, schema):
         if schema is not BATCH_AUDIT_SCHEMA:
             return self.mock.complete(prompt, schema=schema)
         stances = ("Supports", "Refutes", "Neutral")
@@ -249,6 +260,15 @@ class _LiveDouble(_CountingClient):
             for paper_id in dict.fromkeys(re.findall(r'"paper_id": "([^"]+)"', prompt))
         ]
         return LlmReply(text=json.dumps({"all_papers_audit": entries}))
+
+
+class _FirstCotOutage(_LiveDouble):
+    """A `_LiveDouble` whose first `cot_verdict` call fails in transport."""
+
+    def answer(self, prompt, schema):
+        if self.titles()["cot_verdict"] == 1 and schema["title"] == "cot_verdict":
+            raise LlmTransportError("endpoint down")
+        return super().answer(prompt, schema)
 
 
 class TestRunMatrix:
@@ -425,15 +445,15 @@ class TestCellDispatch:
         assert len(calls) == 3
 
 
-def _run_fixtures(corpus, scenarios, *, mock, client=None):
+def _run_fixtures(corpus, scenarios, *, mock, client=None, methods=ALL_METHODS):
     return run_matrix(
-        corpus, ALL_METHODS, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
+        corpus, methods, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
         seed=7, mock=mock, client=client, sleep=lambda _: None,
     ).records
 
 
 class TestSharedCells:
-    """Scenarios that leave a claim the same evidence share one computed cell."""
+    """Within a claim, scenarios with the same evidence share one cell and methods share parsed replies."""
 
     @pytest.fixture(scope="class")
     def fixtures_corpus(self):
@@ -446,14 +466,25 @@ class TestSharedCells:
         assert len(repeats) == 8  # TY3 and TY5 leave 8 of the 10 claims the same evidence
         return corpus
 
-    @pytest.mark.parametrize("mock", [True, False], ids=["mock", "live"])
-    def test_sharing_is_invisible_in_the_records(self, fixtures_corpus, mock):
+    # A run of one scenario shares no cell; a run of one method shares no reply.
+    @pytest.mark.parametrize(
+        ("mock", "split"),
+        [(True, "scenario"), (False, "scenario"), (True, "method"), (False, "method")],
+        ids=["mock", "live", "mock-by-method", "live-by-method"],
+    )
+    def test_sharing_is_invisible_in_the_records(self, fixtures_corpus, mock, split):
         joint_client, split_client = _LiveDouble(7), _LiveDouble(7)
         joint = _run_fixtures(fixtures_corpus, SCENARIOS, mock=mock, client=None if mock else joint_client)
+        if split == "scenario":
+            parts = [((label,), ALL_METHODS) for label in SCENARIOS]
+        else:
+            parts = [(SCENARIOS, (method,)) for method in ALL_METHODS]
         by_key = {
             (record.claim_id, record.method, record.scenario): record
-            for label in SCENARIOS
-            for record in _run_fixtures(fixtures_corpus, (label,), mock=mock, client=None if mock else split_client)
+            for scenarios, methods in parts
+            for record in _run_fixtures(
+                fixtures_corpus, scenarios, mock=mock, client=None if mock else split_client, methods=methods
+            )
         }
         split = [
             by_key[(claim_id, method, label)]
@@ -467,6 +498,26 @@ class TestSharedCells:
             assert all(record.failure is None for record in joint)
             assert 0 < joint_client.calls < split_client.calls
 
+    def test_each_prompt_reaches_the_client_once(self, fixtures_corpus):
+        client, ciber_client = _LiveDouble(7), _LiveDouble(7)
+        records = _run_fixtures(fixtures_corpus, SCENARIOS, mock=False, client=client)
+        assert all(record.failure is None for record in records)
+        assert max(Counter(client.sent).values()) == 1
+        _run_fixtures(fixtures_corpus, SCENARIOS, mock=False, client=ciber_client, methods=("ciber",))
+        cot_prompts = {prompt for title, prompt in client.sent if title == "cot_verdict"}
+        assert cot_prompts and cot_prompts == {prompt for title, prompt in ciber_client.sent if title == "cot_verdict"}
+
+    def test_a_failed_turn_is_asked_again_by_the_next_method(self, fixtures_corpus):
+        client = _FirstCotOutage(7)
+        records = _run_fixtures(fixtures_corpus, ("TY0",), mock=False, client=client, methods=("cot", "ciber"))
+        reference = _run_fixtures(
+            fixtures_corpus, ("TY0",), mock=False, client=_LiveDouble(7), methods=("cot", "ciber")
+        )
+        changed = [record for record, expected in zip(records, reference) if record != expected]
+        assert [(record.method, record.failure) for record in changed] == [("cot", "endpoint down")]
+        cot_prompts = [prompt for title, prompt in client.sent if title == "cot_verdict"]
+        assert cot_prompts[0] == cot_prompts[1]
+
     # Every method's first turn is required; a parse failure asks four times.
     @pytest.mark.parametrize(("client_class", "attempts"), [(_OutageClient, 1), (_WordSaladClient, 4)])
     def test_failed_cell_is_computed_once_and_shared(self, corpus, client_class, attempts):
@@ -477,6 +528,8 @@ class TestSharedCells:
         ).records
         # K01's pins survive both scenarios; K02's retrieved lists differ.
         assert client.calls == len(ALL_METHODS) * 3 * attempts
+        # No failed reply is kept: CIBER asks the COT prompt as often as COT did.
+        assert client.titles()["cot_verdict"] == 2 * 3 * attempts
         assert all(record.failure is not None for record in records)
         k01 = [record for record in records if record.claim_id == "K01"]
         for ty1, ty3 in zip(k01[::2], k01[1::2]):

@@ -7,6 +7,7 @@ import requests
 
 from claimaudit.llm import (
     HttpChatClient,
+    LlmClient,
     LlmConfigError,
     LlmError,
     LlmReply,
@@ -87,6 +88,44 @@ class TestCompleteParsed:
             complete_parsed(transcript, "p", {}, extract_json_object, usage, retries=1, sleep=sleeps.append)
         assert isinstance(info.value.__cause__, ValueError)
         assert (sleeps, usage.tokens_out) == ([1.0], 2 * approx_token_count("word salad"))
+
+    def test_memo_hit_records_the_reply_again_without_a_call(self):
+        client = _Replies([LlmReply(text='{"a": 1}', prompt_tokens=5, completion_tokens=3)] * 2)
+        usage, memo = TokenUsage(), {}
+
+        def ask(title):
+            schema = {"title": title}
+            return complete_parsed(client, "p", schema, extract_json_object, usage, retries=0, sleep=None, memo=memo)
+
+        assert ask("t") == ask("t") == {"a": 1}
+        assert (client.calls, usage.tokens_in, usage.tokens_out) == (1, 10, 6)
+        ask("other")
+        assert client.calls == 2
+
+    def test_unparseable_reply_is_not_memoized(self):
+        client = _Replies([LlmReply(text="word salad"), LlmReply(text='{"a": 1}')])
+        usage, memo = TokenUsage(), {}
+
+        def ask():
+            schema = {"title": "t"}
+            return complete_parsed(client, "p", schema, extract_json_object, usage, retries=0, sleep=None, memo=memo)
+
+        with pytest.raises(ValueError, match="unparseable after 1 attempts"):
+            ask()
+        assert memo == {}
+        assert (ask(), client.calls) == ({"a": 1}, 2)
+
+
+class _Replies(LlmClient):
+    """Answers each call with the next reply of a fixed list."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.calls = 0
+
+    def complete(self, prompt, *, schema=None):
+        self.calls += 1
+        return self.replies.pop(0)
 
 
 class TestScriptedTranscript:
