@@ -468,14 +468,14 @@ class TestSharedCells:
 
     # A run of one scenario shares no cell; a run of one method shares no reply.
     @pytest.mark.parametrize(
-        ("mock", "split"),
+        ("mock", "split_by"),
         [(True, "scenario"), (False, "scenario"), (True, "method"), (False, "method")],
         ids=["mock", "live", "mock-by-method", "live-by-method"],
     )
-    def test_sharing_is_invisible_in_the_records(self, fixtures_corpus, mock, split):
+    def test_sharing_is_invisible_in_the_records(self, fixtures_corpus, mock, split_by):
         joint_client, split_client = _LiveDouble(7), _LiveDouble(7)
         joint = _run_fixtures(fixtures_corpus, SCENARIOS, mock=mock, client=None if mock else joint_client)
-        if split == "scenario":
+        if split_by == "scenario":
             parts = [((label,), ALL_METHODS) for label in SCENARIOS]
         else:
             parts = [(SCENARIOS, (method,)) for method in ALL_METHODS]
