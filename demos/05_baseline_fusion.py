@@ -12,7 +12,7 @@ from pathlib import Path
 from claimaudit.baselines import MassFunction, run_ciber, wbu_fuse
 from claimaudit.core import Verdict
 from claimaudit.corpus import evidence_for_claim, ingest
-from claimaudit.llm import MockLlm
+from claimaudit.llm import Asker, MockLlm
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -42,7 +42,7 @@ def main() -> None:
     corpus = ingest(FIXTURES / "manifest.json")
     claim = corpus.claim("K02")
     chunks, _ = evidence_for_claim(corpus, claim)
-    result = run_ciber(MockLlm(seed=7), claim, chunks)
+    result = run_ciber(Asker(MockLlm(seed=7)), claim, chunks)
     print(f"  claim {claim.id}: {claim.text}")
     print(f"  verdict: {result.verdict.value}")
     print(f"  how: {result.justification}")

@@ -12,12 +12,11 @@ import functools
 import json
 import logging
 import re
-import time
 from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ._rng import DeterministicStream
 from .core import (
@@ -32,16 +31,7 @@ from .core import (
     parse_check_id,
     validate_audit,
 )
-from .llm import (
-    LlmClient,
-    LlmError,
-    LlmReply,
-    ReplyMemo,
-    TokenUsage,
-    approx_token_count,
-    complete_parsed,
-    extract_json_object,
-)
+from .llm import Asker, LlmError, LlmReply, TokenUsage, approx_token_count, extract_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -64,31 +54,13 @@ class PromptBudgetError(ValueError):
     """The serialized prompt exceeds the configured token budget."""
 
 
-# Optional directory that shadows the packaged prompt templates.
-_template_directory: Path | None = None
+@cache
+def load_template(name: str, directory: Path | None = None) -> str:
+    """A prompt template: `directory`'s copy if it has one, else the packaged asset.
 
-
-def use_template_directory(directory: str | Path | None) -> None:
-    """Point template loading at a directory instead of the packaged assets.
-
-    Pass None to restore the packaged templates. A named template absent
-    from the directory still falls back to the packaged copy.
-    """
-    global _template_directory
-    _template_directory = None if directory is None else Path(directory)
-
-
-def load_template(name: str) -> str:
-    """A prompt template: the override directory's copy, else the packaged asset.
-
-    Each (directory, name) is read from disk once per process; later
+    Each (name, directory) is read from disk once per process; later
     edits to a template file are not seen by a running process.
     """
-    return _read_template(_template_directory, name)
-
-
-@cache
-def _read_template(directory: Path | None, name: str) -> str:
     if directory is not None:
         override = directory / f"{name}.txt"
         if override.exists():
@@ -163,10 +135,10 @@ def _paper_payload(paper: PaperToAudit) -> dict[str, Any]:
     }
 
 
-def build_audit_prompt(req: AuditRequest, *, token_budget: int | None = None) -> str:
+def build_audit_prompt(req: AuditRequest, *, token_budget: int | None = None, templates: Path | None = None) -> str:
     papers_json = json.dumps([_paper_payload(paper) for paper in req.papers], indent=2)
     prompt = render_template(
-        load_template("batch_audit"),
+        load_template("batch_audit", templates),
         {"CLAIM_TEXT": req.claim_text, "PAPERS_TO_AUDIT_JSON": papers_json},
     )
     if token_budget is not None:
@@ -283,22 +255,18 @@ def mock_audit(req: AuditRequest, seed: int) -> list[AuditResult]:
     return results
 
 
-def mock_audit_with_usage(req: AuditRequest, seed: int) -> tuple[list[AuditResult], TokenUsage]:
+def mock_audit_with_usage(
+    req: AuditRequest, seed: int, *, templates: Path | None = None
+) -> tuple[list[AuditResult], TokenUsage]:
     """Mock audit plus approximate token accounting for the skipped call."""
     results = mock_audit(req, seed)
     usage = TokenUsage()
-    usage.record(build_audit_prompt(req), LlmReply(text=render_audit_response(results)))
+    usage.record(build_audit_prompt(req, templates=templates), LlmReply(text=render_audit_response(results)))
     return results, usage
 
 
 def run_audit(
-    client: LlmClient,
-    req: AuditRequest,
-    *,
-    token_budget: int = DEFAULT_TOKEN_BUDGET,
-    retries: int = 3,
-    sleep: Callable[[float], None] = time.sleep,
-    memo: ReplyMemo | None = None,
+    asker: Asker, req: AuditRequest, *, token_budget: int = DEFAULT_TOKEN_BUDGET
 ) -> tuple[list[AuditResult], TokenUsage]:
     """Audit every paper in the request, splitting batches over budget.
 
@@ -307,31 +275,22 @@ def run_audit(
     """
     usage = TokenUsage()
     try:
-        prompt = build_audit_prompt(req, token_budget=token_budget)
+        prompt = build_audit_prompt(req, token_budget=token_budget, templates=asker.templates)
     except PromptBudgetError as exc:
         if len(req.papers) == 1:
             raise AuditFailureError(f"single paper exceeds the audit token budget: {exc}") from exc
         logger.warning("splitting oversized audit batch into %d single-paper requests", len(req.papers))
         results = []
         for paper in req.papers:
-            sub_results, sub_usage = run_audit(
-                client,
-                AuditRequest(claim_text=req.claim_text, papers=(paper,)),
-                token_budget=token_budget,
-                retries=retries,
-                sleep=sleep,
-                memo=memo,
-            )
+            single = AuditRequest(claim_text=req.claim_text, papers=(paper,))
+            sub_results, sub_usage = run_audit(asker, single, token_budget=token_budget)
             results.extend(sub_results)
             usage.merge(sub_usage)
         return results, usage
 
     masks = {paper.paper_id: derive_mask(paper.analysis) for paper in req.papers}
     try:
-        parse = functools.partial(parse_audit_response, req=req)
-        parsed = complete_parsed(
-            client, prompt, BATCH_AUDIT_SCHEMA, parse, usage, retries=retries, sleep=sleep, memo=memo
-        )
+        parsed = asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=req), usage)
     except LlmError as exc:
         raise AuditFailureError(f"audit transport failed: {exc}") from exc
     except ValueError as exc:

@@ -1,10 +1,11 @@
 """The four baseline verification protocols, as prompt-chain drivers.
 
-Each driver runs a fixed chain of turns over the shared `LlmClient`
-interface and validates every structured reply. A required turn that
-fails (a client error, or a reply unparseable after the retries) raises
-out of the driver; a failed optional turn falls back: a CIBER probe adds
-vacuous mass, a FLARE full review keeps the first verdict.
+Each driver runs a fixed chain of turns through the run's `Asker` (its
+client, retry policy, reply memo and template directory) and validates
+every structured reply. A required turn that fails (a client error, or a
+reply unparseable after the retries) raises out of the driver; a failed
+optional turn falls back: a CIBER probe adds vacuous mass, a FLARE full
+review keeps the first verdict.
 
 COT     one pass: verdict + justification.
 SELFRAG two turns: per-passage critiques feed a synthesis verdict,
@@ -13,20 +14,19 @@ FLARE   two turns: the first may request one paper's full text.
 CIBER   one COT turn plus three probe turns, fused by Dempster's rule.
 
 CIBER's COT turn renders the COT prompt byte for byte: given the claim's
-reply memo (`llm.complete_parsed`), it reuses the COT method's reply.
+reply memo (`llm.Asker.memo`), it reuses the COT method's reply.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .audit import load_template, render_template
 from .core import Claim, Verdict
-from .llm import LlmClient, LlmError, ReplyMemo, TokenUsage, complete_parsed, extract_json_object
+from .llm import Asker, LlmError, TokenUsage, extract_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -302,14 +302,15 @@ def _read_flare_initial(payload: Any) -> tuple[Verdict, str, float, str]:
 
 @dataclass
 class _Chain:
-    """One driver run: its client, retry policy and accumulated tokens."""
+    """One driver run: its asker and accumulated tokens."""
 
     method: str
-    client: LlmClient
-    retries: int
-    sleep: Callable[[float], None]
-    memo: ReplyMemo | None = None
+    asker: Asker
     usage: TokenUsage = field(default_factory=TokenUsage)
+
+    def prompt(self, name: str, mapping: Mapping[str, str]) -> str:
+        """Render the run's copy of template `name`."""
+        return render_template(load_template(name, self.asker.templates), mapping)
 
     def ask(self, prompt: str, schema: Mapping[str, Any], read: Callable[[Any], T]) -> T:
         """One structured turn; `read` validates the reply's JSON object."""
@@ -318,9 +319,7 @@ class _Chain:
             return read(extract_json_object(text))
 
         try:
-            return complete_parsed(
-                self.client, prompt, schema, parse, self.usage, retries=self.retries, sleep=self.sleep, memo=self.memo
-            )
+            return self.asker.ask(prompt, schema, parse, self.usage)
         except ValueError as exc:
             raise ValueError(f"{self.method} {schema['title']} reply {exc}") from exc
 
@@ -360,52 +359,32 @@ def _require_snippets(snippets: Sequence[EvidenceLike]) -> None:
 
 
 def _cot_turn(chain: _Chain, claim: Claim, snippets: Sequence[EvidenceLike]) -> tuple[Verdict, str, float]:
-    prompt = render_template(
-        load_template("cot_verdict"),
-        {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS": render_snippets(snippets)},
-    )
+    prompt = chain.prompt("cot_verdict", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS": render_snippets(snippets)})
     return chain.ask(prompt, COT_VERDICT_SCHEMA, _read_verdict)
 
 
-def run_cot(
-    client: LlmClient,
-    claim: Claim,
-    snippets: Sequence[EvidenceLike],
-    *,
-    retries: int = 3,
-    sleep: Callable[[float], None] = time.sleep,
-    memo: ReplyMemo | None = None,
-) -> BaselineVerdict:
+def run_cot(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) -> BaselineVerdict:
     """Single-pass verdict with justification."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_COT, client, retries, sleep, memo)
+    chain = _Chain(METHOD_COT, asker)
     verdict, justification, _ = _cot_turn(chain, claim, snippets)
     return chain.finish(verdict, justification)
 
 
-def run_selfrag(
-    client: LlmClient,
-    claim: Claim,
-    snippets: Sequence[EvidenceLike],
-    *,
-    retries: int = 3,
-    sleep: Callable[[float], None] = time.sleep,
-    memo: ReplyMemo | None = None,
-) -> BaselineVerdict:
+def run_selfrag(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) -> BaselineVerdict:
     """Critique turn feeding a synthesis turn, with rules re-enforced."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_SELFRAG, client, retries, sleep, memo)
+    chain = _Chain(METHOD_SELFRAG, asker)
     rendered = render_snippets(snippets)
-    critique_prompt = render_template(
-        load_template("selfrag_critique"),
-        {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered},
+    critique_prompt = chain.prompt(
+        "selfrag_critique", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered}
     )
     critiques = chain.ask(critique_prompt, SELFRAG_CRITIQUES_SCHEMA, _read_critiques)
     critiques_json = json.dumps(
         {"critiques": [critique.__dict__ for critique in critiques]}, indent=2
     )
-    synthesis_prompt = render_template(
-        load_template("selfrag_synthesis"),
+    synthesis_prompt = chain.prompt(
+        "selfrag_synthesis",
         {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered, "CRITIQUES_JSON": critiques_json},
     )
     model_verdict, justification, _ = chain.ask(synthesis_prompt, SELFRAG_VERDICT_SCHEMA, _read_verdict)
@@ -416,14 +395,7 @@ def run_selfrag(
 
 
 def run_flare(
-    client: LlmClient,
-    claim: Claim,
-    snippets: Sequence[EvidenceLike],
-    full_texts: Mapping[str, str],
-    *,
-    retries: int = 3,
-    sleep: Callable[[float], None] = time.sleep,
-    memo: ReplyMemo | None = None,
+    asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], full_texts: Mapping[str, str]
 ) -> BaselineVerdict:
     """Snippet verdict first; optionally one full-text review turn.
 
@@ -432,11 +404,11 @@ def run_flare(
     keeps the first verdict.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_FLARE, client, retries, sleep, memo)
+    chain = _Chain(METHOD_FLARE, asker)
     rendered = render_snippets(snippets)
     paper_ids = snippet_paper_ids(snippets)
-    initial_prompt = render_template(
-        load_template("flare_initial"),
+    initial_prompt = chain.prompt(
+        "flare_initial",
         {
             "CLAIM_TEXT": claim.text,
             "REQUIRED_STANDARD": claim.required_standard.value,
@@ -454,8 +426,8 @@ def run_flare(
     if full_text is None:
         logger.warning("paper %r has no stored full text; keeping the first verdict", request)
         return chain.finish(verdict, justification)
-    review_prompt = render_template(
-        load_template("flare_full_review"),
+    review_prompt = chain.prompt(
+        "flare_full_review",
         {
             "PAPER_ID": request,
             "CLAIM_TEXT": claim.text,
@@ -487,31 +459,20 @@ _FLIP: Mapping[Verdict, Verdict] = {
 }
 
 
-def run_ciber(
-    client: LlmClient,
-    claim: Claim,
-    snippets: Sequence[EvidenceLike],
-    *,
-    retries: int = 3,
-    sleep: Callable[[float], None] = time.sleep,
-    memo: ReplyMemo | None = None,
-) -> BaselineVerdict:
+def run_ciber(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) -> BaselineVerdict:
     """COT turn plus three probe turns, fused by Dempster's rule.
 
     Failed probes contribute vacuous mass. The fused Supports /
     Refutes / Neutral outcome maps to Valid / Invalid / Unverifiable.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_CIBER, client, retries, sleep, memo)
+    chain = _Chain(METHOD_CIBER, asker)
     rendered = render_snippets(snippets)
     cot_verdict, _, cot_confidence = _cot_turn(chain, claim, snippets)
     pairs: list[tuple[Verdict, float]] = [(cot_verdict, cot_confidence)]
     probe_answers: list[str] = []
     for index, question in enumerate(claim.probe_questions):
-        prompt = render_template(
-            load_template("ciber_probe"),
-            {"PROBE_QUESTION": question, "EVIDENCE_SNIPPETS": rendered},
-        )
+        prompt = chain.prompt("ciber_probe", {"PROBE_QUESTION": question, "EVIDENCE_SNIPPETS": rendered})
         try:
             probe_verdict, confidence = chain.ask(prompt, CIBER_PROBE_SCHEMA, _read_probe)
         except (LlmError, ValueError) as exc:

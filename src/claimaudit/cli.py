@@ -15,7 +15,6 @@ from dataclasses import replace
 from typing import Sequence
 
 from ._files import write_atomic
-from .audit import use_template_directory
 from .calibration import fit_boldness_model, grid_search, load_calibration_records, load_params, save_params
 from .config import RunConfig, load_config
 from .corpus import SCENARIO_LABELS, Corpus, HashEmbedder, embed_chunks, ingest, load_corpus, save_corpus
@@ -140,6 +139,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         retrieval_k=cfg.retrieval_k,
         token_budget=cfg.token_budget,
         retries=cfg.llm.retries,
+        templates=cfg.templates,
     )
     records_path = cfg.output / "records.jsonl"
     write_atomic(records_path, dump_records(report.records))
@@ -185,9 +185,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--config is required")
     try:
         cfg = load_config(config_path)
-        # Unconditional: None restores the packaged templates after an
-        # earlier call in the same process pointed elsewhere.
-        use_template_directory(cfg.templates)
         seed = getattr(args, "seed", None)
         if seed is not None:
             cfg = replace(cfg, seed=seed)

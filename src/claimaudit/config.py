@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from .audit import DEFAULT_TOKEN_BUDGET
 from .calibration import Grid, default_grid
 from .core import RequiredStandard
 from .corpus import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
@@ -144,13 +145,14 @@ def _parse_grid(payload: Mapping[str, Any]) -> tuple[Grid, float]:
 
 def _parse_llm(payload: Mapping[str, Any]) -> LlmSettings:
     _check_keys(payload, {"base_url", "model", "api_key", "max_in_flight", "retries", "timeout"}, "llm")
+    default = LlmSettings()
     return LlmSettings(
         base_url=payload.get("base_url"),
         model=payload.get("model"),
         api_key=payload.get("api_key"),
-        max_in_flight=_at_least(int(payload.get("max_in_flight", 4)), 1, "llm.max_in_flight"),
-        retries=_at_least(int(payload.get("retries", 3)), 0, "llm.retries"),
-        timeout=_positive(float(payload.get("timeout", 60.0)), "llm.timeout"),
+        max_in_flight=_at_least(int(payload.get("max_in_flight", default.max_in_flight)), 1, "llm.max_in_flight"),
+        retries=_at_least(int(payload.get("retries", default.retries)), 0, "llm.retries"),
+        timeout=_positive(float(payload.get("timeout", default.timeout)), "llm.timeout"),
     )
 
 
@@ -244,7 +246,7 @@ def load_config(config_path: str | Path) -> RunConfig:
         embed_dim=embed_dim,
         embed_seed=embed_seed,
         retrieval_k=_at_least(int(raw_run.get("retrieval_k", DEFAULT_RETRIEVAL_K)), 1, "run.retrieval_k"),
-        token_budget=_at_least(int(raw_run.get("token_budget", 100_000)), 1, "run.token_budget"),
+        token_budget=_at_least(int(raw_run.get("token_budget", DEFAULT_TOKEN_BUDGET)), 1, "run.token_budget"),
         methods=methods,
         scenarios=scenarios,
         ablations=ablations,

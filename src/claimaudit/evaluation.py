@@ -46,7 +46,7 @@ from .corpus import (
     filter_scenario,
     n_evidence_docs,
 )
-from .llm import LlmClient, LlmError, MockLlm, ReplyMemo
+from .llm import Asker, LlmClient, LlmError, MockLlm
 from .redundancy import NoVocabularyError, document_weight, redundancy_for_texts
 from .scoring import DocumentContribution, HvParams, Tallies, aggregate, hv, intrinsic_quality, make_contribution
 from .threshold import RidgeModel, ThresholdConfig, threshold_for_claim
@@ -310,7 +310,7 @@ def _document_weights(
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything a cell needs: fixed for one `run_matrix` call but `memo`, the current claim's replies."""
+    """Everything a cell needs: fixed for one `run_matrix` call but the asker's memo, the current claim's replies."""
 
     corpus: Corpus
     flags: AblationFlags
@@ -319,11 +319,8 @@ class RunContext:
     cfg: ThresholdConfig
     seed: int
     mock: bool
-    client: LlmClient
+    asker: Asker
     token_budget: int
-    retries: int
-    sleep: Callable[[float], None]
-    memo: ReplyMemo | None = None
 
 
 CellFields = dict[str, Any]
@@ -333,11 +330,9 @@ def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> Ce
     papers = _papers_for(ctx.corpus, chunks)
     request = AuditRequest(claim_text=claim.text, papers=papers)
     if ctx.mock:
-        results, usage = mock_audit_with_usage(request, ctx.seed)
+        results, usage = mock_audit_with_usage(request, ctx.seed, templates=ctx.asker.templates)
     else:
-        results, usage = run_audit(
-            ctx.client, request, token_budget=ctx.token_budget, retries=ctx.retries, sleep=ctx.sleep, memo=ctx.memo
-        )
+        results, usage = run_audit(ctx.asker, request, token_budget=ctx.token_budget)
 
     weights = _document_weights(chunks, papers, ctx.flags.use_redundancy_penalty)
     contributions: list[DocumentContribution] = []
@@ -377,7 +372,7 @@ def _baseline(
     chunks: Sequence[EvidenceChunk],
     *extra: Any,
 ) -> CellFields:
-    result = run(ctx.client, claim, chunks, *extra, retries=ctx.retries, sleep=ctx.sleep, memo=ctx.memo)
+    result = run(ctx.asker, claim, chunks, *extra)
     return {
         "verdict": result.verdict.value,
         "tokens_in": result.tokens_in,
@@ -433,6 +428,7 @@ def run_matrix(
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     retries: int = 3,
     sleep: Callable[[float], None] = time.sleep,
+    templates: Path | None = None,
 ) -> "RunReport":
     """Produce one VerdictRecord per (claim, method, scenario) cell.
 
@@ -443,7 +439,8 @@ def run_matrix(
     scenarios that leave a claim the same evidence share one computed
     result, a failure included. A claim's cells share one reply memo, so
     a prompt reaches the client at most once per claim; every prompt
-    holds the claim text, so no memo outlives its claim.
+    holds the claim text, so no memo outlives its claim. `templates` is
+    the directory whose prompt templates shadow the packaged ones.
     """
     unknown = [method for method in methods if method not in _CELLS]
     if unknown:
@@ -458,10 +455,8 @@ def run_matrix(
         cfg=cfg,
         seed=seed,
         mock=mock,
-        client=MockLlm(seed) if mock else client,  # type: ignore[arg-type]
+        asker=Asker(MockLlm(seed) if mock else client, retries, sleep, templates),  # type: ignore[arg-type]
         token_budget=token_budget,
-        retries=retries,
-        sleep=sleep,
     )
 
     records: list[VerdictRecord] = []
@@ -478,7 +473,7 @@ def run_matrix(
                 label: filter_scenario(evidence, corpus.scenario(label)) for label in scenario_labels
             }
         computed: dict[tuple[str, tuple[str, ...]], CellFields] = {}
-        claim_ctx = replace(ctx, memo={})
+        claim_ctx = replace(ctx, asker=replace(ctx.asker, memo={}))
         for method in methods:
             for label in scenario_labels:
                 if lookup_failure is not None:

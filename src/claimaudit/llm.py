@@ -15,6 +15,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from ._rng import DeterministicStream, fnv1a64
@@ -138,40 +139,52 @@ def _retry_on_parse_error(exc: Exception, backoff: float) -> float | None:
 ReplyMemo = dict[tuple[str, str], LlmReply]
 
 
-def complete_parsed(
-    client: LlmClient, prompt: str, schema: Mapping[str, Any], parse: Callable[[str], T], usage: TokenUsage,
-    *, retries: int, sleep: Callable[[float], None], memo: ReplyMemo | None = None,
-) -> T:
-    """One structured turn: ask, record usage, parse the reply text.
+@dataclass(frozen=True)
+class Asker:
+    """How one run asks: the client, the retry policy, the reply memo and the template directory.
 
-    A ValueError (a reply `parse` rejects) asks again; the last one is
-    re-raised as a ValueError naming the attempts made. A client error
-    (LlmError) propagates at once: the client applied its own policy.
-
-    With a `memo`, a (schema title, prompt) pair reaches the client at
-    most once: a reply that parsed is stored, and a later turn with the
-    same pair records that reply's usage again and parses its text
-    without a call. An unparseable reply or a client error is never
-    stored, so the next turn with that pair asks the client anew.
+    `templates` is the directory whose prompt templates shadow the
+    packaged ones (None: the packaged ones); the prompt builders read it.
     """
-    key = (str(schema.get("title")), prompt)
-    if memo is not None and key in memo:
-        reply = memo[key]
-        usage.record(prompt, reply)
-        return parse(reply.text)
 
-    def attempt() -> T:
-        reply = client.complete(prompt, schema=schema)
-        usage.record(prompt, reply)
-        parsed = parse(reply.text)
-        if memo is not None:
-            memo[key] = reply
-        return parsed
+    client: LlmClient
+    retries: int = 3
+    sleep: Callable[[float], None] = time.sleep
+    templates: Path | None = None
+    memo: ReplyMemo | None = None
 
-    try:
-        return with_retries(attempt, _retry_on_parse_error, retries=retries, sleep=sleep)
-    except ValueError as exc:
-        raise ValueError(f"unparseable after {retries + 1} attempts: {exc}") from exc
+    def ask(self, prompt: str, schema: Mapping[str, Any], parse: Callable[[str], T], usage: TokenUsage) -> T:
+        """One structured turn: ask, record usage, parse the reply text.
+
+        A ValueError (a reply `parse` rejects) asks again; the last one is
+        re-raised as a ValueError naming the attempts made. A client error
+        (LlmError) propagates at once: the client applied its own policy.
+
+        With a `memo`, a (schema title, prompt) pair reaches the client at
+        most once: a reply that parsed is stored, and a later turn with the
+        same pair records that reply's usage again and parses its text
+        without a call. An unparseable reply or a client error is never
+        stored, so the next turn with that pair asks the client anew.
+        """
+        memo = self.memo
+        key = (str(schema.get("title")), prompt)
+        if memo is not None and key in memo:
+            reply = memo[key]
+            usage.record(prompt, reply)
+            return parse(reply.text)
+
+        def attempt() -> T:
+            reply = self.client.complete(prompt, schema=schema)
+            usage.record(prompt, reply)
+            parsed = parse(reply.text)
+            if memo is not None:
+                memo[key] = reply
+            return parsed
+
+        try:
+            return with_retries(attempt, _retry_on_parse_error, retries=self.retries, sleep=self.sleep)
+        except ValueError as exc:
+            raise ValueError(f"unparseable after {self.retries + 1} attempts: {exc}") from exc
 
 
 class LlmClient(abc.ABC):

@@ -6,7 +6,7 @@ minus the mean redundancy of its chunks. The TF-IDF convention is fixed
 so that results are reproducible from this code alone:
 
   * tokens: lowercased runs of alphanumerics, shorter than
-    ``min_token_length`` dropped (default 2), no stemming or stop list
+    ``MIN_TOKEN_LENGTH`` (2) dropped, no stemming or stop list
   * tf: raw in-chunk counts
   * idf(t) = ln((1 + N) / (1 + df(t))) + 1
   * vectors L2-normalized
@@ -26,14 +26,15 @@ from typing import Mapping, Sequence
 SparseVector = dict[int, float]
 
 _TOKEN_RUNS = re.compile(r"[0-9a-z]+")
+MIN_TOKEN_LENGTH = 2
 
 
 class NoVocabularyError(ValueError):
     """The corpus produced no tokens; there is nothing to vectorize."""
 
 
-def tokenize(text: str, min_token_length: int = 2) -> list[str]:
-    return [tok for tok in _TOKEN_RUNS.findall(text.lower()) if len(tok) >= min_token_length]
+def tokenize(text: str) -> list[str]:
+    return [tok for tok in _TOKEN_RUNS.findall(text.lower()) if len(tok) >= MIN_TOKEN_LENGTH]
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class TfIdfModel:
     vocabulary: Mapping[str, int]
     document_frequency: Mapping[str, int]
     corpus_size: int
-    min_token_length: int = 2
 
     def idf(self, term: str) -> float:
         df = self.document_frequency.get(term, 0)
@@ -52,7 +52,7 @@ class TfIdfModel:
     def transform(self, text: str) -> SparseVector:
         """Vectorize one chunk; unknown terms are ignored."""
         counts: dict[str, int] = {}
-        for token in tokenize(text, self.min_token_length):
+        for token in tokenize(text):
             if token in self.vocabulary:
                 counts[token] = counts.get(token, 0) + 1
         vector = {self.vocabulary[term]: count * self.idf(term) for term, count in counts.items()}
@@ -62,7 +62,7 @@ class TfIdfModel:
         return {index: weight / norm for index, weight in vector.items()}
 
 
-def tfidf_fit(chunks: Sequence[str], min_token_length: int = 2) -> TfIdfModel:
+def tfidf_fit(chunks: Sequence[str]) -> TfIdfModel:
     """Fit the vectorizer over an ordered chunk list.
 
     Raises NoVocabularyError when no chunk yields any token.
@@ -72,19 +72,14 @@ def tfidf_fit(chunks: Sequence[str], min_token_length: int = 2) -> TfIdfModel:
     document_frequency: dict[str, int] = {}
     vocabulary: dict[str, int] = {}
     for chunk in chunks:
-        seen = set(tokenize(chunk, min_token_length))
+        seen = set(tokenize(chunk))
         for token in sorted(seen):
             document_frequency[token] = document_frequency.get(token, 0) + 1
             if token not in vocabulary:
                 vocabulary[token] = len(vocabulary)
     if not vocabulary:
         raise NoVocabularyError("no vocabulary")
-    return TfIdfModel(
-        vocabulary=vocabulary,
-        document_frequency=document_frequency,
-        corpus_size=len(chunks),
-        min_token_length=min_token_length,
-    )
+    return TfIdfModel(vocabulary=vocabulary, document_frequency=document_frequency, corpus_size=len(chunks))
 
 
 def cosine(u: SparseVector, v: SparseVector) -> float:
@@ -124,8 +119,8 @@ def document_weight(doc_chunk_rhos: Sequence[float]) -> tuple[float, float]:
     return mean_rho, 1.0 - mean_rho
 
 
-def redundancy_for_texts(chunk_texts: Sequence[str], min_token_length: int = 2) -> list[float]:
+def redundancy_for_texts(chunk_texts: Sequence[str]) -> list[float]:
     """Convenience path: fit, vectorize, and score one ordered chunk list."""
-    model = tfidf_fit(chunk_texts, min_token_length)
+    model = tfidf_fit(chunk_texts)
     vectors = [model.transform(text) for text in chunk_texts]
     return chunk_redundancy(vectors)

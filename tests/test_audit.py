@@ -30,7 +30,7 @@ from claimaudit.core import (
     derive_mask,
     validate_audit,
 )
-from claimaudit.llm import LlmClient, LlmReply, approx_token_count
+from claimaudit.llm import Asker, LlmClient, LlmReply, approx_token_count
 
 from test_core import make_analysis
 
@@ -265,7 +265,7 @@ class TestRunAudit:
         request = make_request()
         canned = render_audit_response(mock_audit(request, seed=1))
         client = _QueueClient([canned])
-        results, usage = run_audit(client, request, sleep=lambda _: None)
+        results, usage = run_audit(Asker(client, sleep=lambda _: None), request)
         assert results == mock_audit(request, seed=1)
         assert usage.tokens_in > 0 and usage.tokens_out > 0
         assert client.schemas == [BATCH_AUDIT_SCHEMA]
@@ -286,7 +286,7 @@ class TestRunAudit:
                 ]
             }
         )
-        (result,), _ = run_audit(_QueueClient([raw]), request, sleep=lambda _: None)
+        (result,), _ = run_audit(Asker(_QueueClient([raw]), sleep=lambda _: None), request)
         assert set(result.audit.scores) == {CheckId.C1}
 
     def test_parse_retry_then_success(self):
@@ -294,7 +294,7 @@ class TestRunAudit:
         canned = render_audit_response(mock_audit(request, seed=1))
         client = _QueueClient(["garbage", canned])
         sleeps = []
-        results, usage = run_audit(client, request, sleep=sleeps.append)
+        results, usage = run_audit(Asker(client, sleep=sleeps.append), request)
         assert results == mock_audit(request, seed=1)
         assert sleeps == [1.0]
         assert len(client.prompts) == 2
@@ -303,7 +303,7 @@ class TestRunAudit:
         client = _QueueClient(["junk"] * 4)
         sleeps = []
         with pytest.raises(AuditFailureError, match="after 4 attempts"):
-            run_audit(client, make_request(), sleep=sleeps.append)
+            run_audit(Asker(client, sleep=sleeps.append), make_request())
         assert sleeps == [1.0, 2.0, 4.0]
 
     def test_transport_failure_fails_the_claim_immediately(self):
@@ -311,7 +311,7 @@ class TestRunAudit:
 
         client = _QueueClient([LlmTransportError("down")])
         with pytest.raises(AuditFailureError, match="transport"):
-            run_audit(client, make_request(), sleep=lambda _: None)
+            run_audit(Asker(client, sleep=lambda _: None), make_request())
 
     def test_oversized_batch_splits_by_paper(self):
         papers = [make_paper("D01"), make_paper("D02")]
@@ -330,11 +330,11 @@ class TestRunAudit:
                 for paper_id, single in singles.items()
             }
         )
-        results, usage = run_audit(client, request, token_budget=budget, sleep=lambda _: None)
+        results, usage = run_audit(Asker(client, sleep=lambda _: None), request, token_budget=budget)
         assert [r.paper_id for r in results] == ["D01", "D02"]
         assert results == [mock_audit(single, seed=4)[0] for single in singles.values()]
         assert usage.approximate is True
 
     def test_single_oversized_paper_is_a_claim_failure(self):
         with pytest.raises(AuditFailureError, match="budget"):
-            run_audit(_QueueClient([]), make_request(), token_budget=10, sleep=lambda _: None)
+            run_audit(Asker(_QueueClient([]), sleep=lambda _: None), make_request(), token_budget=10)

@@ -29,6 +29,7 @@ from claimaudit.baselines import (
 )
 from claimaudit.core import Verdict
 from claimaudit.llm import (
+    Asker,
     LlmClient,
     LlmReply,
     LlmTransportError,
@@ -322,7 +323,7 @@ class TestRunCot:
         client = script(
             (cot_prompt(claim, SNIPPETS), '{"verdict": "Valid", "justification": "trial evidence", "confidence": 88}')
         )
-        result = run_cot(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.method == "cot"
         assert result.verdict is Verdict.VALID
         assert result.justification == "trial evidence"
@@ -331,13 +332,13 @@ class TestRunCot:
 
     def test_empty_snippets_rejected(self):
         with pytest.raises(ValueError):
-            run_cot(MockLlm(1), make_claim(), [], sleep=lambda _: None)
+            run_cot(Asker(MockLlm(1), sleep=lambda _: None), make_claim(), [])
 
     def test_unparseable_after_retries_raises(self):
         client = _TitleClient({"cot_verdict": "word salad"})
         sleeps = []
         with pytest.raises(ValueError, match="JSON"):
-            run_cot(client, make_claim(), SNIPPETS, sleep=sleeps.append)
+            run_cot(Asker(client, sleep=sleeps.append), make_claim(), SNIPPETS)
         assert client.titles == ["cot_verdict"] * 4
         assert sleeps == [1.0, 2.0, 4.0]
 
@@ -346,8 +347,8 @@ class TestRunCot:
         client = script(
             (cot_prompt(claim, SNIPPETS), '{"verdict": "Invalid", "justification": "contradicted", "confidence": 70}')
         )
-        first = run_cot(client, claim, SNIPPETS, sleep=lambda _: None)
-        second = run_cot(client, claim, SNIPPETS, sleep=lambda _: None)
+        first = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
+        second = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert first == second
 
 
@@ -404,7 +405,7 @@ class TestRunSelfrag:
         client = selfrag_script(
             claim, CRITIQUES_SUPPORTIVE, '{"verdict": "Valid", "justification": "fully supported", "confidence": 80}'
         )
-        result = run_selfrag(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.method == "selfrag"
         assert result.verdict is Verdict.VALID
 
@@ -413,7 +414,7 @@ class TestRunSelfrag:
         client = selfrag_script(
             claim, CRITIQUES_ALL_IRRELEVANT, '{"verdict": "Valid", "justification": "hallucinated", "confidence": 90}'
         )
-        result = run_selfrag(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.verdict is Verdict.UNVERIFIABLE
         assert "adjusted" in result.justification
 
@@ -422,14 +423,14 @@ class TestRunSelfrag:
         client = selfrag_script(
             claim, CRITIQUES_CONTRADICTORY, '{"verdict": "Valid", "justification": "over-eager", "confidence": 75}'
         )
-        result = run_selfrag(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.verdict is Verdict.INVALID
 
     def test_failed_critique_turn_raises(self):
         client = _TitleClient({"selfrag_critiques": "not json"})
         sleeps = []
         with pytest.raises(ValueError, match="JSON"):
-            run_selfrag(client, make_claim(), SNIPPETS, sleep=sleeps.append)
+            run_selfrag(Asker(client, sleep=sleeps.append), make_claim(), SNIPPETS)
         assert client.titles == ["selfrag_critiques"] * 4
         assert sleeps == [1.0, 2.0, 4.0]
 
@@ -444,7 +445,7 @@ class TestRunFlare:
     def test_no_review_keeps_first_verdict(self):
         claim = make_claim()
         client = script((flare_prompt(claim, SNIPPETS), FLARE_VALID_NO_REVIEW))
-        result = run_flare(client, claim, SNIPPETS, {}, sleep=lambda _: None)
+        result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {})
         assert result.method == "flare"
         assert result.verdict is Verdict.VALID
 
@@ -460,7 +461,7 @@ class TestRunFlare:
             (flare_prompt(claim, SNIPPETS), initial),
             (review_prompt(claim, SNIPPETS, "D02", full_texts["D02"]), final),
         )
-        result = run_flare(client, claim, SNIPPETS, full_texts, sleep=lambda _: None)
+        result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, full_texts)
         assert result.verdict is Verdict.INVALID
         assert result.justification == "methods rule it out"
 
@@ -472,7 +473,7 @@ class TestRunFlare:
         )
         client = script((flare_prompt(claim, SNIPPETS), initial))
         with caplog.at_level("WARNING"):
-            result = run_flare(client, claim, SNIPPETS, {"D02": "text"}, sleep=lambda _: None)
+            result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {"D02": "text"})
         assert result.verdict is Verdict.VALID
         assert "P99" in caplog.text
 
@@ -484,7 +485,7 @@ class TestRunFlare:
         )
         client = script((flare_prompt(claim, SNIPPETS), initial))
         with caplog.at_level("WARNING"):
-            result = run_flare(client, claim, SNIPPETS, {}, sleep=lambda _: None)
+            result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {})
         assert result.verdict is Verdict.VALID
         assert "full text" in caplog.text
 
@@ -495,7 +496,7 @@ class TestRunFlare:
         )
         client = _TitleClient({"flare_initial_verdict": initial, "flare_final_verdict": "word salad"})
         with caplog.at_level("WARNING"):
-            result = run_flare(client, make_claim(), SNIPPETS, {"D02": "text"}, sleep=lambda _: None)
+            result = run_flare(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS, {"D02": "text"})
         assert result.verdict is Verdict.VALID
         assert result.justification == "snippets lean valid"
         assert client.titles == ["flare_initial_verdict"] + ["flare_final_verdict"] * 4
@@ -531,7 +532,7 @@ class TestRunCiber:
             # The conflict probe (index 1) must DISAGREE for a supported claim.
             [agree, disagree, agree],
         )
-        result = run_ciber(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.method == "ciber"
         assert result.verdict is Verdict.VALID
 
@@ -545,7 +546,7 @@ class TestRunCiber:
             # Only the conflict probe fires: its Agree must push toward Invalid.
             [neutral, agree, neutral],
         )
-        result = run_ciber(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.verdict is Verdict.INVALID
 
     def test_symmetric_conflict_is_unverifiable(self):
@@ -558,13 +559,13 @@ class TestRunCiber:
             '{"verdict": "Unverifiable", "justification": "", "confidence": 80}',
             [agree, agree, neutral],
         )
-        result = run_ciber(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.verdict is Verdict.UNVERIFIABLE
 
     def test_probe_failures_fall_back_to_cot_signal(self):
         claim = make_claim()
         client = _CotOnlyClient('{"verdict": "Valid", "justification": "", "confidence": 60}')
-        result = run_ciber(client, claim, SNIPPETS, sleep=lambda _: None)
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
         assert result.verdict is Verdict.VALID
         assert "failed" in result.justification
 
@@ -575,7 +576,7 @@ class TestRunCiber:
                 "ciber_probe_verdict": "word salad",
             }
         )
-        result = run_ciber(client, make_claim(), SNIPPETS, sleep=lambda _: None)
+        result = run_ciber(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS)
         assert result.verdict is Verdict.VALID
         assert "[failed, failed, failed]" in result.justification
 
@@ -586,18 +587,18 @@ class TestMockDrivers:
     @pytest.mark.parametrize("runner", [run_cot, run_selfrag, run_ciber])
     def test_mock_runs_are_deterministic(self, runner):
         claim = make_claim()
-        first = runner(MockLlm(11), claim, SNIPPETS, sleep=lambda _: None)
-        second = runner(MockLlm(11), claim, SNIPPETS, sleep=lambda _: None)
+        first = runner(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS)
+        second = runner(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS)
         assert first == second
 
     def test_mock_flare_is_deterministic(self):
         claim = make_claim()
         full_texts = {"D01": "full text", "D02": "full text"}
-        first = run_flare(MockLlm(11), claim, SNIPPETS, full_texts, sleep=lambda _: None)
-        second = run_flare(MockLlm(11), claim, SNIPPETS, full_texts, sleep=lambda _: None)
+        first = run_flare(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS, full_texts)
+        second = run_flare(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS, full_texts)
         assert first == second
 
     def test_mock_runs_produce_positive_token_counts(self):
         claim = make_claim()
-        result = run_cot(MockLlm(5), claim, SNIPPETS, sleep=lambda _: None)
+        result = run_cot(Asker(MockLlm(5), sleep=lambda _: None), claim, SNIPPETS)
         assert result.tokens_in > 0 and result.tokens_out > 0 and result.tokens_approximate

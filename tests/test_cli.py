@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from claimaudit.audit import load_template, use_template_directory
+from claimaudit.audit import load_template
 from claimaudit.cli import main
 from claimaudit.config import load_config
 from claimaudit.corpus import SCENARIO_LABELS, load_corpus
@@ -178,17 +178,12 @@ class TestTemplateOverride:
         packaged = {name: load_template(name) for name in ("cot_verdict", "batch_audit")}
         assert "CUSTOM" not in packaged["cot_verdict"]
         (tmp_path / "cot_verdict.txt").write_text("CUSTOM {{CLAIM_TEXT}}", encoding="utf-8")
-        try:
-            # Twice: switching back and forth must never serve the other directory's cached text.
-            for _ in range(2):
-                use_template_directory(tmp_path)
-                assert load_template("cot_verdict") == "CUSTOM {{CLAIM_TEXT}}"
-                assert load_template("batch_audit") == packaged["batch_audit"]
-                use_template_directory(None)
-                assert load_template("cot_verdict") == packaged["cot_verdict"]
-                assert load_template("batch_audit") == packaged["batch_audit"]
-        finally:
-            use_template_directory(None)
+        # Twice: switching back and forth must never serve the other directory's cached text.
+        for _ in range(2):
+            assert load_template("cot_verdict", tmp_path) == "CUSTOM {{CLAIM_TEXT}}"
+            assert load_template("batch_audit", tmp_path) == packaged["batch_audit"]
+            assert load_template("cot_verdict") == packaged["cot_verdict"]
+            assert load_template("batch_audit") == packaged["batch_audit"]
 
     def test_each_directory_and_name_is_read_once(self, tmp_path, monkeypatch):
         for name in ("cot_verdict", "batch_audit"):
@@ -201,17 +196,12 @@ class TestTemplateOverride:
             return read_text(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", counting_read_text)
-        try:
-            for _ in range(3):
-                use_template_directory(tmp_path)
-                assert load_template("cot_verdict") == "CUSTOM cot_verdict"
-                assert load_template("batch_audit") == "CUSTOM batch_audit"
-                # Absent from the directory: falls back to the packaged copy.
-                assert "CUSTOM" not in load_template("flare_initial")
-                use_template_directory(None)
-                load_template("cot_verdict")
-        finally:
-            use_template_directory(None)
+        for _ in range(3):
+            assert load_template("cot_verdict", tmp_path) == "CUSTOM cot_verdict"
+            assert load_template("batch_audit", tmp_path) == "CUSTOM batch_audit"
+            # Absent from the directory: falls back to the packaged copy.
+            assert "CUSTOM" not in load_template("flare_initial", tmp_path)
+            load_template("cot_verdict")
         overrides = {path: count for path, count in reads.items() if path.parent == tmp_path}
         assert overrides == {tmp_path / "cot_verdict.txt": 1, tmp_path / "batch_audit.txt": 1}
         assert reads[next(path for path in reads if path.name == "flare_initial.txt")] == 1
@@ -235,12 +225,9 @@ class TestTemplateOverride:
             assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7", "--method", "cot"]) == 0
             return (tmp_path / name / "records.jsonl").read_bytes()
 
-        try:
-            clean = verify("clean")
-            assert verify("custom", templates="templates") != clean
-            assert verify("after") == clean
-        finally:
-            use_template_directory(None)
+        clean = verify("clean")
+        assert verify("custom", templates="templates") != clean
+        assert verify("after") == clean
 
 
 class TestUsageErrors:

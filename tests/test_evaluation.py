@@ -5,14 +5,16 @@ import itertools
 import json
 import math
 import re
+import threading
 import zlib
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import claimaudit.evaluation as evaluation
-from claimaudit.audit import BATCH_AUDIT_SCHEMA
+from claimaudit.audit import BATCH_AUDIT_SCHEMA, load_template
 from claimaudit.core import CheckId, Verdict
 from claimaudit.corpus import (
     EVIDENCE_FROM_MAP,
@@ -445,10 +447,10 @@ class TestCellDispatch:
         assert len(calls) == 3
 
 
-def _run_fixtures(corpus, scenarios, *, mock, client=None, methods=ALL_METHODS):
+def _run_fixtures(corpus, scenarios, *, mock, client=None, methods=ALL_METHODS, templates=None):
     return run_matrix(
         corpus, methods, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
-        seed=7, mock=mock, client=client, sleep=lambda _: None,
+        seed=7, mock=mock, client=client, sleep=lambda _: None, templates=templates,
     ).records
 
 
@@ -545,6 +547,90 @@ class TestSharedCells:
         assert [record.failure for record in k01] == [
             f"no evidence chunks survive scenario {label}" for _ in ALL_METHODS for label in ("TY0", "TY1")
         ]
+
+
+# Every template a run renders, and the schema title of the turn it asks.
+_TEMPLATE_TITLES = {
+    "batch_audit": "batch_audit_response",
+    "cot_verdict": "cot_verdict",
+    "selfrag_critique": "selfrag_critiques",
+    "selfrag_synthesis": "selfrag_verdict",
+    "flare_initial": "flare_initial_verdict",
+    "flare_full_review": "flare_final_verdict",
+    "ciber_probe": "ciber_probe_verdict",
+}
+
+
+def _marked_templates(directory, label):
+    """Copies of every used template, each led by a 24-byte marker line naming `label`."""
+    marker = f"<<template override {label}>>"
+    directory.mkdir()
+    for name in _TEMPLATE_TITLES:
+        (directory / f"{name}.txt").write_text(f"{marker}\n{load_template(name)}", encoding="utf-8")
+    return marker
+
+
+class _BarrierDouble(_LiveDouble):
+    """A `_LiveDouble` whose first call waits until the other run has made its first call too."""
+
+    def __init__(self, seed, barrier):
+        super().__init__(seed)
+        self.barrier = barrier
+
+    def answer(self, prompt, schema):
+        if self.calls == 1:
+            self.barrier.wait()
+        return super().answer(prompt, schema)
+
+
+class TestTemplateDirectory:
+    """`run_matrix(templates=...)` reaches every prompt of its own run and no other."""
+
+    @pytest.fixture(scope="class")
+    def fixtures_corpus(self):
+        return ingest(FIXTURES / "manifest.json")
+
+    def test_every_prompt_of_every_method_carries_the_override(self, fixtures_corpus, tmp_path):
+        marker = _marked_templates(tmp_path / "a", "A")
+        client = _LiveDouble(7)
+        records = _run_fixtures(fixtures_corpus, SCENARIOS, mock=False, client=client, templates=tmp_path / "a")
+        assert all(record.failure is None for record in records)
+        assert set(client.titles()) == set(_TEMPLATE_TITLES.values())
+        assert all(prompt.startswith(marker + "\n") for _, prompt in client.sent)
+
+    def test_mock_audit_tokens_follow_the_override(self, fixtures_corpus, tmp_path):
+        marker = _marked_templates(tmp_path / "a", "A")
+        plain = _run_fixtures(fixtures_corpus, SCENARIOS, mock=True, methods=("audit",))
+        marked = _run_fixtures(fixtures_corpus, SCENARIOS, mock=True, methods=("audit",), templates=tmp_path / "a")
+        assert len(plain) == len(marked) == 40
+        extra_tokens = len(marker + "\n") // 4  # ceil(bytes / 4) grows by exactly this for a 24-byte line
+        for before, after in zip(plain, marked):
+            assert after.failure is None
+            assert after.tokens_in == before.tokens_in + extra_tokens
+            assert dataclasses.replace(after, tokens_in=before.tokens_in) == before
+
+    def test_concurrent_runs_keep_their_own_templates(self, fixtures_corpus, tmp_path):
+        labels = ("A", "B")
+        markers = [_marked_templates(tmp_path / label, label) for label in labels]
+        alone = [
+            _run_fixtures(fixtures_corpus, SCENARIOS, mock=False, client=_LiveDouble(7), templates=tmp_path / label)
+            for label in labels
+        ]
+        assert dump_records(alone[0]) != dump_records(alone[1])
+        barrier = threading.Barrier(2, timeout=30)
+        clients = [_BarrierDouble(7, barrier), _BarrierDouble(7, barrier)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(
+                    _run_fixtures, fixtures_corpus, SCENARIOS, mock=False, client=client, templates=tmp_path / label
+                )
+                for client, label in zip(clients, labels)
+            ]
+            together = [future.result(timeout=120) for future in futures]
+        for client, marker, records, reference in zip(clients, markers, together, alone):
+            assert client.calls > 0
+            assert all(prompt.startswith(marker + "\n") for _, prompt in client.sent)
+            assert dump_records(records) == dump_records(reference)
 
 
 class TestAblationSemantics:

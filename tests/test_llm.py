@@ -6,6 +6,7 @@ import pytest
 import requests
 
 from claimaudit.llm import (
+    Asker,
     HttpChatClient,
     LlmClient,
     LlmConfigError,
@@ -17,7 +18,6 @@ from claimaudit.llm import (
     ScriptMissError,
     TokenUsage,
     approx_token_count,
-    complete_parsed,
     extract_json_object,
     prompt_fingerprint,
 )
@@ -80,22 +80,21 @@ class TestExtractJsonObject:
             extract_json_object('{"a": [1, 2')
 
 
-class TestCompleteParsed:
+class TestAsker:
     def test_last_parse_error_names_the_attempts_made(self):
         transcript = ScriptedTranscript({prompt_fingerprint("p"): "word salad"})
         usage, sleeps = TokenUsage(), []
         with pytest.raises(ValueError, match=r"^unparseable after 2 attempts: .*JSON") as info:
-            complete_parsed(transcript, "p", {}, extract_json_object, usage, retries=1, sleep=sleeps.append)
+            Asker(transcript, retries=1, sleep=sleeps.append).ask("p", {}, extract_json_object, usage)
         assert isinstance(info.value.__cause__, ValueError)
         assert (sleeps, usage.tokens_out) == ([1.0], 2 * approx_token_count("word salad"))
 
     def test_memo_hit_records_the_reply_again_without_a_call(self):
         client = _Replies([LlmReply(text='{"a": 1}', prompt_tokens=5, completion_tokens=3)] * 2)
-        usage, memo = TokenUsage(), {}
+        usage, asker = TokenUsage(), Asker(client, retries=0, sleep=None, memo={})
 
         def ask(title):
-            schema = {"title": title}
-            return complete_parsed(client, "p", schema, extract_json_object, usage, retries=0, sleep=None, memo=memo)
+            return asker.ask("p", {"title": title}, extract_json_object, usage)
 
         assert ask("t") == ask("t") == {"a": 1}
         assert (client.calls, usage.tokens_in, usage.tokens_out) == (1, 10, 6)
@@ -104,15 +103,14 @@ class TestCompleteParsed:
 
     def test_unparseable_reply_is_not_memoized(self):
         client = _Replies([LlmReply(text="word salad"), LlmReply(text='{"a": 1}')])
-        usage, memo = TokenUsage(), {}
+        usage, asker = TokenUsage(), Asker(client, retries=0, sleep=None, memo={})
 
         def ask():
-            schema = {"title": "t"}
-            return complete_parsed(client, "p", schema, extract_json_object, usage, retries=0, sleep=None, memo=memo)
+            return asker.ask("p", {"title": "t"}, extract_json_object, usage)
 
         with pytest.raises(ValueError, match="unparseable after 1 attempts"):
             ask()
-        assert memo == {}
+        assert asker.memo == {}
         assert (ask(), client.calls) == ({"a": 1}, 2)
 
 
