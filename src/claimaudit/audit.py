@@ -270,8 +270,9 @@ def run_audit(
 ) -> tuple[list[AuditResult], TokenUsage]:
     """Audit every paper in the request, splitting batches over budget.
 
-    Parse failures retry with backoff; exhausting retries (or a single
-    paper that alone exceeds the budget) is a claim-level failure.
+    `asker` retries unparseable replies and retryable transport errors;
+    exhausting them (or a single paper that alone exceeds the budget) is
+    a claim-level failure.
     """
     usage = TokenUsage()
     try:

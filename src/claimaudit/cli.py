@@ -121,7 +121,6 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             model=cfg.llm.model,
             api_key=cfg.llm.api_key,
             max_in_flight=cfg.llm.max_in_flight,
-            retries=cfg.llm.retries,
             timeout=cfg.llm.timeout,
         )
 

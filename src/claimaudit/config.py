@@ -20,6 +20,7 @@ from .calibration import Grid, default_grid
 from .core import RequiredStandard
 from .corpus import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
 from .evaluation import ALL_METHODS, AblationFlags
+from .llm import DEFAULT_RETRIES
 from .scoring import HvParams
 from .threshold import ConfigError, ThresholdConfig
 
@@ -32,7 +33,7 @@ class LlmSettings:
     model: str | None = None
     api_key: str | None = None
     max_in_flight: int = 4
-    retries: int = 3
+    retries: int = DEFAULT_RETRIES
     timeout: float = 60.0
 
 

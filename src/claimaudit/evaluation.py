@@ -46,7 +46,7 @@ from .corpus import (
     filter_scenario,
     n_evidence_docs,
 )
-from .llm import Asker, LlmClient, LlmError, MockLlm
+from .llm import DEFAULT_RETRIES, Asker, LlmClient, LlmError, MockLlm
 from .redundancy import NoVocabularyError, document_weight, redundancy_for_texts
 from .scoring import DocumentContribution, HvParams, Tallies, aggregate, hv, intrinsic_quality, make_contribution
 from .threshold import RidgeModel, ThresholdConfig, threshold_for_claim
@@ -180,7 +180,10 @@ class AblationFlags:
         unknown = payload.keys() - known
         if unknown:
             raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-        return cls(**{key: bool(value) for key, value in payload.items()})
+        for key, value in payload.items():
+            if not isinstance(value, bool):
+                raise ValueError(f"{key} must be true or false, got {value!r}")
+        return cls(**payload)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -275,9 +278,12 @@ def dump_records(records: Sequence[VerdictRecord]) -> str:
 def load_records(path: str | Path) -> list[VerdictRecord]:
     records = []
     with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(VerdictRecord.from_json(json.loads(line)))
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                if line.strip():
+                    records.append(VerdictRecord.from_json(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{line_no}: bad verdict record: {exc}") from exc
     return records
 
 
@@ -426,7 +432,7 @@ def run_matrix(
     client: LlmClient | None = None,
     retrieval_k: int = DEFAULT_RETRIEVAL_K,
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-    retries: int = 3,
+    retries: int = DEFAULT_RETRIES,
     sleep: Callable[[float], None] = time.sleep,
     templates: Path | None = None,
 ) -> "RunReport":

@@ -37,7 +37,12 @@ class LlmConfigError(LlmError):
 
 
 class LlmTransportError(LlmError):
-    """The request failed: a non-retryable answer, or every attempt failed."""
+    """The request failed; a `retryable` one may be asked again, after `retry_after` s if the server named a wait."""
+
+    def __init__(self, message: str, *, retryable: bool = False, retry_after: float | None = None) -> None:
+        super().__init__(message)
+        self.retryable = retryable
+        self.retry_after = retry_after
 
 
 class ScriptMissError(LlmError):
@@ -107,32 +112,7 @@ def extract_json_object(raw: str) -> Any:
         raise ValueError("reply does not contain a JSON object") from None
 
 
-Delay = Callable[[Exception, float], float | None]
-
-
-def with_retries(attempt: Callable[[], T], delay: Delay, *, retries: int, sleep: Callable[[float], None]) -> T:
-    """Run `attempt` once plus up to `retries` more times: the one retry loop.
-
-    `delay(exc, backoff)` gives the wait before the next attempt (backoff
-    is 1, 2, 4 s, ...), or None to re-raise `exc` at once. The last
-    attempt's error propagates.
-    """
-    for index in range(retries):
-        try:
-            return attempt()
-        except Exception as exc:
-            wait = delay(exc, float(2 ** index))
-            if wait is None:
-                raise
-        sleep(wait)
-    return attempt()
-
-
-def _retry_on_parse_error(exc: Exception, backoff: float) -> float | None:
-    if not isinstance(exc, ValueError):
-        return None
-    logger.warning("reply unparseable (%s); asking again in %.0f s", exc, backoff)
-    return backoff
+DEFAULT_RETRIES = 3
 
 
 # Replies that parsed, keyed by (schema title, prompt).
@@ -148,7 +128,7 @@ class Asker:
     """
 
     client: LlmClient
-    retries: int = 3
+    retries: int = DEFAULT_RETRIES
     sleep: Callable[[float], None] = time.sleep
     templates: Path | None = None
     memo: ReplyMemo | None = None
@@ -156,9 +136,11 @@ class Asker:
     def ask(self, prompt: str, schema: Mapping[str, Any], parse: Callable[[str], T], usage: TokenUsage) -> T:
         """One structured turn: ask, record usage, parse the reply text.
 
-        A ValueError (a reply `parse` rejects) asks again; the last one is
-        re-raised as a ValueError naming the attempts made. A client error
-        (LlmError) propagates at once: the client applied its own policy.
+        The one retry loop: a retryable transport error or a ValueError (a
+        reply `parse` rejects) asks again, up to `retries` more times,
+        after 1, 2, 4 s, ... or the server's Retry-After. When the attempts
+        run out, the last error is re-raised naming how many were made. Any
+        other client error (LlmError) propagates at once.
 
         With a `memo`, a (schema title, prompt) pair reaches the client at
         most once: a reply that parsed is stored, and a later turn with the
@@ -173,18 +155,32 @@ class Asker:
             usage.record(prompt, reply)
             return parse(reply.text)
 
-        def attempt() -> T:
-            reply = self.client.complete(prompt, schema=schema)
-            usage.record(prompt, reply)
-            parsed = parse(reply.text)
-            if memo is not None:
-                memo[key] = reply
-            return parsed
-
-        try:
-            return with_retries(attempt, _retry_on_parse_error, retries=self.retries, sleep=self.sleep)
-        except ValueError as exc:
-            raise ValueError(f"unparseable after {self.retries + 1} attempts: {exc}") from exc
+        attempts = 0
+        while True:
+            attempts += 1
+            made = f"{attempts} attempt{'s' * (attempts > 1)}"
+            wait = float(2 ** (attempts - 1))
+            try:
+                reply = self.client.complete(prompt, schema=schema)
+                usage.record(prompt, reply)
+                parsed = parse(reply.text)
+            except LlmTransportError as exc:
+                if not exc.retryable:
+                    raise
+                if attempts > self.retries:
+                    raise LlmTransportError(f"LLM request failed after {made}: {exc}") from exc
+                if exc.retry_after is not None:
+                    wait = exc.retry_after
+                logger.warning("LLM request failed (%s); asking again in %.0f s", exc, wait)
+            except ValueError as exc:
+                if attempts > self.retries:
+                    raise ValueError(f"unparseable after {made}: {exc}") from exc
+                logger.warning("reply unparseable (%s); asking again in %.0f s", exc, wait)
+            else:
+                if memo is not None:
+                    memo[key] = reply
+                return parsed
+            self.sleep(wait)
 
 
 class LlmClient(abc.ABC):
@@ -198,7 +194,9 @@ class HttpChatClient(LlmClient):
 
     Configured from arguments or the LLM_BASE_URL / LLM_MODEL /
     LLM_API_KEY environment variables. A missing key fails at
-    construction time, before any network traffic.
+    construction time, before any network traffic. Each `complete` makes
+    one POST in one of `max_in_flight` slots; a failure raises a
+    retryable or final LlmTransportError, and the `Asker` retries.
     """
 
     def __init__(
@@ -208,9 +206,7 @@ class HttpChatClient(LlmClient):
         api_key: str | None = None,
         *,
         max_in_flight: int = 4,
-        retries: int = 3,
         timeout: float = 60.0,
-        sleep: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ) -> None:
         import requests
@@ -229,9 +225,7 @@ class HttpChatClient(LlmClient):
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._model = model
         self._api_key = api_key
-        self._retries = retries
         self._timeout = timeout
-        self._sleep = sleep
         self._session = session or requests.Session()
         self._gate = threading.Semaphore(max_in_flight)
 
@@ -248,42 +242,35 @@ class HttpChatClient(LlmClient):
                 "json_schema": {"name": schema.get("title", "response"), "schema": dict(schema)},
             }
         headers = {"Authorization": f"Bearer {self._api_key}"}
-        attempts = 0
-
-        def attempt() -> LlmReply:
-            nonlocal attempts
-            attempts += 1
-            response = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
-            response.raise_for_status()
-            payload = response.json()
-            usage = payload.get("usage", {})
-            return LlmReply(
-                text=str(payload["choices"][0]["message"]["content"]),
-                prompt_tokens=usage.get("prompt_tokens"),
-                completion_tokens=usage.get("completion_tokens"),
-            )
-
         with self._gate:
             try:
-                return with_retries(attempt, _http_retry_delay, retries=self._retries, sleep=self._sleep)
+                response = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
+                response.raise_for_status()
+                payload = response.json()
+                usage = payload.get("usage", {})
+                return LlmReply(
+                    text=str(payload["choices"][0]["message"]["content"]),
+                    prompt_tokens=usage.get("prompt_tokens"),
+                    completion_tokens=usage.get("completion_tokens"),
+                )
             except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                plural = "" if attempts == 1 else "s"
-                raise LlmTransportError(f"LLM request failed after {attempts} attempt{plural}: {exc}") from exc
+                raise _transport_error(exc) from exc
 
 
-def _http_retry_delay(exc: Exception, backoff: float) -> float | None:
-    """Retry connection errors, timeouts, 5xx, 429 (after a numeric Retry-After) and malformed payloads."""
+def _transport_error(exc: Exception) -> LlmTransportError:
+    """Connection errors, timeouts, 5xx, 429 (with its numeric Retry-After) and malformed payloads are retryable."""
     import requests
 
     if isinstance(exc, requests.HTTPError) and exc.response is not None:
         status = exc.response.status_code
         retry_after = exc.response.headers.get("Retry-After", "").strip()
         if status == 429 and retry_after.isascii() and retry_after.isdigit():
-            return float(retry_after)
-        return backoff if status == 429 or status >= 500 else None
-    if isinstance(exc, (requests.ConnectionError, requests.Timeout, KeyError, IndexError, ValueError)):
-        return backoff
-    return None
+            return LlmTransportError(str(exc), retryable=True, retry_after=float(retry_after))
+        if status == 429 or status >= 500:
+            return LlmTransportError(str(exc), retryable=True)
+    elif isinstance(exc, (requests.ConnectionError, requests.Timeout, KeyError, IndexError, ValueError)):
+        return LlmTransportError(str(exc), retryable=True)
+    return LlmTransportError(f"LLM request failed: {exc}")
 
 
 def prompt_fingerprint(prompt: str) -> str:

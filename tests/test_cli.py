@@ -13,7 +13,7 @@ from claimaudit.audit import load_template
 from claimaudit.cli import main
 from claimaudit.config import load_config
 from claimaudit.corpus import SCENARIO_LABELS, load_corpus
-from claimaudit.evaluation import ALL_METHODS, load_records
+from claimaudit.evaluation import ALL_METHODS, VerdictRecord, load_records
 from claimaudit.threshold import ConfigError
 
 from test_corpus import make_manifest
@@ -89,6 +89,7 @@ class TestLoadConfig:
             ({"embedding": {"dims": 64}}, "dims"),
             ({"run": {"k": 10}}, "'k'"),
             ({"ablations": {"use_turbo": True}}, "use_turbo"),
+            ({"ablations": {"use_hv_score": "false"}}, "use_hv_score"),
             ({"llm": {"retries": -1}}, "llm.retries"),
             ({"llm": {"timeout": 0}}, "llm.timeout"),
             ({"llm": {"timeout": -1.5}}, "llm.timeout"),
@@ -455,6 +456,20 @@ class TestReport:
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "report"]) == 1
         assert "run verify first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda record: ["not", "a", "record"], lambda record: {k: v for k, v in record.items() if k != "method"}],
+        ids=["not-an-object", "missing-field"],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, capsys, spoil):
+        config_path = setup_workspace(tmp_path)
+        good = VerdictRecord(claim_id="C1", method="cot", scenario="TY0", ground_truth="Valid").to_json()
+        (tmp_path / "out").mkdir()
+        lines = [json.dumps(good), json.dumps(spoil(good))]
+        (tmp_path / "out" / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["--config", str(config_path), "report"]) == 1
+        assert "records.jsonl:2: bad verdict record: " in capsys.readouterr().err
 
 
 class TestStartup:

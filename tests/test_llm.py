@@ -108,7 +108,7 @@ class TestAsker:
         def ask():
             return asker.ask("p", {"title": "t"}, extract_json_object, usage)
 
-        with pytest.raises(ValueError, match="unparseable after 1 attempts"):
+        with pytest.raises(ValueError, match="unparseable after 1 attempt:"):
             ask()
         assert asker.memo == {}
         assert (ask(), client.calls) == ({"a": 1}, 2)
@@ -183,15 +183,12 @@ def _chat_payload(text, usage=None):
 
 
 def _client(session, **kwargs):
-    sleeps = kwargs.pop("sleeps", [])
-    return HttpChatClient(
-        base_url="http://llm.test/v1/",
-        model="test-model",
-        api_key="k",
-        session=session,
-        sleep=sleeps.append,
-        **kwargs,
-    )
+    return HttpChatClient(base_url="http://llm.test/v1/", model="test-model", api_key="k", session=session, **kwargs)
+
+
+def _ask(session, sleeps, **kwargs):
+    """One unstructured turn through an `Asker` over a fake session; the reply text."""
+    return Asker(_client(session, **kwargs), sleep=sleeps.append).ask("p", {}, str, TokenUsage())
 
 
 class TestHttpChatClient:
@@ -230,38 +227,39 @@ class TestHttpChatClient:
         assert fmt["json_schema"]["name"] == "cot_verdict"
         assert fmt["json_schema"]["schema"]["type"] == "object"
 
+    def test_one_complete_is_one_post(self):
+        session = _FakeSession([_FakeResponse({}, status=503)])
+        with pytest.raises(LlmTransportError, match="status 503") as info:
+            _client(session).complete("p")
+        assert (len(session.calls), info.value.retryable, info.value.retry_after) == (1, True, None)
+
     def test_retries_with_exponential_backoff_then_succeeds(self):
         session = _FakeSession(
             [requests.ConnectionError("down"), _FakeResponse({}, status=500), _FakeResponse(_chat_payload("ok"))]
         )
         sleeps = []
-        client = HttpChatClient(
-            base_url="http://llm.test", model="m", api_key="k", session=session, sleep=sleeps.append
-        )
-        assert client.complete("p").text == "ok"
+        assert _ask(session, sleeps) == "ok"
         assert sleeps == [1.0, 2.0]
 
     def test_exhausted_retries_raise_transport_error(self):
         session = _FakeSession([requests.ConnectionError("down")] * 4)
         sleeps = []
-        client = HttpChatClient(
-            base_url="http://llm.test", model="m", api_key="k", session=session, sleep=sleeps.append
-        )
-        with pytest.raises(LlmTransportError, match="after 4 attempts"):
-            client.complete("p")
+        with pytest.raises(LlmTransportError, match="after 4 attempts: down"):
+            _ask(session, sleeps)
         assert sleeps == [1.0, 2.0, 4.0]
 
     def test_malformed_payload_counts_as_failure(self):
         session = _FakeSession([_FakeResponse({"weird": True})] * 4)
         with pytest.raises(LlmTransportError):
-            _client(session).complete("p")
+            _ask(session, [])
+        assert len(session.calls) == 4
 
     @pytest.mark.parametrize("status", [400, 401])
     def test_client_error_status_is_not_retried(self, status):
         session = _FakeSession([_FakeResponse({}, status=status)])
         sleeps = []
-        with pytest.raises(LlmTransportError, match=f"after 1 attempt: status {status}"):
-            _client(session, sleeps=sleeps).complete("p")
+        with pytest.raises(LlmTransportError, match=f"^LLM request failed: status {status}$"):
+            _ask(session, sleeps)
         assert len(session.calls) == 1
         assert sleeps == []
 
@@ -270,21 +268,45 @@ class TestHttpChatClient:
             [_FakeResponse({}, status=429, headers={"Retry-After": "7"}), _FakeResponse(_chat_payload("ok"))]
         )
         sleeps = []
-        assert _client(session, sleeps=sleeps).complete("p").text == "ok"
+        assert _ask(session, sleeps) == "ok"
         assert sleeps == [7.0]
 
     def test_rate_limit_without_retry_after_backs_off(self):
         session = _FakeSession([_FakeResponse({}, status=429), _FakeResponse(_chat_payload("ok"))])
         sleeps = []
-        assert _client(session, sleeps=sleeps).complete("p").text == "ok"
+        assert _ask(session, sleeps) == "ok"
         assert sleeps == [1.0]
 
     def test_server_error_is_retried(self):
         session = _FakeSession([_FakeResponse({}, status=503), _FakeResponse(_chat_payload("ok"))])
         sleeps = []
-        assert _client(session, sleeps=sleeps).complete("p").text == "ok"
+        assert _ask(session, sleeps) == "ok"
         assert sleeps == [1.0]
         assert len(session.calls) == 2
+
+    def test_one_budget_covers_transport_and_parse_failures(self):
+        # Three 503s then an unparseable 200, four times over: a turn makes
+        # retries + 1 = 4 POSTs in all, not 4 per parse attempt.
+        session = _FakeSession(([_FakeResponse({}, status=503)] * 3 + [_FakeResponse(_chat_payload("prose"))]) * 4)
+        sleeps = []
+        asker = Asker(_client(session), sleep=sleeps.append)
+        with pytest.raises(ValueError, match="^unparseable after 4 attempts: "):
+            asker.ask("p", {}, extract_json_object, TokenUsage())
+        assert (len(session.calls), sleeps) == (4, [1.0, 2.0, 4.0])
+
+    def test_backoff_leaves_the_in_flight_slot_free(self):
+        session = _FakeSession([_FakeResponse({}, status=503)] * 2 + [_FakeResponse(_chat_payload("ok"))])
+        client = _client(session, max_in_flight=1)
+        free = []
+
+        def sleep(seconds):
+            acquired = client._gate.acquire(blocking=False)
+            if acquired:
+                client._gate.release()
+            free.append(acquired)
+
+        assert Asker(client, sleep=sleep).ask("p", {}, str, TokenUsage()) == "ok"
+        assert free == [True, True]
 
 
 VERDICT_SCHEMA = {"title": "cot_verdict"}
