@@ -1,10 +1,14 @@
-"""Atomic file writes shared by the store, calibration, and CLI outputs."""
+"""File helpers shared by the store, calibration, and CLI: atomic writes and JSON-lines reads."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -25,3 +29,20 @@ def write_atomic(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def read_json_lines(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
+    """Parse each non-blank line of a JSON-lines file with `parse`, in file order.
+
+    A line that is not JSON, or that `parse` rejects with ValueError,
+    KeyError or TypeError, raises ValueError("<path>:<line>: bad <what>: ...").
+    """
+    items = []
+    with Path(path).open(encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                if line.strip():
+                    items.append(parse(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{line_no}: bad {what}: {exc}") from exc
+    return items

@@ -152,12 +152,18 @@ _VERDICT_PROPERTIES: Mapping[str, Any] = {
     "confidence": {"type": "integer", "minimum": 0, "maximum": 100},
 }
 
-COT_VERDICT_SCHEMA: Mapping[str, Any] = {
-    "title": "cot_verdict",
-    "type": "object",
-    "required": ["verdict", "justification"],
-    "properties": dict(_VERDICT_PROPERTIES),
-}
+
+def _verdict_schema(title: str) -> Mapping[str, Any]:
+    """A plain verdict turn's schema; the title alone tells the turns apart."""
+    return {
+        "title": title,
+        "type": "object",
+        "required": ["verdict", "justification"],
+        "properties": dict(_VERDICT_PROPERTIES),
+    }
+
+
+COT_VERDICT_SCHEMA = _verdict_schema("cot_verdict")
 
 SELFRAG_CRITIQUES_SCHEMA: Mapping[str, Any] = {
     "title": "selfrag_critiques",
@@ -180,12 +186,7 @@ SELFRAG_CRITIQUES_SCHEMA: Mapping[str, Any] = {
     },
 }
 
-SELFRAG_VERDICT_SCHEMA: Mapping[str, Any] = {
-    "title": "selfrag_verdict",
-    "type": "object",
-    "required": ["verdict", "justification"],
-    "properties": dict(_VERDICT_PROPERTIES),
-}
+SELFRAG_VERDICT_SCHEMA = _verdict_schema("selfrag_verdict")
 
 FLARE_INITIAL_SCHEMA: Mapping[str, Any] = {
     "title": "flare_initial_verdict",
@@ -194,12 +195,7 @@ FLARE_INITIAL_SCHEMA: Mapping[str, Any] = {
     "properties": {**_VERDICT_PROPERTIES, "request_full_review": {"type": "string"}},
 }
 
-FLARE_FINAL_SCHEMA: Mapping[str, Any] = {
-    "title": "flare_final_verdict",
-    "type": "object",
-    "required": ["verdict", "justification"],
-    "properties": dict(_VERDICT_PROPERTIES),
-}
+FLARE_FINAL_SCHEMA = _verdict_schema("flare_final_verdict")
 
 CIBER_PROBE_SCHEMA: Mapping[str, Any] = {
     "title": "ciber_probe_verdict",

@@ -16,11 +16,11 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._files import write_atomic
+from ._files import read_json_lines, write_atomic
 from ._rng import DeterministicStream
 from .core import CheckId, AuditVector, RequiredStandard
 from .scoring import HvParams, Tallies, hv
-from .threshold import RidgeModel, ThresholdConfig, base_threshold, encode_features, ridge_predict, tau_auto
+from .threshold import RidgeModel, ThresholdConfig, encode_features, threshold_for_claim
 
 HUMAN_VERDICTS = ("Support", "Contradict", "Uncertain")
 
@@ -70,17 +70,7 @@ class CalibrationRecord:
 
 
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
-    records: list[CalibrationRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(CalibrationRecord.from_json(json.loads(line)))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad calibration record: {exc}") from exc
-    return records
+    return read_json_lines(path, "calibration record", CalibrationRecord.from_json)
 
 
 @dataclass(frozen=True)
@@ -151,14 +141,6 @@ def fit_boldness_model(records: Sequence[CalibrationRecord], gamma: float = 1.0)
     return ridge_fit(X, y, gamma)
 
 
-def _record_threshold(record: CalibrationRecord, cfg: ThresholdConfig, ridge: RidgeModel) -> float:
-    # Calibration records carry no evidence-volume field, so the volume
-    # modifier is evaluated at the baseline (n_ev = n_base, modifier 0).
-    boldness = ridge_predict(ridge, encode_features(record))
-    tau_base = base_threshold(cfg.prior_for(record.required_standard), boldness)
-    return tau_auto(tau_base, cfg.n_base, cfg)
-
-
 def grid_search(
     records: Sequence[CalibrationRecord],
     grid: Grid,
@@ -179,7 +161,9 @@ def grid_search(
         if record.human_verdict == "Uncertain":
             continue
         target_valid = record.human_verdict == "Support"
-        usable.append((record.tallies, _record_threshold(record, cfg, ridge), target_valid))
+        # Calibration records carry no evidence-volume field, so the volume
+        # modifier is evaluated at the baseline (n_ev = n_base, modifier 0).
+        usable.append((record.tallies, threshold_for_claim(record, cfg.n_base, cfg, ridge), target_valid))
     if not usable:
         raise ValueError("every calibration record is Uncertain; no binary targets to fit")
 
@@ -230,5 +214,8 @@ def save_params(path: str | Path, params: HvParams, ridge: RidgeModel) -> None:
 
 
 def load_params(path: str | Path) -> tuple[HvParams, RidgeModel]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return HvParams.from_json(payload), RidgeModel.from_json(payload["ridge"])
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return HvParams.from_json(payload), RidgeModel.from_json(payload["ridge"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad params: {exc}") from exc

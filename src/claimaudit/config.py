@@ -1,9 +1,11 @@
 """Declarative run configuration: one JSON file drives every command.
 
-Validation is fail-fast: unknown keys at any level are rejected, input
-paths must exist, and ${ENV_VAR} interpolation resolves secrets without
-writing them into the file. Relative paths are taken relative to the
-config file's own directory so a config travels with its fixtures.
+Validation is fail-fast: unknown keys at any level are rejected, every
+value is read by one typed reader that rejects the wrong JSON type or an
+out-of-range value by its `section.key`, input paths must exist, and
+${ENV_VAR} interpolation resolves secrets without writing them into the
+file. Relative paths are taken relative to the config file's own
+directory so a config travels with its fixtures.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .audit import DEFAULT_TOKEN_BUDGET
 from .calibration import Grid, default_grid
@@ -22,9 +24,12 @@ from .corpus import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
 from .evaluation import ALL_METHODS, AblationFlags
 from .llm import DEFAULT_RETRIES
 from .scoring import HvParams
-from .threshold import ConfigError, ThresholdConfig
+from .threshold import CLAMP_HI_DEFAULT, CLAMP_LO_DEFAULT, DEFAULT_PRIORS, ConfigError, ThresholdConfig
 
 _ENV_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+# What each reader accepts, by the Python type json.loads gives it.
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
 
 
 @dataclass(frozen=True)
@@ -83,78 +88,67 @@ def _interpolate(value: Any, context: str) -> Any:
     return value
 
 
-def _check_keys(payload: Mapping[str, Any], allowed: set[str], context: str) -> None:
-    unknown = payload.keys() - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+def _checked(name: str, value: Any, kind: type) -> Any:
+    """`value` if it has the JSON type `kind` (a bool is no number, a float no integer); numbers as floats."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{name}: expected {_JSON_TYPES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _as_path(base: Path, value: Any, context: str) -> Path:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{context}: expected a path string, got {value!r}")
-    path = Path(value)
-    return path if path.is_absolute() else base / path
+class _Section:
+    """One JSON object of the config, with its keys checked; `name` is "" for the root.
 
+    Each reader returns its default for an absent key and raises
+    ConfigError naming `section.key` for a value of the wrong JSON type
+    or out of its range.
+    """
 
-def _at_least(value: int, minimum: int, context: str) -> int:
-    if value < minimum:
-        raise ConfigError(f"{context}: must be at least {minimum}, got {value}")
-    return value
+    def __init__(self, name: str, values: Any, allowed: set[str]) -> None:
+        if not isinstance(values, dict):
+            raise ConfigError(f"{name}: expected an object, got {values!r}")
+        unknown = values.keys() - allowed
+        if unknown:
+            raise ConfigError(f"{name or 'config'}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+        self.name = name
+        self.values = values
 
+    def _key(self, key: str) -> str:
+        return f"{self.name}.{key}" if self.name else key
 
-def _positive(value: float, context: str) -> float:
-    if not value > 0:
-        raise ConfigError(f"{context}: must be positive, got {value}")
-    return value
+    def object(self, key: str, allowed: set[str]) -> _Section:
+        return _Section(self._key(key), self.values.get(key, {}), allowed)
 
+    def integer(self, key: str, default: int, minimum: int | None = None) -> int:
+        value = _checked(self._key(key), self.values.get(key, default), int)
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{self._key(key)}: must be at least {minimum}, got {value}")
+        return value
 
-def _parse_threshold(payload: Mapping[str, Any]) -> ThresholdConfig:
-    _check_keys(payload, {"priors", "C", "N_base", "clamp"}, "threshold")
-    kwargs: dict[str, Any] = {}
-    if "priors" in payload:
-        by_label = {standard.value: standard for standard in RequiredStandard}
-        priors = {}
-        for label, prior in payload["priors"].items():
-            if label not in by_label:
-                raise ConfigError(f"threshold.priors: unknown standard {label!r}")
-            priors[by_label[label]] = float(prior)
-        kwargs["priors"] = priors
-    if "C" in payload:
-        kwargs["scaling_c"] = float(payload["C"])
-    if "N_base" in payload:
-        kwargs["n_base"] = int(payload["N_base"])
-    if "clamp" in payload:
-        clamp = payload["clamp"]
-        if not isinstance(clamp, list) or len(clamp) != 2:
-            raise ConfigError(f"threshold.clamp: expected [lo, hi], got {clamp!r}")
-        kwargs["clamp_lo"] = float(clamp[0])
-        kwargs["clamp_hi"] = float(clamp[1])
-    return ThresholdConfig(**kwargs)
+    def number(self, key: str, default: float, above: float | None = None) -> float:
+        value = _checked(self._key(key), self.values.get(key, default), float)
+        if above is not None and not value > above:
+            raise ConfigError(f"{self._key(key)}: must be greater than {above}, got {value}")
+        return value
 
+    def boolean(self, key: str, default: bool) -> bool:
+        return _checked(self._key(key), self.values.get(key, default), bool)
 
-def _parse_grid(payload: Mapping[str, Any]) -> tuple[Grid, float]:
-    _check_keys(payload, {"alpha_values", "lambda_values", "gamma"}, "grid")
-    base = default_grid()
-    alphas = tuple(float(x) for x in payload.get("alpha_values", base.alpha_values))
-    lambdas = tuple(float(x) for x in payload.get("lambda_values", base.lambda_values))
-    try:
-        grid = Grid(alpha_values=alphas, lambda_values=lambdas)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-    return grid, float(payload.get("gamma", 1.0))
+    def string(self, key: str) -> str | None:
+        """A string, or None when absent or null."""
+        value = self.values.get(key)
+        return None if value is None else _checked(self._key(key), value, str)
 
+    def array(self, key: str, default: tuple[Any, ...], kind: type) -> tuple[Any, ...]:
+        """A list whose every item has the JSON type `kind`."""
+        items = _checked(self._key(key), self.values.get(key, list(default)), list)
+        return tuple(_checked(f"{self._key(key)}[{i}]", item, kind) for i, item in enumerate(items))
 
-def _parse_llm(payload: Mapping[str, Any]) -> LlmSettings:
-    _check_keys(payload, {"base_url", "model", "api_key", "max_in_flight", "retries", "timeout"}, "llm")
-    default = LlmSettings()
-    return LlmSettings(
-        base_url=payload.get("base_url"),
-        model=payload.get("model"),
-        api_key=payload.get("api_key"),
-        max_in_flight=_at_least(int(payload.get("max_in_flight", default.max_in_flight)), 1, "llm.max_in_flight"),
-        retries=_at_least(int(payload.get("retries", default.retries)), 0, "llm.retries"),
-        timeout=_positive(float(payload.get("timeout", default.timeout)), "llm.timeout"),
-    )
+    def path(self, key: str, base: Path, default: Path | None = None) -> Path | None:
+        """A nonempty string taken relative to `base`; `default` when absent or null."""
+        value = self.string(key)
+        if value == "":
+            raise ConfigError(f"{self._key(key)}: expected a path, got ''")
+        return default if value is None else base / value
 
 
 def load_config(config_path: str | Path) -> RunConfig:
@@ -168,88 +162,94 @@ def load_config(config_path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
-    payload = _interpolate(payload, "config")
-
-    _check_keys(
-        payload,
+    root = _Section(
+        "",
+        _interpolate(payload, "config"),
         {"paths", "hv", "threshold", "grid", "llm", "embedding", "run", "ablations", "seed"},
-        "config",
     )
     base = path.resolve().parent
 
-    raw_paths = payload.get("paths", {})
-    _check_keys(raw_paths, {"manifest", "store", "output", "params", "calibration", "templates"}, "paths")
-    if "manifest" not in raw_paths:
+    paths = root.object("paths", {"manifest", "store", "output", "params", "calibration", "templates"})
+    manifest = paths.path("manifest", base)
+    if manifest is None:
         raise ConfigError("paths.manifest is required")
-    manifest = _as_path(base, raw_paths["manifest"], "paths.manifest")
     if not manifest.exists():
         raise ConfigError(f"paths.manifest does not exist: {manifest}")
-    output = _as_path(base, raw_paths.get("output", "out"), "paths.output")
-    store = _as_path(base, raw_paths["store"], "paths.store") if "store" in raw_paths else output / "store"
-    params = _as_path(base, raw_paths["params"], "paths.params") if "params" in raw_paths else output / "params.json"
-    calibration = None
-    if raw_paths.get("calibration") is not None:
-        calibration = _as_path(base, raw_paths["calibration"], "paths.calibration")
-        if not calibration.exists():
-            raise ConfigError(f"paths.calibration does not exist: {calibration}")
-    templates = None
-    if raw_paths.get("templates") is not None:
-        templates = _as_path(base, raw_paths["templates"], "paths.templates")
-        if not templates.is_dir():
-            raise ConfigError(f"paths.templates is not a directory: {templates}")
+    output = paths.path("output", base, base / "out")
+    calibration = paths.path("calibration", base)
+    if calibration is not None and not calibration.exists():
+        raise ConfigError(f"paths.calibration does not exist: {calibration}")
+    templates = paths.path("templates", base)
+    if templates is not None and not templates.is_dir():
+        raise ConfigError(f"paths.templates is not a directory: {templates}")
 
-    raw_hv = payload.get("hv", {})
-    _check_keys(raw_hv, {"alpha", "lambda"}, "hv")
-    hv_params = HvParams(
-        alpha=float(raw_hv.get("alpha", HvParams().alpha)),
-        lambda_=float(raw_hv.get("lambda", HvParams().lambda_)),
-    )
-
-    threshold = _parse_threshold(payload.get("threshold", {}))
-    grid, gamma = _parse_grid(payload.get("grid", {}))
-    llm = _parse_llm(payload.get("llm", {}))
-
-    raw_embedding = payload.get("embedding", {})
-    _check_keys(raw_embedding, {"dim", "seed"}, "embedding")
-    embed_dim = int(raw_embedding.get("dim", DEFAULT_EMBED_DIM))
-    embed_seed = int(raw_embedding.get("seed", 0))
-
-    raw_run = payload.get("run", {})
-    _check_keys(raw_run, {"retrieval_k", "token_budget", "methods", "scenarios"}, "run")
-    methods = tuple(raw_run.get("methods", ALL_METHODS))
+    hv = root.object("hv", {"alpha", "lambda"})
+    threshold = root.object("threshold", {"priors", "C", "N_base", "clamp"})
+    priors = threshold.object("priors", {standard.value for standard in RequiredStandard})
+    clamp = threshold.array("clamp", (CLAMP_LO_DEFAULT, CLAMP_HI_DEFAULT), float)
+    if len(clamp) != 2:
+        raise ConfigError(f"threshold.clamp: expected [lo, hi], got {list(clamp)!r}")
+    grid = root.object("grid", {"alpha_values", "lambda_values", "gamma"})
+    default = default_grid()
+    alphas = grid.array("alpha_values", default.alpha_values, float)
+    lambdas = grid.array("lambda_values", default.lambda_values, float)
+    try:
+        search_grid = Grid(alpha_values=alphas, lambda_values=lambdas)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+    llm = root.object("llm", {"base_url", "model", "api_key", "max_in_flight", "retries", "timeout"})
+    embedding = root.object("embedding", {"dim", "seed"})
+    run = root.object("run", {"retrieval_k", "token_budget", "methods", "scenarios"})
+    methods = run.array("methods", ALL_METHODS, str)
     unknown_methods = [method for method in methods if method not in ALL_METHODS]
     if unknown_methods:
         raise ConfigError(f"run.methods: unknown methods {unknown_methods}; allowed: {list(ALL_METHODS)}")
-    scenarios = tuple(raw_run.get("scenarios", SCENARIO_LABELS))
+    scenarios = run.array("scenarios", SCENARIO_LABELS, str)
     unknown_scenarios = [label for label in scenarios if label not in SCENARIO_LABELS]
     if unknown_scenarios:
         raise ConfigError(
             f"run.scenarios: unknown scenarios {unknown_scenarios}; allowed: {list(SCENARIO_LABELS)}"
         )
-
-    try:
-        ablations = AblationFlags.from_json(payload.get("ablations", {}))
-    except ValueError as exc:
-        raise ConfigError(f"ablations: {exc}") from None
+    flags = root.object("ablations", {"use_hv_score", "use_dynamic_threshold", "use_redundancy_penalty"})
 
     return RunConfig(
         manifest=manifest,
-        store=store,
+        store=paths.path("store", base, output / "store"),
         output=output,
-        params=params,
+        params=paths.path("params", base, output / "params.json"),
         calibration=calibration,
         templates=templates,
-        hv=hv_params,
-        threshold=threshold,
-        grid=grid,
-        gamma=gamma,
-        llm=llm,
-        embed_dim=embed_dim,
-        embed_seed=embed_seed,
-        retrieval_k=_at_least(int(raw_run.get("retrieval_k", DEFAULT_RETRIEVAL_K)), 1, "run.retrieval_k"),
-        token_budget=_at_least(int(raw_run.get("token_budget", DEFAULT_TOKEN_BUDGET)), 1, "run.token_budget"),
+        hv=HvParams(alpha=hv.number("alpha", HvParams.alpha), lambda_=hv.number("lambda", HvParams.lambda_)),
+        threshold=ThresholdConfig(
+            # A partial priors object stays partial, so ThresholdConfig names the missing prior.
+            priors={RequiredStandard(label): priors.number(label, 0.0) for label in priors.values}
+            if "priors" in threshold.values
+            else dict(DEFAULT_PRIORS),
+            scaling_c=threshold.number("C", ThresholdConfig.scaling_c),
+            n_base=threshold.integer("N_base", ThresholdConfig.n_base, minimum=1),
+            clamp_lo=clamp[0],
+            clamp_hi=clamp[1],
+        ),
+        grid=search_grid,
+        gamma=grid.number("gamma", 1.0),
+        llm=LlmSettings(
+            base_url=llm.string("base_url"),
+            model=llm.string("model"),
+            api_key=llm.string("api_key"),
+            max_in_flight=llm.integer("max_in_flight", LlmSettings.max_in_flight, minimum=1),
+            retries=llm.integer("retries", LlmSettings.retries, minimum=0),
+            timeout=llm.number("timeout", LlmSettings.timeout, above=0),
+        ),
+        embed_dim=embedding.integer("dim", DEFAULT_EMBED_DIM, minimum=1),
+        embed_seed=embedding.integer("seed", 0),
+        retrieval_k=run.integer("retrieval_k", DEFAULT_RETRIEVAL_K, minimum=1),
+        token_budget=run.integer("token_budget", DEFAULT_TOKEN_BUDGET, minimum=1),
         methods=methods,
         scenarios=scenarios,
-        ablations=ablations,
-        seed=int(payload.get("seed", 0)),
+        ablations=AblationFlags(
+            use_hv_score=flags.boolean("use_hv_score", AblationFlags.use_hv_score),
+            use_dynamic_threshold=flags.boolean("use_dynamic_threshold", AblationFlags.use_dynamic_threshold),
+            use_redundancy_penalty=flags.boolean("use_redundancy_penalty", AblationFlags.use_redundancy_penalty),
+        ),
+        seed=root.integer("seed", 0),
     )

@@ -38,20 +38,6 @@ class CheckId(enum.IntEnum):
     C11 = 11
 
 
-CHECK_TITLES: Mapping[CheckId, str] = {
-    CheckId.C1: "Data Integrity",
-    CheckId.C2: "Missing Data Patterns",
-    CheckId.C3: "Sample Representativeness",
-    CheckId.C4: "Outcome Variability",
-    CheckId.C5: "Estimation Validity",
-    CheckId.C6: "Statistical Power",
-    CheckId.C7: "Outlier Influence",
-    CheckId.C8: "Confounding Control",
-    CheckId.C9: "Source Consistency",
-    CheckId.C10: "Effect Homogeneity",
-    CheckId.C11: "Subgroup Consistency",
-}
-
 ALL_CHECKS: tuple[CheckId, ...] = tuple(CheckId)
 
 # Document stance toward a claim. Kept as plain ints because they are
@@ -126,7 +112,7 @@ class Claim:
         if not self.text:
             raise SchemaError(f"claim {self.id!r}: text must be nonempty")
         for name, value in (("specificity", self.specificity), ("testability", self.testability)):
-            if not isinstance(value, int) or not 1 <= value <= 10:
+            if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 10:
                 raise SchemaError(f"claim {self.id!r}: {name} must be an integer in 1..10, got {value!r}")
         if len(self.probe_questions) != 3:
             raise SchemaError(f"claim {self.id!r}: exactly 3 probe questions required, got {len(self.probe_questions)}")
@@ -158,8 +144,8 @@ class Claim:
             text=str(payload["text"]),
             claim_type=ClaimType(payload["claim_type"]),
             topic=str(payload["topic"]),
-            specificity=int(payload["specificity"]),
-            testability=int(payload["testability"]),
+            specificity=payload["specificity"],
+            testability=payload["testability"],
             required_standard=RequiredStandard(payload["required_standard"]),
             probe_questions=tuple(payload["probe_questions"]),
             ground_truth=ground_truth,
@@ -192,6 +178,8 @@ class CheckSignal:
     objective_analysis: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.is_applicable, bool):
+            raise SchemaError(f"is_applicable must be true or false, got {self.is_applicable!r}")
         if not self.is_applicable and self.objective_analysis != "N/A":
             raise SchemaError(
                 'inapplicable checks must carry objective_analysis "N/A", '
@@ -229,7 +217,7 @@ class AnalysisDocument:
                 raise SchemaError(f"analysis is missing check entry {check.name}")
             entry = raw_signals[check.name]
             signals[check] = CheckSignal(
-                is_applicable=bool(entry["is_applicable"]),
+                is_applicable=entry["is_applicable"],
                 objective_analysis=str(entry["objective_analysis"]),
             )
         return cls(

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from ._files import write_atomic
+from ._files import read_json_lines, write_atomic
 from ._rng import fnv1a64
 from .core import AnalysisDocument, Claim, SchemaError
 from .redundancy import tokenize
@@ -50,8 +50,8 @@ class EvidenceChunk:
     embedding: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.ordinal < 0:
-            raise SchemaError(f"chunk {self.id!r}: ordinal must be nonnegative")
+        if isinstance(self.ordinal, bool) or not isinstance(self.ordinal, int) or self.ordinal < 0:
+            raise SchemaError(f"chunk {self.id!r}: ordinal must be a nonnegative integer, got {self.ordinal!r}")
         if self.embedding is not None and not all(math.isfinite(x) for x in self.embedding):
             raise SchemaError(f"chunk {self.id!r}: embedding entries must be finite")
 
@@ -66,6 +66,8 @@ class Document:
     chunks: tuple[EvidenceChunk, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.retracted, bool):
+            raise CorpusIntegrityError(f"document {self.id!r}: retracted must be true or false, got {self.retracted!r}")
         ordinals = [chunk.ordinal for chunk in self.chunks]
         if sorted(ordinals) != list(range(len(self.chunks))):
             raise CorpusIntegrityError(f"document {self.id!r}: chunk ordinals must be dense 0..n-1, got {ordinals}")
@@ -200,13 +202,13 @@ def _build_document(payload: Mapping[str, Any]) -> Document:
     for raw in payload["chunks"]:
         _require_keys(raw, {"id", "ordinal", "text"}, f"chunk of document {doc_id!r}")
         chunks.append(
-            EvidenceChunk(id=str(raw["id"]), doc_id=doc_id, ordinal=int(raw["ordinal"]), text=str(raw["text"]))
+            EvidenceChunk(id=str(raw["id"]), doc_id=doc_id, ordinal=raw["ordinal"], text=str(raw["text"]))
         )
     return Document(
         id=doc_id,
         title=str(payload["title"]),
         source_uri=str(payload["source_uri"]),
-        retracted=bool(payload["retracted"]),
+        retracted=payload["retracted"],
         analysis=AnalysisDocument.from_json(payload["analysis"]),
         chunks=tuple(chunks),
     )
@@ -431,11 +433,11 @@ def load_corpus(directory: str | Path) -> Corpus:
     embeddings_path = root / "embeddings.jsonl"
     if not embeddings_path.exists():
         return corpus
-    vectors: dict[str, tuple[float, ...]] = {}
-    with embeddings_path.open(encoding="utf-8") as handle:
-        for line in handle:
-            record = json.loads(line)
-            vectors[record["chunk_id"]] = tuple(float(x) for x in record["embedding"])
+    vectors = dict(
+        read_json_lines(
+            embeddings_path, "embedding", lambda line: (line["chunk_id"], tuple(float(x) for x in line["embedding"]))
+        )
+    )
     new_documents = {
         doc_id: replace(doc, chunks=tuple(replace(chunk, embedding=vectors.get(chunk.id)) for chunk in doc.chunks))
         for doc_id, doc in corpus.documents.items()

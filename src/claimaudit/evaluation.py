@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
+from ._files import read_json_lines
 from .audit import (
     AuditFailureError,
     AuditRequest,
@@ -174,17 +175,6 @@ class AblationFlags:
     use_dynamic_threshold: bool = True
     use_redundancy_penalty: bool = True
 
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "AblationFlags":
-        known = {"use_hv_score", "use_dynamic_threshold", "use_redundancy_penalty"}
-        unknown = payload.keys() - known
-        if unknown:
-            raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-        for key, value in payload.items():
-            if not isinstance(value, bool):
-                raise ValueError(f"{key} must be true or false, got {value!r}")
-        return cls(**payload)
-
 
 @dataclass(frozen=True, kw_only=True)
 class VerdictRecord:
@@ -276,15 +266,7 @@ def dump_records(records: Sequence[VerdictRecord]) -> str:
 
 
 def load_records(path: str | Path) -> list[VerdictRecord]:
-    records = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                if line.strip():
-                    records.append(VerdictRecord.from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad verdict record: {exc}") from exc
-    return records
+    return read_json_lines(path, "verdict record", VerdictRecord.from_json)
 
 
 def _papers_for(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> tuple[PaperToAudit, ...]:

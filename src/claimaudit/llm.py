@@ -247,18 +247,34 @@ class HttpChatClient(LlmClient):
                 response = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
                 response.raise_for_status()
                 payload = response.json()
-                usage = payload.get("usage", {})
-                return LlmReply(
-                    text=str(payload["choices"][0]["message"]["content"]),
-                    prompt_tokens=usage.get("prompt_tokens"),
-                    completion_tokens=usage.get("completion_tokens"),
-                )
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            except (requests.RequestException, ValueError) as exc:
                 raise _transport_error(exc) from exc
+        return _read_reply(payload)
+
+
+def _read_reply(payload: Any) -> LlmReply:
+    """Decode a chat-completions body in one checked step.
+
+    The text is `choices[0].message.content`, a string, and each usage
+    count is a non-negative integer or absent. Any other shape raises a
+    retryable "malformed payload" LlmTransportError.
+    """
+    try:
+        text = payload["choices"][0]["message"]["content"]
+        usage = payload.get("usage", {})
+        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise LlmTransportError(f"malformed payload: {exc!r}", retryable=True) from exc
+    if not isinstance(text, str):
+        raise LlmTransportError(f"malformed payload: content is {text!r}", retryable=True)
+    for count in counts:
+        if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
+            raise LlmTransportError(f"malformed payload: token count {count!r}", retryable=True)
+    return LlmReply(text, *counts)
 
 
 def _transport_error(exc: Exception) -> LlmTransportError:
-    """Connection errors, timeouts, 5xx, 429 (with its numeric Retry-After) and malformed payloads are retryable."""
+    """Connection errors, timeouts, 5xx, 429 (with its numeric Retry-After) and undecodable bodies are retryable."""
     import requests
 
     if isinstance(exc, requests.HTTPError) and exc.response is not None:
@@ -268,8 +284,10 @@ def _transport_error(exc: Exception) -> LlmTransportError:
             return LlmTransportError(str(exc), retryable=True, retry_after=float(retry_after))
         if status == 429 or status >= 500:
             return LlmTransportError(str(exc), retryable=True)
-    elif isinstance(exc, (requests.ConnectionError, requests.Timeout, KeyError, IndexError, ValueError)):
+    elif isinstance(exc, (requests.ConnectionError, requests.Timeout)):
         return LlmTransportError(str(exc), retryable=True)
+    elif isinstance(exc, ValueError):
+        return LlmTransportError(f"malformed payload: {exc}", retryable=True)
     return LlmTransportError(f"LLM request failed: {exc}")
 
 

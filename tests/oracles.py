@@ -79,11 +79,11 @@ def gwet_ac1_exact(labels_a: list, labels_b: list) -> Fraction | float:
 
 def grid_search_bruteforce(records, grid, cfg, ridge):
     """Re-enumerate every cell independently of the package's search loop."""
-    from claimaudit.calibration import _record_threshold
     from claimaudit.scoring import HvParams, hv
+    from claimaudit.threshold import threshold_for_claim
 
     usable = [
-        (r.tallies, _record_threshold(r, cfg, ridge), r.human_verdict == "Support")
+        (r.tallies, threshold_for_claim(r, cfg.n_base, cfg, ridge), r.human_verdict == "Support")
         for r in records
         if r.human_verdict != "Uncertain"
     ]

@@ -219,10 +219,11 @@ class TestRecordIo:
         loaded = load_calibration_records(path)
         assert loaded == records
 
-    def test_bad_line_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("line", ['{"specificity": 5}', "[1, 2]"], ids=["missing-fields", "not-an-object"])
+    def test_bad_line_reports_line_number(self, tmp_path, line):
         path = tmp_path / "calibration.jsonl"
-        path.write_text('{"specificity": 5}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=":1:"):
+        path.write_text(f"\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="calibration.jsonl:2: bad calibration record"):
             load_calibration_records(path)
 
     def test_params_file_round_trip(self, tmp_path):
@@ -235,3 +236,9 @@ class TestRecordIo:
         loaded_params, loaded_ridge = load_params(path)
         assert loaded_params == params
         assert loaded_ridge == ridge
+
+    def test_malformed_params_file_is_named(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ValueError, match="params.json: bad params"):
+            load_params(path)

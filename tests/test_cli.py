@@ -11,10 +11,12 @@ import pytest
 
 from claimaudit.audit import load_template
 from claimaudit.cli import main
-from claimaudit.config import load_config
+from claimaudit.calibration import default_grid
+from claimaudit.config import LlmSettings, RunConfig, load_config
 from claimaudit.corpus import SCENARIO_LABELS, load_corpus
-from claimaudit.evaluation import ALL_METHODS, VerdictRecord, load_records
-from claimaudit.threshold import ConfigError
+from claimaudit.evaluation import ALL_METHODS, AblationFlags, VerdictRecord, load_records
+from claimaudit.scoring import HvParams
+from claimaudit.threshold import ConfigError, ThresholdConfig
 
 from test_corpus import make_manifest
 
@@ -96,6 +98,21 @@ class TestLoadConfig:
             ({"llm": {"max_in_flight": 0}}, "llm.max_in_flight"),
             ({"run": {"retrieval_k": 0}}, "run.retrieval_k"),
             ({"run": {"token_budget": 0}}, "run.token_budget"),
+            ({"llm": {"retries": True}}, "llm.retries: expected an integer"),
+            ({"llm": {"retries": "3"}}, "llm.retries: expected an integer"),
+            ({"llm": {"max_in_flight": 2.9}}, "llm.max_in_flight: expected an integer"),
+            ({"llm": {"timeout": True}}, "llm.timeout: expected a number"),
+            ({"threshold": {"N_base": 10.7}}, "threshold.N_base: expected an integer"),
+            ({"hv": {"lambda": True}}, "hv.lambda: expected a number"),
+            ({"grid": {"alpha_values": "0123"}}, "grid.alpha_values: expected a list"),
+            ({"grid": {"lambda_values": [0.1, True]}}, r"grid.lambda_values\[1\]: expected a number"),
+            ({"embedding": {"dim": 0}}, "embedding.dim: must be at least 1"),
+            ({"embedding": {"dim": -3}}, "embedding.dim: must be at least 1"),
+            ({"seed": True}, "^seed: expected an integer"),
+            ({"llm": []}, "^llm: expected an object"),
+            ({"paths": "x"}, "^paths: expected an object"),
+            ({"ablations": []}, "^ablations: expected an object"),
+            ({"threshold": {"priors": [1]}}, "threshold.priors: expected an object"),
         ],
     )
     def test_unknown_keys_and_bad_values_rejected(self, tmp_path, mutation, needle):
@@ -105,6 +122,48 @@ class TestLoadConfig:
         config_path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ConfigError, match=needle):
             load_config(config_path)
+
+    def test_fixture_config_loads_unchanged(self, monkeypatch):
+        for name in ("LLM_API_KEY", "LLM_BASE_URL", "LLM_MODEL"):
+            monkeypatch.delenv(name, raising=False)
+        expected = RunConfig(
+            manifest=FIXTURES / "manifest.json",
+            store=FIXTURES / "out" / "store",
+            output=FIXTURES / "out",
+            params=FIXTURES / "out" / "params.json",
+            calibration=FIXTURES / "calibration.jsonl",
+            templates=None,
+            hv=HvParams(alpha=0.5, lambda_=0.1),
+            threshold=ThresholdConfig(),
+            grid=default_grid(),
+            gamma=1.0,
+            llm=LlmSettings(),
+            embed_dim=64,
+            embed_seed=0,
+            retrieval_k=10,
+            token_budget=100_000,
+            methods=ALL_METHODS,
+            scenarios=SCENARIO_LABELS,
+            ablations=AblationFlags(),
+            seed=0,
+        )
+        cfg = load_config(FIXTURES / "config.json")
+        # repr also tells 10 from 10.0, which == does not.
+        assert (cfg, repr(cfg)) == (expected, repr(expected))
+
+    @pytest.mark.parametrize(
+        "section,flags",
+        [
+            ({"use_hv_score": False}, AblationFlags(use_hv_score=False)),
+            (
+                {"use_hv_score": False, "use_dynamic_threshold": True, "use_redundancy_penalty": False},
+                AblationFlags(use_hv_score=False, use_redundancy_penalty=False),
+            ),
+        ],
+        ids=["partial", "all-three"],
+    )
+    def test_ablations_section_parses(self, tmp_path, section, flags):
+        assert load_config(setup_workspace(tmp_path, {"ablations": section})).ablations == flags
 
     def test_smallest_valid_counts_accepted(self, tmp_path):
         config_path = setup_workspace(

@@ -167,6 +167,25 @@ class TestIngest:
         with pytest.raises(CorpusIntegrityError, match="dense"):
             make_corpus(tmp_path, payload)
 
+    @pytest.mark.parametrize(
+        "spoil,needle",
+        [
+            (lambda m: m["documents"][0]["analysis"]["veritable_check_signals"]["C1"].update(is_applicable="false"),
+             "is_applicable must be true or false, got 'false'"),
+            (lambda m: m["documents"][0].update(retracted="false"), "'D01': retracted must be true or false"),
+            (lambda m: m["documents"][0]["chunks"][0].update(ordinal=0.0), "'D01-c0': ordinal must be a nonnegative"),
+            (lambda m: m["documents"][0]["chunks"][0].update(ordinal=False), "'D01-c0': ordinal must be a nonnegative"),
+            (lambda m: m["claims"][0].update(specificity=7.9), "specificity must be an integer in 1..10, got 7.9"),
+            (lambda m: m["claims"][0].update(testability=True), "testability must be an integer in 1..10, got True"),
+        ],
+        ids=["is_applicable", "retracted", "float-ordinal", "bool-ordinal", "float-specificity", "bool-testability"],
+    )
+    def test_mistyped_field_is_rejected_by_name(self, tmp_path, spoil, needle):
+        payload = make_manifest()
+        spoil(payload)
+        with pytest.raises(ValueError, match=needle):
+            make_corpus(tmp_path, payload)
+
     def test_scenario_unknown_document(self, tmp_path):
         payload = make_manifest()
         payload["scenarios"]["TY3"].append("D99")
@@ -484,6 +503,26 @@ class TestSaveLoad:
         assert loaded == corpus
         assert loaded.chunk("D01-c0").embedding == corpus.chunk("D01-c0").embedding
         assert sorted(path.name for path in (tmp_path / "store").iterdir()) == ["embeddings.jsonl", "manifest.json"]
+
+    def test_blank_embedding_line_is_skipped(self, tmp_path):
+        corpus = embed_chunks(make_corpus(tmp_path), HashEmbedder())
+        save_corpus(corpus, tmp_path / "store")
+        path = tmp_path / "store" / "embeddings.jsonl"
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(f"{first}\n\n{rest}", encoding="utf-8")
+        assert load_corpus(tmp_path / "store") == corpus
+
+    @pytest.mark.parametrize(
+        "line", [{"chunk_id": "D01-c1"}, {"chunk_id": "D01-c1", "embedding": 5}], ids=["no-embedding", "not-a-list"]
+    )
+    def test_malformed_embedding_line_is_named(self, tmp_path, line):
+        save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), tmp_path / "store")
+        path = tmp_path / "store" / "embeddings.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps(line)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="embeddings.jsonl:2: bad embedding"):
+            load_corpus(tmp_path / "store")
 
     def test_load_reruns_integrity_checks(self, tmp_path):
         corpus = make_corpus(tmp_path)

@@ -157,17 +157,6 @@ class TestAblationFlags:
         flags = AblationFlags()
         assert flags.use_hv_score and flags.use_dynamic_threshold and flags.use_redundancy_penalty
 
-    def test_json_round_trip(self):
-        flags = AblationFlags(use_hv_score=False, use_redundancy_penalty=False)
-        assert AblationFlags.from_json(dataclasses.asdict(flags)) == flags
-
-    def test_partial_json_fills_defaults(self):
-        assert AblationFlags.from_json({"use_hv_score": False}) == AblationFlags(use_hv_score=False)
-
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(ValueError, match="use_turbo"):
-            AblationFlags.from_json({"use_turbo": True})
-
 
 def _record(**overrides) -> VerdictRecord:
     base = dict(

@@ -248,9 +248,20 @@ class TestHttpChatClient:
             _ask(session, sleeps)
         assert sleeps == [1.0, 2.0, 4.0]
 
-    def test_malformed_payload_counts_as_failure(self):
-        session = _FakeSession([_FakeResponse({"weird": True})] * 4)
-        with pytest.raises(LlmTransportError):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"weird": True},
+            [],
+            {"choices": [{"message": {"content": "x"}}], "usage": None},
+            {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "12"}},
+            {"choices": "x"},
+        ],
+        ids=["no-choices", "not-an-object", "null-usage", "string-count", "string-choices"],
+    )
+    def test_malformed_payload_counts_as_failure(self, payload):
+        session = _FakeSession([_FakeResponse(payload)] * 4)
+        with pytest.raises(LlmTransportError, match="after 4 attempts: malformed payload"):
             _ask(session, [])
         assert len(session.calls) == 4
 
