@@ -1,4 +1,4 @@
-"""File helpers shared by the store, calibration, and CLI: atomic writes and JSON-lines reads."""
+"""File helpers shared across the package: atomic writes, JSON-lines reads and JSON value checks."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 T = TypeVar("T")
+
+# What each check accepts, by the Python type json.loads gives it.
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -46,3 +49,19 @@ def read_json_lines(path: str | Path, what: str, parse: Callable[[Any], T]) -> l
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad {what}: {exc}") from exc
     return items
+
+
+def json_value(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> Any:
+    """`value` if it has the JSON type `kind`, a number as a float; else `error` naming `name`.
+
+    A bool is neither an integer nor a number, and a float is not an integer.
+    """
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise error(f"{name}: expected {_JSON_TYPES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def json_array(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> tuple[Any, ...]:
+    """`value` as a tuple if it is a list whose every item has the JSON type `kind`; else `error`."""
+    items = json_value(name, value, list, error)
+    return tuple(json_value(f"{name}[{i}]", item, kind, error) for i, item in enumerate(items))

@@ -3,18 +3,38 @@
 Everything that must be byte-reproducible across platforms (the mock
 auditor, the flawed-audit simulator, the hash embedder, the mock LLM)
 draws from these primitives instead of Python's or numpy's RNG streams.
-All arithmetic is 64-bit integer math, so the outputs depend only on
-the input bytes, never on interpreter or library versions.
+All arithmetic is exact 64-bit integer math (in numpy, on uint64 arrays
+only), so the outputs depend only on the input bytes, never on
+interpreter or library versions.
+
+FNV-1a over a long input is a walk over the hash's low byte plus one dot
+product, with the values of the byte-at-a-time loop. XOR with a byte
+only touches bits 0-7, so `h ^ b == h + d` with `d = (l ^ b) - l` and
+`l = h & 0xFF`. Multiplication mod 2^64 distributes over that sum, so
+after n bytes `h_n = h_0*P^n + sum(d_i * P^(n-i))`. The low byte evolves
+on its own, `l_(i+1) = ((l_i ^ b_i) * P) & 0xFF`: one table lookup per
+byte in Python, and the rest in numpy.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence, TypeVar
 
+import numpy as np
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+# Below this many bytes the plain loop beats numpy's per-call overhead.
+_SHORT_INPUT = 100
+# The low byte after multiplying a low byte x by the prime.
+_NEXT_LOW = tuple((x * _FNV_PRIME) & 0xFF for x in range(256))
+# P^B, ..., P^2, P^1 (mod 2^64): the weights of one block's byte deltas.
+_BLOCK = 4096
+_POWERS = np.full(_BLOCK, _FNV_PRIME, dtype=np.uint64).cumprod()[::-1].copy()
+_POWERS.flags.writeable = False
 
 T = TypeVar("T")
 
@@ -23,10 +43,23 @@ def fnv1a64(data: bytes | str) -> int:
     """64-bit FNV-1a hash over UTF-8 bytes."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if len(data) < _SHORT_INPUT:
+        h = _FNV_OFFSET
+        for byte in data:
+            h ^= byte
+            h = (h * _FNV_PRIME) & _MASK64
+        return h
+    low = _FNV_OFFSET & 0xFF
+    walk = bytearray((low,))
+    walk += bytearray([low := _NEXT_LOW[low ^ byte] for byte in data])
+    lows = np.frombuffer(walk, np.uint8, len(data))
+    # Both operands of every product stay uint64: mixing in int64 would promote to float64.
+    deltas = (lows ^ np.frombuffer(data, np.uint8)).astype(np.uint64) - lows
     h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
+    for start in range(0, len(data), _BLOCK):
+        block = deltas[start : start + _BLOCK]
+        powers = _POWERS[_BLOCK - len(block) :]
+        h = (h * int(powers[0]) + int(block @ powers)) & _MASK64
     return h
 
 

@@ -9,12 +9,12 @@ runnable offline.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import re
 from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _string_json
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -127,16 +127,42 @@ BATCH_AUDIT_SCHEMA: Mapping[str, Any] = {
 }
 
 
-def _paper_payload(paper: PaperToAudit) -> dict[str, Any]:
-    return {
-        "paper_id": paper.paper_id,
-        "paper_json_content": paper.analysis.to_json(),
-        "evidence_text_chunks": list(paper.chunks),
-    }
+# Indent-2 JSON assembled from the indent-2 JSON of its members, equal to
+# `json.dumps(..., indent=2)` of the whole; `_string_json` is the string
+# encoder `json.dumps` uses. JSON text never holds a raw newline, so a
+# member nested one level deeper is its text with two more spaces after
+# each newline.
+
+
+def _nested(member: str) -> str:
+    return member.replace("\n", "\n  ")
+
+
+def _array_json(members: Sequence[str]) -> str:
+    if not members:
+        return "[]"
+    return "[\n" + ",\n".join("  " + _nested(member) for member in members) + "\n]"
+
+
+def _object_json(members: Mapping[str, str]) -> str:
+    if not members:
+        return "{}"
+    return "{\n" + ",\n".join(f"  {_string_json(key)}: {_nested(member)}" for key, member in members.items()) + "\n}"
+
+
+def _paper_json(paper: PaperToAudit) -> str:
+    """One paper's entry in the audit prompt, reusing its analysis's rendering."""
+    return _object_json(
+        {
+            "paper_id": _string_json(paper.paper_id),
+            "paper_json_content": paper.analysis.indented_json,
+            "evidence_text_chunks": _array_json([_string_json(chunk) for chunk in paper.chunks]),
+        }
+    )
 
 
 def build_audit_prompt(req: AuditRequest, *, token_budget: int | None = None, templates: Path | None = None) -> str:
-    papers_json = json.dumps([_paper_payload(paper) for paper in req.papers], indent=2)
+    papers_json = _array_json([_paper_json(paper) for paper in req.papers])
     prompt = render_template(
         load_template("batch_audit", templates),
         {"CLAIM_TEXT": req.claim_text, "PAPERS_TO_AUDIT_JSON": papers_json},
@@ -145,7 +171,7 @@ def build_audit_prompt(req: AuditRequest, *, token_budget: int | None = None, te
         total = approx_token_count(prompt)
         if total > token_budget:
             sizes = ", ".join(
-                f"{paper.paper_id}: ~{approx_token_count(json.dumps(_paper_payload(paper)))} tokens"
+                f"{paper.paper_id}: ~{approx_token_count(_paper_json(paper))} tokens"
                 for paper in req.papers
             )
             raise PromptBudgetError(
@@ -220,20 +246,28 @@ def parse_audit_response(raw: str, req: AuditRequest) -> list[AuditResult]:
 
 
 def render_audit_response(results: Sequence[AuditResult]) -> str:
-    """Serialize results back into the wire shape (mock replies, tests)."""
+    """Serialize results back into the wire shape (mock replies, tests), as indent-2 JSON."""
     entries = []
     for result in results:
         checks = {
-            check.name: {
-                "score": _SCORE_NAMES[score],
-                "reasoning": result.audit.reasoning.get(check, ""),
-            }
+            check.name: _object_json(
+                {
+                    "score": _string_json(_SCORE_NAMES[score]),
+                    "reasoning": _string_json(result.audit.reasoning.get(check, "")),
+                }
+            )
             for check, score in sorted(result.audit.scores.items())
         }
         entries.append(
-            {"paper_id": result.paper_id, "stance": _STANCE_NAMES[result.stance], "checks": checks}
+            _object_json(
+                {
+                    "paper_id": _string_json(result.paper_id),
+                    "stance": _string_json(_STANCE_NAMES[result.stance]),
+                    "checks": _object_json(checks),
+                }
+            )
         )
-    return json.dumps({"all_papers_audit": entries}, indent=2)
+    return _object_json({"all_papers_audit": _array_json(entries)})
 
 
 _MOCK_STANCE_WEIGHTS = (("Supports", 45.0), ("Refutes", 30.0), ("Neutral", 25.0))

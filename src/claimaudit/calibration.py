@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._files import read_json_lines, write_atomic
+from ._files import json_value, read_json_lines, write_atomic
 from ._rng import DeterministicStream
 from .core import CheckId, AuditVector, RequiredStandard
 from .scoring import HvParams, Tallies, hv
@@ -59,13 +59,13 @@ class CalibrationRecord:
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "CalibrationRecord":
         return cls(
-            specificity=int(payload["specificity"]),
-            testability=int(payload["testability"]),
+            specificity=json_value("specificity", payload["specificity"], int),
+            testability=json_value("testability", payload["testability"], int),
             required_standard=RequiredStandard(payload["required_standard"]),
-            boldness_target=float(payload["boldness_target"]),
+            boldness_target=json_value("boldness_target", payload["boldness_target"], float),
             tallies=Tallies.from_json(payload["tallies"]),
-            human_verdict=str(payload["human_verdict"]),
-            confidence=int(payload["confidence"]),
+            human_verdict=json_value("human_verdict", payload["human_verdict"], str),
+            confidence=json_value("confidence", payload["confidence"], int),
         )
 
 

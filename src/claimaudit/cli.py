@@ -17,7 +17,16 @@ from typing import Sequence
 from ._files import write_atomic
 from .calibration import fit_boldness_model, grid_search, load_calibration_records, load_params, save_params
 from .config import RunConfig, load_config
-from .corpus import SCENARIO_LABELS, Corpus, HashEmbedder, embed_chunks, ingest, load_corpus, save_corpus
+from .corpus import (
+    SCENARIO_LABELS,
+    Corpus,
+    HashEmbedder,
+    embed_chunks,
+    ingest,
+    load_corpus,
+    load_embeddings,
+    save_corpus,
+)
 from .evaluation import ALL_METHODS, build_report, csv_rows, dump_records, load_records, render_table, run_matrix
 from .llm import HttpChatClient, LlmClient
 from .scoring import HvParams
@@ -57,9 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_corpus(cfg: RunConfig) -> Corpus:
+    """The store's corpus without its vectors, or the manifest's if there is no store yet."""
     if not (cfg.store / "manifest.json").exists():
         return ingest(cfg.manifest)
-    corpus = load_corpus(cfg.store)
+    return load_corpus(cfg.store, embeddings=False)
+
+
+def _with_embeddings(cfg: RunConfig, corpus: Corpus) -> Corpus:
+    """`corpus` ready to retrieve: the store's vectors, if there is a store, and the embedder that made them."""
+    if (cfg.store / "manifest.json").exists():
+        corpus = load_embeddings(corpus, cfg.store)
     if any(chunk.embedding is not None for chunk in corpus.all_chunks()):
         # The store keeps the vectors, not the embedder that made them.
         corpus = replace(corpus, embedder=HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
@@ -109,6 +125,9 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     claim_id = getattr(args, "claim_id", None)
     if claim_id is not None:
         corpus = replace(corpus, claims={claim_id: corpus.claim(claim_id)})
+    # Only a claim without pinned evidence retrieves, so only then are the vectors read.
+    if not corpus.claims.keys() <= corpus.evidence_map.keys():
+        corpus = _with_embeddings(cfg, corpus)
     hv_params, ridge = _load_or_default_params(cfg)
     methods = tuple(args.method) if args.method else cfg.methods
     scenarios = tuple(args.scenario) if args.scenario else cfg.scenarios

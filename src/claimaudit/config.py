@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from ._files import json_array, json_value
 from .audit import DEFAULT_TOKEN_BUDGET
 from .calibration import Grid, default_grid
 from .core import RequiredStandard
@@ -27,9 +28,6 @@ from .scoring import HvParams
 from .threshold import CLAMP_HI_DEFAULT, CLAMP_LO_DEFAULT, DEFAULT_PRIORS, ConfigError, ThresholdConfig
 
 _ENV_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-# What each reader accepts, by the Python type json.loads gives it.
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
 
 
 @dataclass(frozen=True)
@@ -88,13 +86,6 @@ def _interpolate(value: Any, context: str) -> Any:
     return value
 
 
-def _checked(name: str, value: Any, kind: type) -> Any:
-    """`value` if it has the JSON type `kind` (a bool is no number, a float no integer); numbers as floats."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"{name}: expected {_JSON_TYPES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
-
-
 class _Section:
     """One JSON object of the config, with its keys checked; `name` is "" for the root.
 
@@ -119,29 +110,28 @@ class _Section:
         return _Section(self._key(key), self.values.get(key, {}), allowed)
 
     def integer(self, key: str, default: int, minimum: int | None = None) -> int:
-        value = _checked(self._key(key), self.values.get(key, default), int)
+        value = json_value(self._key(key), self.values.get(key, default), int, ConfigError)
         if minimum is not None and value < minimum:
             raise ConfigError(f"{self._key(key)}: must be at least {minimum}, got {value}")
         return value
 
     def number(self, key: str, default: float, above: float | None = None) -> float:
-        value = _checked(self._key(key), self.values.get(key, default), float)
+        value = json_value(self._key(key), self.values.get(key, default), float, ConfigError)
         if above is not None and not value > above:
             raise ConfigError(f"{self._key(key)}: must be greater than {above}, got {value}")
         return value
 
     def boolean(self, key: str, default: bool) -> bool:
-        return _checked(self._key(key), self.values.get(key, default), bool)
+        return json_value(self._key(key), self.values.get(key, default), bool, ConfigError)
 
     def string(self, key: str) -> str | None:
         """A string, or None when absent or null."""
         value = self.values.get(key)
-        return None if value is None else _checked(self._key(key), value, str)
+        return None if value is None else json_value(self._key(key), value, str, ConfigError)
 
     def array(self, key: str, default: tuple[Any, ...], kind: type) -> tuple[Any, ...]:
         """A list whose every item has the JSON type `kind`."""
-        items = _checked(self._key(key), self.values.get(key, list(default)), list)
-        return tuple(_checked(f"{self._key(key)}[{i}]", item, kind) for i, item in enumerate(items))
+        return json_array(self._key(key), self.values.get(key, list(default)), kind, ConfigError)
 
     def path(self, key: str, base: Path, default: Path | None = None) -> Path | None:
         """A nonempty string taken relative to `base`; `default` when absent or null."""

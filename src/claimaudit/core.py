@@ -7,9 +7,13 @@ values after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
+
+from ._files import json_array
 
 logger = logging.getLogger(__name__)
 
@@ -139,6 +143,7 @@ class Claim:
             ground_truth = Verdict(payload["ground_truth"])
         except ValueError:
             raise SchemaError(f"claim {payload['id']!r}: bad ground truth {payload['ground_truth']!r}") from None
+        probes = json_array(f"claim {payload['id']!r}: probe_questions", payload["probe_questions"], str, SchemaError)
         return cls(
             id=str(payload["id"]),
             text=str(payload["text"]),
@@ -147,7 +152,7 @@ class Claim:
             specificity=payload["specificity"],
             testability=payload["testability"],
             required_standard=RequiredStandard(payload["required_standard"]),
-            probe_questions=tuple(payload["probe_questions"]),
+            probe_questions=probes,
             ground_truth=ground_truth,
         )
 
@@ -244,6 +249,11 @@ class AnalysisDocument:
                 for check, signal in sorted(self.veritable_check_signals.items())
             },
         }
+
+    @cached_property
+    def indented_json(self) -> str:
+        """`json.dumps(self.to_json(), indent=2)`, rendered once per document."""
+        return json.dumps(self.to_json(), indent=2)
 
 
 @dataclass(frozen=True)

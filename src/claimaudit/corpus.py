@@ -423,14 +423,23 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
         (root / "embeddings.jsonl").unlink(missing_ok=True)
 
 
-def load_corpus(directory: str | Path) -> Corpus:
-    """Rebuild a corpus from `save_corpus` output, re-running all checks."""
+def load_corpus(directory: str | Path, *, embeddings: bool = True) -> Corpus:
+    """Rebuild a corpus from `save_corpus` output, re-running all checks.
+
+    With `embeddings=False` the store's `embeddings.jsonl` is not read,
+    and every chunk comes back without a vector.
+    """
     root = Path(directory)
     try:
         corpus = ingest(root / "manifest.json")
     except CorpusIntegrityError as exc:
         raise CorpusIntegrityError(f"store {root}: {exc}; run `claimaudit ingest` again to rebuild it") from None
-    embeddings_path = root / "embeddings.jsonl"
+    return load_embeddings(corpus, root) if embeddings else corpus
+
+
+def load_embeddings(corpus: Corpus, directory: str | Path) -> Corpus:
+    """`corpus` with the vectors of the store's `embeddings.jsonl` attached, if the store has one."""
+    embeddings_path = Path(directory) / "embeddings.jsonl"
     if not embeddings_path.exists():
         return corpus
     vectors = dict(

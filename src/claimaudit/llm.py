@@ -113,6 +113,8 @@ def extract_json_object(raw: str) -> Any:
 
 
 DEFAULT_RETRIES = 3
+# The longest Retry-After a turn waits; a server asking for more fails the turn at once.
+MAX_RETRY_AFTER_S = 60.0
 
 
 # Replies that parsed, keyed by (schema title, prompt).
@@ -138,8 +140,9 @@ class Asker:
 
         The one retry loop: a retryable transport error or a ValueError (a
         reply `parse` rejects) asks again, up to `retries` more times,
-        after 1, 2, 4 s, ... or the server's Retry-After. When the attempts
-        run out, the last error is re-raised naming how many were made. Any
+        after 1, 2, 4 s, ... or the server's Retry-After; a Retry-After over
+        MAX_RETRY_AFTER_S fails the turn at once. When the attempts run
+        out, the last error is re-raised naming how many were made. Any
         other client error (LlmError) propagates at once.
 
         With a `memo`, a (schema title, prompt) pair reaches the client at
@@ -170,6 +173,11 @@ class Asker:
                 if attempts > self.retries:
                     raise LlmTransportError(f"LLM request failed after {made}: {exc}") from exc
                 if exc.retry_after is not None:
+                    if exc.retry_after > MAX_RETRY_AFTER_S:
+                        raise LlmTransportError(
+                            f"server asked to retry after {exc.retry_after:g} s, over the "
+                            f"{MAX_RETRY_AFTER_S:g} s cap: {exc}"
+                        ) from exc
                     wait = exc.retry_after
                 logger.warning("LLM request failed (%s); asking again in %.0f s", exc, wait)
             except ValueError as exc:

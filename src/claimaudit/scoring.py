@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._files import json_value
 from .core import (
     STANCE_NEUTRAL,
     STANCE_REFUTES,
@@ -60,7 +61,10 @@ class HvParams:
 
     @classmethod
     def from_json(cls, payload: dict) -> "HvParams":
-        return cls(alpha=float(payload["alpha"]), lambda_=float(payload["lambda"]))
+        return cls(
+            alpha=json_value("alpha", payload["alpha"], float),
+            lambda_=json_value("lambda", payload["lambda"], float),
+        )
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,9 @@ class Tallies:
     @classmethod
     def from_json(cls, payload: dict) -> "Tallies":
         return cls(
-            h_support=float(payload["h_support"]),
-            h_refute=float(payload["h_refute"]),
-            h_neutral=float(payload["h_neutral"]),
+            h_support=json_value("h_support", payload["h_support"], float),
+            h_refute=json_value("h_refute", payload["h_refute"], float),
+            h_neutral=json_value("h_neutral", payload["h_neutral"], float),
         )
 
 

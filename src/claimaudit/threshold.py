@@ -16,6 +16,7 @@ from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from ._files import json_array, json_value
 from .core import RequiredStandard, Verdict
 
 CLAMP_LO_DEFAULT = 0.5
@@ -85,9 +86,9 @@ class RidgeModel:
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "RidgeModel":
         return cls(
-            weights=tuple(float(w) for w in payload["weights"]),
-            intercept=float(payload["intercept"]),
-            gamma=float(payload["gamma"]),
+            weights=json_array("weights", payload["weights"], float),
+            intercept=json_value("intercept", payload["intercept"], float),
+            gamma=json_value("gamma", payload["gamma"], float),
         )
 
 

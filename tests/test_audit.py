@@ -1,6 +1,7 @@
 """Tests for audit prompt assembly, response parsing, and the mock auditor."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,23 @@ class TestAuditRequest:
             AuditRequest(claim_text="c", papers=(make_paper(), make_paper()))
 
 
+def awkward_paper(paper_id, applicable):
+    """A paper whose analysis and chunks hold quotes, backslashes, newlines and non-ASCII text."""
+    analysis = make_analysis(applicable)
+    signals = {
+        check: replace(signal, objective_analysis=f'{check.name}: "blinded" \\ n=12\nÄrzte — 効果 ✓')
+        if signal.is_applicable
+        else signal
+        for check, signal in analysis.veritable_check_signals.items()
+    }
+    integrity = replace(analysis.global_integrity_signals, funding_transparency='"Fonds" \\ société\r\n')
+    return PaperToAudit(
+        paper_id=paper_id,
+        analysis=replace(analysis, global_integrity_signals=integrity, veritable_check_signals=signals),
+        chunks=('Line one\nline "two"', "back\\slash\ttab", "naïve café — 結果"),
+    )
+
+
 class TestBuildAuditPrompt:
     def test_paper_id_appears_exactly_once_in_array(self):
         prompt = build_audit_prompt(make_request())
@@ -100,6 +118,27 @@ class TestBuildAuditPrompt:
     def test_golden_file_matches_byte_for_byte(self):
         golden = (GOLDEN_DIR / "batch_audit_prompt.txt").read_text(encoding="utf-8")
         assert build_audit_prompt(golden_request()) == golden
+
+    def test_equals_plain_indent_2_rendering_for_awkward_text(self):
+        papers = [awkward_paper("D01", {CheckId.C1, CheckId.C6}), awkward_paper('D"02\\', {CheckId.C3})]
+        request = make_request(papers=papers, claim_text='Drug "X" \\ reduces symptom Y.')
+        papers_json = json.dumps(
+            [
+                {
+                    "paper_id": paper.paper_id,
+                    "paper_json_content": paper.analysis.to_json(),
+                    "evidence_text_chunks": list(paper.chunks),
+                }
+                for paper in papers
+            ],
+            indent=2,
+        )
+        expected = render_template(
+            load_template("batch_audit"), {"CLAIM_TEXT": request.claim_text, "PAPERS_TO_AUDIT_JSON": papers_json}
+        )
+        assert build_audit_prompt(request) == expected
+        # A second prompt over the same documents reuses their rendering and reads the same.
+        assert build_audit_prompt(request) == expected
 
     def test_over_budget_lists_per_paper_sizes(self):
         request = make_request(papers=[make_paper("D01"), make_paper("D02")])
@@ -113,6 +152,39 @@ class TestBuildAuditPrompt:
         request = make_request()
         budget = approx_token_count(build_audit_prompt(request))
         assert build_audit_prompt(request, token_budget=budget)
+
+
+class TestRenderAuditResponse:
+    def test_equals_plain_indent_2_rendering(self):
+        results = [
+            AuditResult(
+                paper_id='D"01\\',
+                stance=STANCE_SUPPORTS,
+                audit=AuditVector(
+                    {CheckId.C1: 1.0, CheckId.C6: 0.5, CheckId.C10: 0.0},
+                    {CheckId.C1: 'said "yes"\nthen — 効果', CheckId.C6: "back\\slash"},
+                ),
+            ),
+            AuditResult(paper_id="D02", stance=0, audit=AuditVector({}, {})),
+        ]
+        expected = {
+            "all_papers_audit": [
+                {
+                    "paper_id": 'D"01\\',
+                    "stance": "Supports",
+                    "checks": {
+                        "C1": {"score": "Pass", "reasoning": 'said "yes"\nthen — 効果'},
+                        "C6": {"score": "Uncertain", "reasoning": "back\\slash"},
+                        "C10": {"score": "Fail", "reasoning": ""},
+                    },
+                },
+                {"paper_id": "D02", "stance": "Neutral", "checks": {}},
+            ]
+        }
+        assert render_audit_response(results) == json.dumps(expected, indent=2)
+
+    def test_no_results_render_an_empty_list(self):
+        assert render_audit_response([]) == json.dumps({"all_papers_audit": []}, indent=2)
 
 
 class TestParseAuditResponse:

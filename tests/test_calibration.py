@@ -1,6 +1,8 @@
 """Ridge closed form, grid search vs exhaustive oracle, flawed-audit simulator."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from claimaudit.scoring import HvParams, Tallies
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
 from oracles import grid_search_bruteforce
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def random_record(rng: np.random.Generator) -> CalibrationRecord:
@@ -226,6 +230,28 @@ class TestRecordIo:
         with pytest.raises(ValueError, match="calibration.jsonl:2: bad calibration record"):
             load_calibration_records(path)
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("specificity", 7.9, "specificity: expected an integer, got 7.9"),
+            ("testability", True, "testability: expected an integer, got True"),
+            ("confidence", "80", "confidence: expected an integer, got '80'"),
+            ("boldness_target", "0.5", "boldness_target: expected a number, got '0.5'"),
+            ("human_verdict", 1, "human_verdict: expected a string, got 1"),
+            ("tallies", {"h_support": True, "h_refute": 0.2, "h_neutral": 0.1}, "h_support: expected a number"),
+        ],
+    )
+    def test_mistyped_field_is_named(self, tmp_path, field, value, message):
+        line = random_record(np.random.default_rng(3)).to_json()
+        line[field] = value
+        path = tmp_path / "calibration.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"calibration.jsonl:1: bad calibration record: {re.escape(message)}"):
+            load_calibration_records(path)
+
+    def test_shipped_calibration_records_load(self):
+        assert len(load_calibration_records(FIXTURES / "calibration.jsonl")) == 60
+
     def test_params_file_round_trip(self, tmp_path):
         params = HvParams(alpha=0.65, lambda_=0.3)
         ridge = constant_boldness_model(0.45)
@@ -236,6 +262,24 @@ class TestRecordIo:
         loaded_params, loaded_ridge = load_params(path)
         assert loaded_params == params
         assert loaded_ridge == ridge
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            ({"alpha": True}, "alpha: expected a number, got True"),
+            ({"lambda": "0.2"}, "lambda: expected a number, got '0.2'"),
+            ({"ridge": {"weights": "0.1", "intercept": 0.5, "gamma": 1.0}}, "weights: expected a list"),
+            ({"ridge": {"weights": [0.1, None], "intercept": 0.5, "gamma": 1.0}}, "weights[1]: expected a number"),
+            ({"ridge": {"weights": [0.1], "intercept": False, "gamma": 1.0}}, "intercept: expected a number"),
+        ],
+        ids=["bool-alpha", "string-lambda", "string-weights", "null-weight", "bool-intercept"],
+    )
+    def test_mistyped_params_value_is_named(self, tmp_path, edit, message):
+        path = tmp_path / "params.json"
+        save_params(path, HvParams(alpha=0.65, lambda_=0.3), constant_boldness_model(0.45))
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"params.json: bad params: {re.escape(message)}"):
+            load_params(path)
 
     def test_malformed_params_file_is_named(self, tmp_path):
         path = tmp_path / "params.json"

@@ -448,6 +448,29 @@ class TestVerify:
         assert records[0].method == "audit"
         assert records[0].scenario == "TY0"
 
+    def test_vectors_are_read_only_when_a_claim_retrieves(self, tmp_path, capsys):
+        # K01's evidence is pinned and K02's is retrieved.
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "embed"]) == 0
+        embeddings = tmp_path / "out" / "store" / "embeddings.jsonl"
+        lines = embeddings.read_text(encoding="utf-8").splitlines()
+        lines[1] = '{"chunk_id": "D01-c1"}'
+        embeddings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        verify = ["--config", str(config_path), "verify", "--mock", "--seed", "7"]
+        assert main([*verify, "--claim-id", "K01"]) == 0
+        assert {record.claim_id for record in load_records(tmp_path / "out" / "records.jsonl")} == {"K01"}
+        assert main(verify) == 1
+        assert "embeddings.jsonl:2: bad embedding" in capsys.readouterr().err
+
+    def test_embed_rewrites_a_corrupt_embeddings_file(self, tmp_path):
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "embed"]) == 0
+        embeddings = tmp_path / "out" / "store" / "embeddings.jsonl"
+        good = embeddings.read_bytes()
+        embeddings.write_text("not json\n", encoding="utf-8")
+        assert main(["--config", str(config_path), "embed"]) == 0
+        assert embeddings.read_bytes() == good
+
     def test_unknown_claim_id_exits_1(self, tmp_path, capsys):
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "verify", "--mock", "--claim-id", "K99"]) == 1

@@ -144,6 +144,21 @@ class TestClaim:
         with pytest.raises(SchemaError, match="probe"):
             make_claim(probe_questions=("only", "two"))
 
+    @pytest.mark.parametrize(
+        "probes", ["why", ["q1", "q2", 3], {"q1": 1, "q2": 2, "q3": 3}], ids=["string", "non-string-item", "object"]
+    )
+    def test_probe_questions_must_be_a_list_of_strings(self, probes):
+        payload = make_claim().to_json()
+        payload["probe_questions"] = probes
+        with pytest.raises(SchemaError, match="claim 'K1': probe_questions"):
+            Claim.from_json(payload)
+
+    def test_probe_question_count_enforced_on_load(self):
+        payload = make_claim().to_json()
+        payload["probe_questions"] = ["q1", "q2"]
+        with pytest.raises(SchemaError, match="claim 'K1': exactly 3 probe questions"):
+            Claim.from_json(payload)
+
     @pytest.mark.parametrize("field,value", [("specificity", 0), ("specificity", 11), ("testability", -3)])
     def test_rating_bounds(self, field, value):
         with pytest.raises(SchemaError):

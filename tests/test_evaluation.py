@@ -1,6 +1,7 @@
 """Evaluation tests: metrics against exact oracles, the verify matrix, reports."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -24,6 +25,8 @@ from claimaudit.corpus import (
     evidence_for_claim,
     filter_scenario,
     ingest,
+    load_corpus,
+    save_corpus,
 )
 from claimaudit.evaluation import (
     ALL_METHODS,
@@ -276,6 +279,24 @@ class TestRunMatrix:
             ("K02", "cot", "TY0"),
             ("K02", "cot", "TY5"),
         ]
+
+    def test_records_do_not_depend_on_earlier_loads_in_the_process(self, tmp_path):
+        # Renderings kept per document live and die with the loaded corpus, so
+        # a store loaded twice, with another load in between that lists the
+        # same documents in reverse order, writes the same records each time.
+        reversed_manifest = make_manifest()
+        reversed_manifest["documents"].reverse()
+        (tmp_path / "reversed").mkdir()
+        stores = [tmp_path / "store", tmp_path / "reversed" / "store", tmp_path / "store"]
+        save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), stores[0])
+        save_corpus(embed_chunks(make_corpus(tmp_path / "reversed", reversed_manifest), HashEmbedder()), stores[1])
+        runs = []
+        for store in stores:
+            loaded = dataclasses.replace(load_corpus(store), embedder=HashEmbedder())
+            runs.append(dump_records(run(loaded, methods=ALL_METHODS, scenarios=SCENARIOS).records))
+            del loaded
+            gc.collect()
+        assert runs[0] == runs[1] == runs[2]
 
     def test_audit_records_carry_full_trace(self, corpus):
         report = run(corpus)

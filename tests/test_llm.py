@@ -13,6 +13,7 @@ from claimaudit.llm import (
     LlmError,
     LlmReply,
     LlmTransportError,
+    MAX_RETRY_AFTER_S,
     MockLlm,
     ScriptedTranscript,
     ScriptMissError,
@@ -281,6 +282,24 @@ class TestHttpChatClient:
         sleeps = []
         assert _ask(session, sleeps) == "ok"
         assert sleeps == [7.0]
+
+    def test_retry_after_over_the_cap_fails_the_turn_at_once(self):
+        session = _FakeSession(
+            [_FakeResponse({}, status=429, headers={"Retry-After": "86400"}), _FakeResponse(_chat_payload("ok"))]
+        )
+        sleeps = []
+        with pytest.raises(LlmTransportError, match="retry after 86400 s, over the 60 s cap") as info:
+            _ask(session, sleeps)
+        assert (len(session.calls), sleeps, info.value.retryable) == (1, [], False)
+
+    def test_retry_after_at_the_cap_is_honoured(self):
+        wait = f"{MAX_RETRY_AFTER_S:g}"
+        session = _FakeSession(
+            [_FakeResponse({}, status=429, headers={"Retry-After": wait}), _FakeResponse(_chat_payload("ok"))]
+        )
+        sleeps = []
+        assert _ask(session, sleeps) == "ok"
+        assert sleeps == [MAX_RETRY_AFTER_S]
 
     def test_rate_limit_without_retry_after_backs_off(self):
         session = _FakeSession([_FakeResponse({}, status=429), _FakeResponse(_chat_payload("ok"))])

@@ -8,9 +8,17 @@ through `Asker.ask`, so no second retry loop can wrap a client call.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from claimaudit.corpus import HashEmbedder, embed_chunks
+from claimaudit.evaluation import ALL_METHODS, AblationFlags, run_matrix
+from claimaudit.scoring import HvParams
+from claimaudit.threshold import ThresholdConfig, constant_boldness_model
+
+from test_corpus import make_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "claimaudit"
 MODULES = sorted(SRC.rglob("*.py"))
@@ -38,6 +46,29 @@ def _complete_callers(node, scope=""):
         if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "complete":
             yield scope.rstrip(".")
         yield from _complete_callers(child, scope)
+
+
+def _module_containers():
+    """The size of every dict, list, set and bytearray bound at module level in the package."""
+    sizes = {}
+    for path in MODULES:
+        name = ".".join(("claimaudit", *path.relative_to(SRC).with_suffix("").parts)).removesuffix(".__init__")
+        for attribute, value in vars(importlib.import_module(name)).items():
+            if isinstance(value, (dict, list, set, bytearray)):
+                sizes[f"{name}.{attribute}"] = len(value)
+    return sizes
+
+
+def test_a_run_grows_no_module_level_container(tmp_path):
+    # A module-level cache (keyed by object id, say) would outlive the corpus
+    # whose values it holds; per-document renderings live on the documents.
+    corpus = embed_chunks(make_corpus(tmp_path), HashEmbedder())
+    before = _module_containers()
+    run_matrix(
+        corpus, ALL_METHODS, ("TY0", "TY5"), AblationFlags(), HvParams(), constant_boldness_model(),
+        ThresholdConfig(), seed=7, mock=True,
+    )
+    assert _module_containers() == before
 
 
 def test_only_the_asker_calls_a_client():
