@@ -61,6 +61,11 @@ def json_value(name: str, value: Any, kind: type, error: type[ValueError] = Valu
     return float(value) if kind is float else value
 
 
+def json_optional(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> Any:
+    """None if `value` is null, else `value` checked as `json_value` checks it."""
+    return None if value is None else json_value(name, value, kind, error)
+
+
 def json_array(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> tuple[Any, ...]:
     """`value` as a tuple if it is a list whose every item has the JSON type `kind`; else `error`."""
     items = json_value(name, value, list, error)

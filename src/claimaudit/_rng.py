@@ -14,13 +14,17 @@ only touches bits 0-7, so `h ^ b == h + d` with `d = (l ^ b) - l` and
 after n bytes `h_n = h_0*P^n + sum(d_i * P^(n-i))`. The low byte evolves
 on its own, `l_(i+1) = ((l_i ^ b_i) * P) & 0xFF`: one table lookup per
 byte in Python, and the rest in numpy.
+
+numpy is imported by the first long hash, not by this module: the
+short-input loop, the streams and the prime-power table are pure Python,
+so a command that never hashes 100 bytes or more never loads numpy.
 """
 
 from __future__ import annotations
 
+import struct
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence, TypeVar
-
-import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -31,10 +35,12 @@ _FNV_PRIME = 0x100000001B3
 _SHORT_INPUT = 100
 # The low byte after multiplying a low byte x by the prime.
 _NEXT_LOW = tuple((x * _FNV_PRIME) & 0xFF for x in range(256))
-# P^B, ..., P^2, P^1 (mod 2^64): the weights of one block's byte deltas.
+# P^B, ..., P^2, P^1 (mod 2^64) as little-endian uint64 bytes: the weights
+# of one block's byte deltas. Bytes are immutable, and so is a numpy view of them.
 _BLOCK = 4096
-_POWERS = np.full(_BLOCK, _FNV_PRIME, dtype=np.uint64).cumprod()[::-1].copy()
-_POWERS.flags.writeable = False
+_POWERS = struct.pack(
+    f"<{_BLOCK}Q", *reversed(list(accumulate(repeat(_FNV_PRIME, _BLOCK), lambda p, q: p * q & _MASK64)))
+)
 
 T = TypeVar("T")
 
@@ -49,16 +55,19 @@ def fnv1a64(data: bytes | str) -> int:
             h ^= byte
             h = (h * _FNV_PRIME) & _MASK64
         return h
+    import numpy as np
+
     low = _FNV_OFFSET & 0xFF
     walk = bytearray((low,))
     walk += bytearray([low := _NEXT_LOW[low ^ byte] for byte in data])
     lows = np.frombuffer(walk, np.uint8, len(data))
     # Both operands of every product stay uint64: mixing in int64 would promote to float64.
     deltas = (lows ^ np.frombuffer(data, np.uint8)).astype(np.uint64) - lows
+    table = np.frombuffer(_POWERS, "<u8")
     h = _FNV_OFFSET
     for start in range(0, len(data), _BLOCK):
         block = deltas[start : start + _BLOCK]
-        powers = _POWERS[_BLOCK - len(block) :]
+        powers = table[_BLOCK - len(block) :]
         h = (h * int(powers[0]) + int(block @ powers)) & _MASK64
     return h
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ._files import json_value, read_json_lines, write_atomic
 from ._rng import DeterministicStream
 from .core import CheckId, AuditVector, RequiredStandard
 from .scoring import HvParams, Tallies, hv
 from .threshold import RidgeModel, ThresholdConfig, encode_features, threshold_for_claim
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HUMAN_VERDICTS = ("Support", "Contradict", "Uncertain")
 
@@ -106,6 +107,8 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, gamma: float) -> RidgeModel:
     returned solution satisfies the normal-equations residual bound
     1e-8 * (1 + ||Xc'y||).
     """
+    import numpy as np
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
@@ -134,6 +137,8 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, gamma: float) -> RidgeModel:
 
 def fit_boldness_model(records: Sequence[CalibrationRecord], gamma: float = 1.0) -> RidgeModel:
     """Fit the boldness predictor from calibration records."""
+    import numpy as np
+
     if not records:
         raise ValueError("no calibration records")
     X = np.stack([encode_features(record) for record in records])

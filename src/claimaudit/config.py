@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ._files import json_array, json_value
+from ._files import json_array, json_optional, json_value
 from .audit import DEFAULT_TOKEN_BUDGET
 from .calibration import Grid, default_grid
 from .core import RequiredStandard
@@ -127,7 +127,7 @@ class _Section:
     def string(self, key: str) -> str | None:
         """A string, or None when absent or null."""
         value = self.values.get(key)
-        return None if value is None else json_value(self._key(key), value, str, ConfigError)
+        return json_optional(self._key(key), value, str, ConfigError)
 
     def array(self, key: str, default: tuple[Any, ...], kind: type) -> tuple[Any, ...]:
         """A list whose every item has the JSON type `kind`."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
 
-from ._files import json_array
+from ._files import json_array, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -135,20 +135,19 @@ class Claim:
         unknown = payload.keys() - required
         if unknown:
             raise SchemaError(f"claim payload has unknown fields: {sorted(unknown)}")
+        claim_id = json_value("claim id", payload["id"], str, SchemaError)
         if payload["ground_truth"] == "Uncertain":
-            raise UncertainGroundTruthError(
-                f"claim {payload['id']!r}: Uncertain ground truth is excluded at ingestion"
-            )
+            raise UncertainGroundTruthError(f"claim {claim_id!r}: Uncertain ground truth is excluded at ingestion")
         try:
             ground_truth = Verdict(payload["ground_truth"])
         except ValueError:
-            raise SchemaError(f"claim {payload['id']!r}: bad ground truth {payload['ground_truth']!r}") from None
-        probes = json_array(f"claim {payload['id']!r}: probe_questions", payload["probe_questions"], str, SchemaError)
+            raise SchemaError(f"claim {claim_id!r}: bad ground truth {payload['ground_truth']!r}") from None
+        probes = json_array(f"claim {claim_id!r}: probe_questions", payload["probe_questions"], str, SchemaError)
         return cls(
-            id=str(payload["id"]),
-            text=str(payload["text"]),
+            id=claim_id,
+            text=json_value(f"claim {claim_id!r}: text", payload["text"], str, SchemaError),
             claim_type=ClaimType(payload["claim_type"]),
-            topic=str(payload["topic"]),
+            topic=json_value(f"claim {claim_id!r}: topic", payload["topic"], str, SchemaError),
             specificity=payload["specificity"],
             testability=payload["testability"],
             required_standard=RequiredStandard(payload["required_standard"]),
@@ -223,13 +222,14 @@ class AnalysisDocument:
             entry = raw_signals[check.name]
             signals[check] = CheckSignal(
                 is_applicable=entry["is_applicable"],
-                objective_analysis=str(entry["objective_analysis"]),
+                objective_analysis=json_value(
+                    f"{check.name}: objective_analysis", entry["objective_analysis"], str, SchemaError
+                ),
             )
+        names = ("funding_transparency", "conflict_of_interest", "data_availability")
         return cls(
             global_integrity_signals=GlobalIntegritySignals(
-                funding_transparency=str(gis["funding_transparency"]),
-                conflict_of_interest=str(gis["conflict_of_interest"]),
-                data_availability=str(gis["data_availability"]),
+                **{name: json_value(name, gis[name], str, SchemaError) for name in names}
             ),
             veritable_check_signals=signals,
         )

@@ -14,14 +14,15 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
-from ._files import read_json_lines, write_atomic
+from ._files import json_value, read_json_lines, write_atomic
 from ._rng import fnv1a64
 from .core import AnalysisDocument, Claim, SchemaError
 from .redundancy import tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -151,6 +152,8 @@ class _ChunkMatrix:
     """
 
     def __init__(self, chunks: Iterable[EvidenceChunk]) -> None:
+        import numpy as np
+
         self.chunks = tuple(sorted(chunks, key=lambda chunk: (chunk.doc_id, chunk.ordinal)))
         missing = [chunk.id for chunk in self.chunks if chunk.embedding is None]
         if missing:
@@ -169,6 +172,8 @@ class _ChunkMatrix:
 
     def cosine(self, query: Sequence[float]) -> np.ndarray:
         """Cosine of every row to `query`; 0.0 where either norm is 0."""
+        import numpy as np
+
         if self.chunks and len(query) != self.dim:
             raise EmbeddingError(
                 f"query embedding has dimension {len(query)} but the chunk embeddings have dimension "
@@ -197,17 +202,18 @@ def _require_keys(payload: Mapping[str, Any], required: set[str], what: str) -> 
 
 def _build_document(payload: Mapping[str, Any]) -> Document:
     _require_keys(payload, {"id", "title", "source_uri", "retracted", "analysis", "chunks"}, "document")
-    doc_id = str(payload["id"])
+    doc_id = json_value("document id", payload["id"], str, CorpusIntegrityError)
     chunks = []
     for raw in payload["chunks"]:
-        _require_keys(raw, {"id", "ordinal", "text"}, f"chunk of document {doc_id!r}")
-        chunks.append(
-            EvidenceChunk(id=str(raw["id"]), doc_id=doc_id, ordinal=raw["ordinal"], text=str(raw["text"]))
-        )
+        what = f"chunk of document {doc_id!r}"
+        _require_keys(raw, {"id", "ordinal", "text"}, what)
+        chunk_id = json_value(f"{what}: id", raw["id"], str, CorpusIntegrityError)
+        text = json_value(f"chunk {chunk_id!r}: text", raw["text"], str, CorpusIntegrityError)
+        chunks.append(EvidenceChunk(id=chunk_id, doc_id=doc_id, ordinal=raw["ordinal"], text=text))
     return Document(
         id=doc_id,
-        title=str(payload["title"]),
-        source_uri=str(payload["source_uri"]),
+        title=json_value(f"document {doc_id!r}: title", payload["title"], str, CorpusIntegrityError),
+        source_uri=json_value(f"document {doc_id!r}: source_uri", payload["source_uri"], str, CorpusIntegrityError),
         retracted=payload["retracted"],
         analysis=AnalysisDocument.from_json(payload["analysis"]),
         chunks=tuple(chunks),
@@ -300,7 +306,8 @@ class HashEmbedder:
 
     Purely integer-hash driven, so vectors are byte-identical across
     platforms and runs. Not semantically meaningful; it exists to make
-    retrieval reproducible offline.
+    retrieval reproducible offline. Each distinct token is hashed once
+    per instance; the memo grows with the vocabulary of the embedded texts.
     """
 
     def __init__(self, dim: int = DEFAULT_EMBED_DIM, seed: int = 0) -> None:
@@ -308,13 +315,17 @@ class HashEmbedder:
             raise ValueError(f"embedding dimension must be positive, got {dim}")
         self.dim = dim
         self.seed = seed
+        # token -> (vector index, sign)
+        self._slots: dict[str, tuple[int, float]] = {}
 
     def embed(self, text: str) -> tuple[float, ...]:
         values = [0.0] * self.dim
         for token in tokenize(text):
-            token_hash = fnv1a64(f"{self.seed}\x1f{token}")
-            sign = 1.0 if (token_hash >> 63) == 0 else -1.0
-            values[token_hash % self.dim] += sign
+            slot = self._slots.get(token)
+            if slot is None:
+                token_hash = fnv1a64(f"{self.seed}\x1f{token}")
+                slot = self._slots[token] = (token_hash % self.dim, 1.0 if (token_hash >> 63) == 0 else -1.0)
+            values[slot[0]] += slot[1]
         norm = math.sqrt(sum(value * value for value in values))
         if norm == 0.0:
             return tuple(values)
@@ -354,6 +365,8 @@ def retrieve(claim: Claim, corpus: Corpus, k: int = DEFAULT_RETRIEVAL_K) -> list
         raise ValueError(f"retrieval depth k must be positive, got {k}")
     if corpus.embedder is None:
         raise EmbeddingError("corpus has no embedder; run embed_chunks first")
+    import numpy as np
+
     matrix = corpus._chunk_matrix
     claim_vector = tuple(float(x) for x in corpus.embedder.embed(claim.text))
     order = np.argsort(-matrix.cosine(claim_vector), kind="stable")

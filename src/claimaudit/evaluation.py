@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from ._files import read_json_lines
+from ._files import json_optional, json_value, read_json_lines
 from .audit import (
     AuditFailureError,
     AuditRequest,
@@ -230,32 +230,44 @@ class VerdictRecord:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "VerdictRecord":
+        verdict = None if payload["verdict"] is None else _verdict_label("verdict", payload["verdict"])
+        failure = json_optional("failure", payload["failure"], str)
+        if (verdict is None) == (failure is None):
+            raise ValueError(f"needs exactly one of verdict and failure, got verdict {verdict!r}, failure {failure!r}")
         return cls(
-            claim_id=payload["claim_id"],
-            method=payload["method"],
-            scenario=payload["scenario"],
-            verdict=payload["verdict"],
-            ground_truth=payload["ground_truth"],
-            hv=payload["hv"],
-            tau=payload["tau"],
+            claim_id=json_value("claim_id", payload["claim_id"], str),
+            method=json_value("method", payload["method"], str),
+            scenario=json_value("scenario", payload["scenario"], str),
+            verdict=verdict,
+            ground_truth=_verdict_label("ground_truth", payload["ground_truth"]),
+            hv=json_optional("hv", payload["hv"], float),
+            tau=json_optional("tau", payload["tau"], float),
             tallies=None if payload["tallies"] is None else Tallies.from_json(payload["tallies"]),
             contributions=tuple(
                 DocumentContribution(
-                    doc_id=c["doc_id"],
-                    stance=c["stance"],
-                    quality=c["quality"],
-                    weight=c["weight"],
-                    eta=c["eta"],
+                    doc_id=json_value("contributions.doc_id", c["doc_id"], str),
+                    stance=json_value("contributions.stance", c["stance"], int),
+                    quality=json_value("contributions.quality", c["quality"], float),
+                    weight=json_value("contributions.weight", c["weight"], float),
+                    eta=json_value("contributions.eta", c["eta"], float),
                 )
-                for c in payload["contributions"]
+                for c in json_value("contributions", payload["contributions"], list)
             ),
-            n_evidence_docs=payload["n_evidence_docs"],
-            retrieval_mode=payload["retrieval_mode"],
-            tokens_in=payload["tokens_in"],
-            tokens_out=payload["tokens_out"],
-            tokens_approximate=payload["tokens_approximate"],
-            failure=payload["failure"],
+            n_evidence_docs=json_value("n_evidence_docs", payload["n_evidence_docs"], int),
+            retrieval_mode=json_optional("retrieval_mode", payload["retrieval_mode"], str),
+            tokens_in=json_value("tokens_in", payload["tokens_in"], int),
+            tokens_out=json_value("tokens_out", payload["tokens_out"], int),
+            tokens_approximate=json_value("tokens_approximate", payload["tokens_approximate"], bool),
+            failure=failure,
         )
+
+
+def _verdict_label(name: str, value: Any) -> str:
+    """`value` if it is the value of a `Verdict`; else ValueError naming `name`."""
+    labels = [member.value for member in Verdict]
+    if json_value(name, value, str) not in labels:
+        raise ValueError(f"{name}: expected one of {labels}, got {value!r}")
+    return value
 
 
 def dump_records(records: Sequence[VerdictRecord]) -> str:

@@ -12,12 +12,13 @@ comparison so training and inference cannot skew.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 
 from ._files import json_array, json_value
 from .core import RequiredStandard, Verdict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLAMP_LO_DEFAULT = 0.5
 CLAMP_HI_DEFAULT = 0.95
@@ -105,12 +106,16 @@ class HasClaimFeatures(Protocol):
 
 def encode_features(claim: HasClaimFeatures) -> np.ndarray:
     """[specificity/10, testability/10, onehot(required_standard)]."""
+    import numpy as np
+
     onehot = [1.0 if claim.required_standard is standard else 0.0 for standard in STANDARD_ORDER]
     return np.array([claim.specificity / 10.0, claim.testability / 10.0, *onehot], dtype=float)
 
 
 def ridge_predict(model: RidgeModel, features: Sequence[float] | np.ndarray) -> float:
     """Boldness prediction clipped to [0, 1]."""
+    import numpy as np
+
     vector = np.asarray(features, dtype=float)
     if vector.shape != (len(model.weights),):
         raise ValueError(f"feature dimension {vector.shape} does not match model ({len(model.weights)},)")

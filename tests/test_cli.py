@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -541,12 +542,26 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "spoil",
-        [lambda record: ["not", "a", "record"], lambda record: {k: v for k, v in record.items() if k != "method"}],
-        ids=["not-an-object", "missing-field"],
+        [
+            lambda record: ["not", "a", "record"],
+            lambda record: {k: v for k, v in record.items() if k != "method"},
+            lambda record: {**record, "failure": None, "verdict": "Maybe"},
+            lambda record: {**record, "ground_truth": "Maybe"},
+            lambda record: {**record, "tau": "0.5"},
+            lambda record: {**record, "tokens_in": 1.5},
+            lambda record: {**record, "failure": None},
+            lambda record: {**record, "verdict": "Valid"},
+        ],
+        ids=[
+            "not-an-object", "missing-field", "unknown-verdict", "unknown-ground-truth", "string-tau",
+            "float-tokens", "neither-verdict-nor-failure", "both-verdict-and-failure",
+        ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, capsys, spoil):
         config_path = setup_workspace(tmp_path)
-        good = VerdictRecord(claim_id="C1", method="cot", scenario="TY0", ground_truth="Valid").to_json()
+        good = VerdictRecord(
+            claim_id="C1", method="cot", scenario="TY0", ground_truth="Valid", failure="no answer"
+        ).to_json()
         (tmp_path / "out").mkdir()
         lines = [json.dumps(good), json.dumps(spoil(good))]
         (tmp_path / "out" / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -561,6 +576,28 @@ class TestStartup:
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_only_calibrate_and_verify_load_numpy(self, tmp_path):
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+        probe = (
+            "import sys, claimaudit, claimaudit.cli\n"
+            "codes = [claimaudit.cli.main(['--config', 'config.json', *argv.split()]) for argv in sys.argv[1:]]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+
+        def run(*commands):
+            """Exit codes of `commands` in one fresh interpreter, and whether numpy was loaded."""
+            result = subprocess.run(
+                [sys.executable, "-c", probe, *commands], cwd=tmp_path, env=env, capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stdout.splitlines()[-1]
+
+        assert run() == "[] False"
+        assert run("ingest", "embed") == "[0, 0] False"
+        assert run("calibrate", "verify --mock --seed 7") == "[0, 0] True"
+        assert run("report") == "[0] False"
 
 
 class TestShippedFixtures:

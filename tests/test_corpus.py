@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from claimaudit._rng import fnv1a64
 from claimaudit.core import CheckId, Verdict
 from claimaudit.corpus import (
     Corpus,
@@ -25,6 +26,7 @@ from claimaudit.corpus import (
     retrieve,
     save_corpus,
 )
+from claimaudit.redundancy import tokenize
 
 from oracles import rank_by_cosine
 from test_core import make_analysis, make_claim
@@ -177,8 +179,24 @@ class TestIngest:
             (lambda m: m["documents"][0]["chunks"][0].update(ordinal=False), "'D01-c0': ordinal must be a nonnegative"),
             (lambda m: m["claims"][0].update(specificity=7.9), "specificity must be an integer in 1..10, got 7.9"),
             (lambda m: m["claims"][0].update(testability=True), "testability must be an integer in 1..10, got True"),
+            (lambda m: m["documents"][0].update(id=7), "document id: expected a string, got 7"),
+            (lambda m: m["documents"][0].update(title=None), "'D01': title: expected a string, got None"),
+            (lambda m: m["documents"][0].update(source_uri=5), "'D01': source_uri: expected a string, got 5"),
+            (lambda m: m["documents"][0]["chunks"][0].update(id=3), "'D01': id: expected a string, got 3"),
+            (lambda m: m["documents"][0]["chunks"][0].update(text=123), "'D01-c0': text: expected a string, got 123"),
+            (lambda m: m["claims"][0].update(id=9), "claim id: expected a string, got 9"),
+            (lambda m: m["claims"][0].update(text=5), "'K01': text: expected a string, got 5"),
+            (lambda m: m["claims"][0].update(topic=None), "'K01': topic: expected a string, got None"),
+            (lambda m: m["documents"][0]["analysis"]["veritable_check_signals"]["C1"].update(objective_analysis=None),
+             "C1: objective_analysis: expected a string, got None"),
+            (lambda m: m["documents"][0]["analysis"]["global_integrity_signals"].update(data_availability=7),
+             "data_availability: expected a string, got 7"),
         ],
-        ids=["is_applicable", "retracted", "float-ordinal", "bool-ordinal", "float-specificity", "bool-testability"],
+        ids=[
+            "is_applicable", "retracted", "float-ordinal", "bool-ordinal", "float-specificity", "bool-testability",
+            "int-document-id", "null-title", "int-source-uri", "int-chunk-id", "int-chunk-text", "int-claim-id",
+            "int-claim-text", "null-topic", "null-objective-analysis", "int-data-availability",
+        ],
     )
     def test_mistyped_field_is_rejected_by_name(self, tmp_path, spoil, needle):
         payload = make_manifest()
@@ -259,6 +277,23 @@ class TestHashEmbedder:
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError, match="positive"):
             HashEmbedder(dim=0)
+
+    @pytest.mark.parametrize(("dim", "seed"), [(64, 0), (16, 5)])
+    def test_reused_instance_matches_fresh_instances_and_the_hash_reference(self, dim, seed):
+        def reference(text):
+            values = [0.0] * dim
+            for token in tokenize(text):
+                token_hash = fnv1a64(f"{seed}\x1f{token}")
+                values[token_hash % dim] += 1.0 if token_hash >> 63 == 0 else -1.0
+            norm = math.sqrt(sum(value * value for value in values))
+            return tuple(values) if norm == 0.0 else tuple(value / norm for value in values)
+
+        texts = ["aspirin reduces fever", "fever fever in adults", "", "adults given aspirin reduces fever twice"]
+        embedder = HashEmbedder(dim=dim, seed=seed)
+        for order in (texts, texts[::-1]):
+            reused = [embedder.embed(text) for text in order]
+            assert reused == [HashEmbedder(dim=dim, seed=seed).embed(text) for text in order]
+            assert reused == [reference(text) for text in order]
 
 
 class _WrongDimEmbedder:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from claimaudit import _rng
@@ -52,5 +53,11 @@ def test_non_ascii_text_hashes_its_utf8_bytes():
 
 
 def test_powers_table_is_read_only():
-    with pytest.raises(ValueError):
+    # Bytes cannot be written, nor can the numpy view the long path takes of them.
+    with pytest.raises(TypeError):
         _rng._POWERS[0] = 1
+    table = np.frombuffer(_rng._POWERS, "<u8")
+    with pytest.raises(ValueError):
+        table[0] = 1
+    prime = 0x100000001B3
+    assert [int(power) for power in table[[0, -2, -1]]] == [pow(prime, e, 2**64) for e in (_rng._BLOCK, 2, 1)]
