@@ -6,7 +6,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -14,17 +14,19 @@ T = TypeVar("T")
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text via a same-directory temp file and rename.
+def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
+    """Write the text parts, in order, via a same-directory temp file and rename.
 
-    Readers never observe a half-written file; reruns overwrite in place.
+    Parts are written as they are produced, so a generator streams the
+    file. Readers never observe a half-written file, also when producing
+    a part raises; reruns overwrite in place.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(parts)
         os.replace(tmp_name, target)
     except BaseException:
         try:

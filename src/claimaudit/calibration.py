@@ -215,7 +215,7 @@ def simulate_flawed_audit(seed: int, checks: Iterable[CheckId]) -> AuditVector:
 def save_params(path: str | Path, params: HvParams, ridge: RidgeModel) -> None:
     """Write the calibrated parameter file (alpha, lambda, ridge model)."""
     payload = {**params.to_json(), "ridge": ridge.to_json()}
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True), "\n"))
 
 
 def load_params(path: str | Path) -> tuple[HvParams, RidgeModel]:

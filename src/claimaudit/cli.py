@@ -27,7 +27,18 @@ from .corpus import (
     load_embeddings,
     save_corpus,
 )
-from .evaluation import ALL_METHODS, build_report, csv_rows, dump_records, load_records, render_table, run_matrix
+# `cmd_verify` streams records through `record_line`; `dump_records` stays a
+# module attribute because the benchmark tracer's target list names it here.
+from .evaluation import (  # noqa: F401
+    ALL_METHODS,
+    build_report,
+    csv_rows,
+    dump_records,
+    load_records,
+    record_line,
+    render_table,
+    run_matrix,
+)
 from .llm import HttpChatClient, LlmClient
 from .scoring import HvParams
 from .threshold import RidgeModel, constant_boldness_model
@@ -160,7 +171,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         templates=cfg.templates,
     )
     records_path = cfg.output / "records.jsonl"
-    write_atomic(records_path, dump_records(report.records))
+    write_atomic(records_path, map(record_line, report.records))
     failures = sum(1 for record in report.records if record.failure is not None)
     print(f"wrote {len(report.records)} verdict records ({failures} failures) to {records_path}")
     return 0
@@ -176,7 +187,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"error: {records_path} holds no records", file=sys.stderr)
         return 1
     report = build_report(records)
-    write_atomic(cfg.output / "report.json", json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    write_atomic(cfg.output / "report.json", (json.dumps(report.to_json(), indent=2, sort_keys=True), "\n"))
     if getattr(args, "csv", False):
         print("\n".join(csv_rows(report)))
     else:

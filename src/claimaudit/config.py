@@ -23,7 +23,7 @@ from .calibration import Grid, default_grid
 from .core import RequiredStandard
 from .corpus import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
 from .evaluation import ALL_METHODS, AblationFlags
-from .llm import DEFAULT_RETRIES
+from .llm import DEFAULT_MAX_IN_FLIGHT, DEFAULT_RETRIES
 from .scoring import HvParams
 from .threshold import CLAMP_HI_DEFAULT, CLAMP_LO_DEFAULT, DEFAULT_PRIORS, ConfigError, ThresholdConfig
 
@@ -35,7 +35,7 @@ class LlmSettings:
     base_url: str | None = None
     model: str | None = None
     api_key: str | None = None
-    max_in_flight: int = 4
+    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     retries: int = DEFAULT_RETRIES
     timeout: float = 60.0
 

@@ -4,6 +4,8 @@ The corpus is an immutable value after ingestion; embedding returns a
 new handle. The store is a directory of two plain files: the corpus as a
 manifest in the ingest schema, read back by the same parser and checks as
 any manifest, and a JSON-lines embedding file once chunks are embedded.
+Both are written one document or one vector at a time, and each chunk
+holds its vector as a packed, read-only float64 buffer.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from ._files import json_value, read_json_lines, write_atomic
 from ._rng import fnv1a64
@@ -42,19 +45,33 @@ class EmbeddingError(RuntimeError):
     """One or more chunks could not be embedded."""
 
 
+def _packed(values: Iterable[float]) -> memoryview:
+    """`values` as a read-only float64 buffer: 8 bytes an entry, and `==` compares the entries.
+
+    A read-only one-dimensional float64 memoryview is returned as it is.
+    """
+    if isinstance(values, memoryview) and values.readonly and values.format == "d" and values.ndim == 1:
+        return values
+    return memoryview(array("d", values)).toreadonly()
+
+
 @dataclass(frozen=True)
 class EvidenceChunk:
     id: str
     doc_id: str
     ordinal: int
     text: str
-    embedding: tuple[float, ...] | None = None
+    # Held packed (see `_packed`), whatever sequence it is given as. A
+    # float buffer has no hash, so the chunk's hash leaves it out.
+    embedding: Sequence[float] | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.ordinal, bool) or not isinstance(self.ordinal, int) or self.ordinal < 0:
             raise SchemaError(f"chunk {self.id!r}: ordinal must be a nonnegative integer, got {self.ordinal!r}")
-        if self.embedding is not None and not all(math.isfinite(x) for x in self.embedding):
-            raise SchemaError(f"chunk {self.id!r}: embedding entries must be finite")
+        if self.embedding is not None:
+            object.__setattr__(self, "embedding", _packed(self.embedding))
+            if not all(map(math.isfinite, self.embedding)):
+                raise SchemaError(f"chunk {self.id!r}: embedding entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -340,7 +357,7 @@ def embed_chunks(corpus: Corpus, embedder: Embedder) -> Corpus:
         new_chunks = []
         for chunk in document.chunks:
             try:
-                vector = tuple(float(x) for x in embedder.embed(chunk.text))
+                vector = _packed(embedder.embed(chunk.text))
             except Exception as exc:
                 logger.warning("embedding failed for chunk %s: %s", chunk.id, exc)
                 failed.append(chunk.id)
@@ -397,37 +414,63 @@ def n_evidence_docs(chunks: Iterable[EvidenceChunk]) -> int:
     return len({chunk.doc_id for chunk in chunks})
 
 
+def _compact(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _compact_array(items: Iterable[Any]) -> Iterator[str]:
+    """`_compact(list(items))`, one item's text at a time."""
+    yield "["
+    separator = ""
+    for item in items:
+        yield separator
+        yield _compact(item)
+        separator = ","
+    yield "]"
+
+
+def _manifest_parts(corpus: Corpus) -> Iterator[str]:
+    """The store's manifest as `_compact` of the whole would write it, one claim or document at a time.
+
+    The top-level keys come in sorted order, as `sort_keys` puts them.
+    """
+    yield '{"claims":'
+    yield from _compact_array(claim.to_json() for claim in corpus.claims.values())
+    yield ',"documents":'
+    yield from _compact_array(
+        {
+            "id": doc.id,
+            "title": doc.title,
+            "source_uri": doc.source_uri,
+            "retracted": doc.retracted,
+            "analysis": doc.analysis.to_json(),
+            "chunks": [{"id": chunk.id, "ordinal": chunk.ordinal, "text": chunk.text} for chunk in doc.chunks],
+        }
+        for doc in corpus.documents.values()
+    )
+    yield ',"evidence_map":'
+    yield _compact({claim_id: list(chunk_ids) for claim_id, chunk_ids in corpus.evidence_map.items()})
+    yield ',"scenarios":'
+    yield _compact({label: sorted(corpus.scenarios[label].member_doc_ids) for label in SCENARIO_LABELS})
+    yield "}"
+
+
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write the store: one ingest-schema manifest, plus embeddings if present.
 
     `manifest.json` holds every document with its analysis and chunks
     inline, so `load_corpus` is `ingest` plus the `embeddings.jsonl` merge.
+    Both files are streamed, one document or one vector at a time.
     A corpus without embeddings removes the store's `embeddings.jsonl`,
     so vectors of an earlier corpus never attach to re-ingested chunks.
     """
     root = Path(directory)
-    manifest = {
-        "documents": [
-            {
-                "id": doc.id,
-                "title": doc.title,
-                "source_uri": doc.source_uri,
-                "retracted": doc.retracted,
-                "analysis": doc.analysis.to_json(),
-                "chunks": [{"id": chunk.id, "ordinal": chunk.ordinal, "text": chunk.text} for chunk in doc.chunks],
-            }
-            for doc in corpus.documents.values()
-        ],
-        "claims": [claim.to_json() for claim in corpus.claims.values()],
-        "scenarios": {label: sorted(corpus.scenarios[label].member_doc_ids) for label in SCENARIO_LABELS},
-        "evidence_map": {claim_id: list(chunk_ids) for claim_id, chunk_ids in corpus.evidence_map.items()},
-    }
-    write_atomic(root / "manifest.json", json.dumps(manifest, sort_keys=True, separators=(",", ":")))
+    write_atomic(root / "manifest.json", _manifest_parts(corpus))
     embedded = [chunk for chunk in corpus.all_chunks() if chunk.embedding is not None]
     if embedded:
         write_atomic(
             root / "embeddings.jsonl",
-            "".join(
+            (
                 json.dumps({"chunk_id": chunk.id, "embedding": list(chunk.embedding)}, sort_keys=True) + "\n"
                 for chunk in embedded
             ),
@@ -450,16 +493,25 @@ def load_corpus(directory: str | Path, *, embeddings: bool = True) -> Corpus:
     return load_embeddings(corpus, root) if embeddings else corpus
 
 
+def _vector_line(line: Mapping[str, Any]) -> tuple[str, memoryview]:
+    """One `embeddings.jsonl` line as (chunk id, packed vector); every entry must be a JSON number."""
+    entries = json_value("embedding", line["embedding"], list)
+    # One pass over the entry types; `array` would take a bool as a number.
+    if not set(map(type, entries)) <= {int, float}:
+        bad = next(entry for entry in entries if type(entry) not in (int, float))
+        raise ValueError(f"embedding: expected numbers, got {bad!r}")
+    try:
+        return line["chunk_id"], _packed(entries)
+    except OverflowError as exc:
+        raise ValueError(f"embedding: {exc}") from None
+
+
 def load_embeddings(corpus: Corpus, directory: str | Path) -> Corpus:
     """`corpus` with the vectors of the store's `embeddings.jsonl` attached, if the store has one."""
     embeddings_path = Path(directory) / "embeddings.jsonl"
     if not embeddings_path.exists():
         return corpus
-    vectors = dict(
-        read_json_lines(
-            embeddings_path, "embedding", lambda line: (line["chunk_id"], tuple(float(x) for x in line["embedding"]))
-        )
-    )
+    vectors = dict(read_json_lines(embeddings_path, "embedding", _vector_line))
     new_documents = {
         doc_id: replace(doc, chunks=tuple(replace(chunk, embedding=vectors.get(chunk.id)) for chunk in doc.chunks))
         for doc_id, doc in corpus.documents.items()

@@ -270,11 +270,14 @@ def _verdict_label(name: str, value: Any) -> str:
     return value
 
 
+def record_line(record: VerdictRecord) -> str:
+    """One record as a stable JSON line (byte-identical for equal records)."""
+    return json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def dump_records(records: Sequence[VerdictRecord]) -> str:
-    """Stable JSON-lines serialization (byte-identical for equal records)."""
-    return "".join(
-        json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for record in records
-    )
+    """Stable JSON-lines serialization: every `record_line`, in order."""
+    return "".join(map(record_line, records))
 
 
 def load_records(path: str | Path) -> list[VerdictRecord]:

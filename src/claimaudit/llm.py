@@ -113,6 +113,8 @@ def extract_json_object(raw: str) -> Any:
 
 
 DEFAULT_RETRIES = 3
+# Concurrent requests one HttpChatClient sends at most.
+DEFAULT_MAX_IN_FLIGHT = 4
 # The longest Retry-After a turn waits; a server asking for more fails the turn at once.
 MAX_RETRY_AFTER_S = 60.0
 
@@ -213,7 +215,7 @@ class HttpChatClient(LlmClient):
         model: str | None = None,
         api_key: str | None = None,
         *,
-        max_in_flight: int = 4,
+        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ) -> None:

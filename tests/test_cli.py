@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from claimaudit.audit import load_template
+from claimaudit import cli
 from claimaudit.cli import main
 from claimaudit.calibration import default_grid
 from claimaudit.config import LlmSettings, RunConfig, load_config
 from claimaudit.corpus import SCENARIO_LABELS, load_corpus
-from claimaudit.evaluation import ALL_METHODS, AblationFlags, VerdictRecord, load_records
+from claimaudit.evaluation import ALL_METHODS, AblationFlags, VerdictRecord, dump_records, load_records, run_matrix
 from claimaudit.scoring import HvParams
 from claimaudit.threshold import ConfigError, ThresholdConfig
 
@@ -402,6 +403,19 @@ class TestVerify:
         assert "verdict records" in out
         records = load_records(tmp_path / "out" / "records.jsonl")
         assert len(records) == 2 * len(ALL_METHODS) * len(SCENARIO_LABELS)
+
+    def test_records_file_equals_dump_records(self, tmp_path, monkeypatch):
+        reports = []
+
+        def capturing_run_matrix(*args, **kwargs):
+            reports.append(run_matrix(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_matrix", capturing_run_matrix)
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 0
+        written = (tmp_path / "out" / "records.jsonl").read_text(encoding="utf-8")
+        assert written == dump_records(reports[0].records)
 
     def test_mock_verify_retrieves_when_no_evidence_is_pinned(self, tmp_path):
         config_path = setup_workspace(tmp_path)

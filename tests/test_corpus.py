@@ -339,7 +339,7 @@ class TestEmbedChunks:
         with caplog.at_level("WARNING"):
             embedded = embed_chunks(corpus, HashEmbedder())
         assert "zero embedding" in caplog.text
-        assert embedded.chunk("D03-c1").embedding == (0.0,) * 64
+        assert list(embedded.chunk("D03-c1").embedding) == [0.0] * 64
 
 
 def replicated_fixture_manifest(replicas: int) -> dict:
@@ -539,6 +539,48 @@ class TestSaveLoad:
         assert loaded.chunk("D01-c0").embedding == corpus.chunk("D01-c0").embedding
         assert sorted(path.name for path in (tmp_path / "store").iterdir()) == ["embeddings.jsonl", "manifest.json"]
 
+    def test_store_files_equal_the_whole_payload_dumps(self, tmp_path):
+        corpus = embed_chunks(ingest(FIXTURES / "manifest.json"), HashEmbedder())
+        save_corpus(corpus, tmp_path / "store")
+        manifest = {
+            "documents": [
+                {
+                    "id": doc.id,
+                    "title": doc.title,
+                    "source_uri": doc.source_uri,
+                    "retracted": doc.retracted,
+                    "analysis": doc.analysis.to_json(),
+                    "chunks": [{"id": c.id, "ordinal": c.ordinal, "text": c.text} for c in doc.chunks],
+                }
+                for doc in corpus.documents.values()
+            ],
+            "claims": [claim.to_json() for claim in corpus.claims.values()],
+            "scenarios": {label: sorted(corpus.scenarios[label].member_doc_ids) for label in SCENARIO_LABELS},
+            "evidence_map": {claim_id: list(ids) for claim_id, ids in corpus.evidence_map.items()},
+        }
+        embeddings = "".join(
+            json.dumps({"chunk_id": chunk.id, "embedding": list(chunk.embedding)}, sort_keys=True) + "\n"
+            for chunk in corpus.all_chunks()
+        )
+        assert (tmp_path / "store" / "manifest.json").read_text(encoding="utf-8") == json.dumps(
+            manifest, sort_keys=True, separators=(",", ":")
+        )
+        assert (tmp_path / "store" / "embeddings.jsonl").read_text(encoding="utf-8") == embeddings
+
+    def test_vectors_are_read_only_and_equal_by_value(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        embedded = embed_chunks(corpus, HashEmbedder())
+        save_corpus(embedded, tmp_path / "store")
+        loaded = load_corpus(tmp_path / "store")
+        for chunk in (embedded.chunk("D01-c0"), loaded.chunk("D01-c0")):
+            assert list(chunk.embedding) == list(HashEmbedder().embed(chunk.text))
+            with pytest.raises(TypeError):
+                chunk.embedding[0] = 1.0
+            assert chunk == replace(chunk, embedding=tuple(chunk.embedding))
+            assert hash(chunk) == hash(replace(chunk, embedding=None))
+        assert loaded.chunk("D01-c0").embedding == embedded.chunk("D01-c0").embedding
+        assert loaded.chunk("D01-c0").embedding != loaded.chunk("D01-c1").embedding
+
     def test_blank_embedding_line_is_skipped(self, tmp_path):
         corpus = embed_chunks(make_corpus(tmp_path), HashEmbedder())
         save_corpus(corpus, tmp_path / "store")
@@ -548,7 +590,15 @@ class TestSaveLoad:
         assert load_corpus(tmp_path / "store") == corpus
 
     @pytest.mark.parametrize(
-        "line", [{"chunk_id": "D01-c1"}, {"chunk_id": "D01-c1", "embedding": 5}], ids=["no-embedding", "not-a-list"]
+        "line",
+        [
+            {"chunk_id": "D01-c1"},
+            {"chunk_id": "D01-c1", "embedding": 5},
+            {"chunk_id": "D01-c1", "embedding": ["0.5"] + [0.0] * 63},
+            {"chunk_id": "D01-c1", "embedding": [True] + [0.0] * 63},
+            {"chunk_id": "D01-c1", "embedding": [10**400] + [0.0] * 63},
+        ],
+        ids=["no-embedding", "not-a-list", "string-entry", "bool-entry", "too-large-entry"],
     )
     def test_malformed_embedding_line_is_named(self, tmp_path, line):
         save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), tmp_path / "store")
