@@ -9,233 +9,60 @@ baselines, calibration, an evaluation matrix over temporal corpus
 scenarios, and a command-line pipeline (``claimaudit``).
 """
 
-from .audit import (
-    AuditFailureError,
-    AuditParseError,
-    AuditRequest,
-    PaperToAudit,
-    PromptBudgetError,
-    build_audit_prompt,
-    mock_audit,
-    mock_audit_with_usage,
-    parse_audit_response,
-    run_audit,
-)
-from .baselines import (
-    BaselineVerdict,
-    MassFunction,
-    run_ciber,
-    run_cot,
-    run_flare,
-    run_selfrag,
-    wbu_fuse,
-)
-from .calibration import (
-    CalibrationRecord,
-    Grid,
-    default_grid,
-    fit_boldness_model,
-    grid_search,
-    load_calibration_records,
-    load_params,
-    ridge_fit,
-    save_params,
-    simulate_flawed_audit,
-)
-from .config import LlmSettings, RunConfig, load_config
-from .core import (
-    ALL_CHECKS,
-    STANCE_NEUTRAL,
-    STANCE_REFUTES,
-    STANCE_SUPPORTS,
-    AnalysisDocument,
-    ApplicabilityMask,
-    AuditResult,
-    AuditVector,
-    CheckId,
-    Claim,
-    ClaimType,
-    RequiredStandard,
-    SchemaError,
-    Verdict,
-    derive_mask,
-    map_verdict,
-)
-from .corpus import (
-    SCENARIO_LABELS,
-    Corpus,
-    CorpusIntegrityError,
-    Document,
-    EmbeddingError,
-    EvidenceChunk,
-    HashEmbedder,
-    Scenario,
-    embed_chunks,
-    evidence_for_claim,
-    filter_scenario,
-    ingest,
-    load_corpus,
-    retrieve,
-    save_corpus,
-)
-from .evaluation import (
-    ALL_METHODS,
-    AblationFlags,
-    CellMetrics,
-    ConfusionMatrix,
-    RunReport,
-    VerdictRecord,
-    build_report,
-    cohen_kappa,
-    csv_rows,
-    dump_records,
-    gwet_ac1,
-    load_records,
-    macro_f1,
-    mcc,
-    render_table,
-    run_matrix,
-)
-from .llm import Asker, HttpChatClient, LlmClient, LlmConfigError, LlmError, MockLlm, TokenUsage
-from .redundancy import (
-    NoVocabularyError,
-    chunk_redundancy,
-    cosine,
-    document_weight,
-    redundancy_for_texts,
-    tfidf_fit,
-)
-from .scoring import (
-    DocumentContribution,
-    HvParams,
-    Tallies,
-    aggregate,
-    effective_contribution,
-    hv,
-    intrinsic_quality,
-    log_odds,
-    make_contribution,
-)
-from .threshold import (
-    RidgeModel,
-    ThresholdConfig,
-    base_threshold,
-    constant_boldness_model,
-    encode_features,
-    ridge_predict,
-    tau_auto,
-    threshold_for_claim,
-    verdict,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_CHECKS",
-    "ALL_METHODS",
-    "AblationFlags",
-    "AnalysisDocument",
-    "ApplicabilityMask",
-    "Asker",
-    "AuditFailureError",
-    "AuditParseError",
-    "AuditRequest",
-    "AuditResult",
-    "AuditVector",
-    "BaselineVerdict",
-    "CalibrationRecord",
-    "CellMetrics",
-    "CheckId",
-    "Claim",
-    "ClaimType",
-    "ConfusionMatrix",
-    "Corpus",
-    "CorpusIntegrityError",
-    "Document",
-    "DocumentContribution",
-    "EmbeddingError",
-    "EvidenceChunk",
-    "Grid",
-    "HashEmbedder",
-    "HttpChatClient",
-    "HvParams",
-    "LlmClient",
-    "LlmConfigError",
-    "LlmError",
-    "LlmSettings",
-    "MassFunction",
-    "MockLlm",
-    "NoVocabularyError",
-    "PaperToAudit",
-    "PromptBudgetError",
-    "RequiredStandard",
-    "RidgeModel",
-    "RunConfig",
-    "RunReport",
-    "SCENARIO_LABELS",
-    "STANCE_NEUTRAL",
-    "STANCE_REFUTES",
-    "STANCE_SUPPORTS",
-    "Scenario",
-    "SchemaError",
-    "Tallies",
-    "ThresholdConfig",
-    "TokenUsage",
-    "Verdict",
-    "VerdictRecord",
-    "aggregate",
-    "base_threshold",
-    "build_audit_prompt",
-    "build_report",
-    "chunk_redundancy",
-    "cohen_kappa",
-    "constant_boldness_model",
-    "cosine",
-    "csv_rows",
-    "default_grid",
-    "derive_mask",
-    "document_weight",
-    "dump_records",
-    "effective_contribution",
-    "embed_chunks",
-    "encode_features",
-    "evidence_for_claim",
-    "filter_scenario",
-    "fit_boldness_model",
-    "grid_search",
-    "gwet_ac1",
-    "hv",
-    "ingest",
-    "intrinsic_quality",
-    "load_calibration_records",
-    "load_config",
-    "load_corpus",
-    "load_params",
-    "load_records",
-    "log_odds",
-    "macro_f1",
-    "make_contribution",
-    "map_verdict",
-    "mcc",
-    "mock_audit",
-    "mock_audit_with_usage",
-    "parse_audit_response",
-    "redundancy_for_texts",
-    "render_table",
-    "retrieve",
-    "ridge_fit",
-    "ridge_predict",
-    "run_audit",
-    "run_ciber",
-    "run_cot",
-    "run_flare",
-    "run_matrix",
-    "run_selfrag",
-    "save_corpus",
-    "save_params",
-    "simulate_flawed_audit",
-    "tau_auto",
-    "tfidf_fit",
-    "threshold_for_claim",
-    "verdict",
-]
+# Each public name, under the module that defines it. A name is imported
+# on first access, so `import claimaudit` loads no submodule.
+_EXPORTS = {
+    "audit": (
+        "AuditFailureError", "AuditParseError", "AuditRequest", "PaperToAudit", "PromptBudgetError",
+        "build_audit_prompt", "mock_audit", "mock_audit_with_usage", "parse_audit_response", "run_audit",
+    ),
+    "baselines": ("BaselineVerdict", "MassFunction", "run_ciber", "run_cot", "run_flare", "run_selfrag", "wbu_fuse"),
+    "calibration": (
+        "CalibrationRecord", "Grid", "default_grid", "fit_boldness_model", "grid_search", "load_calibration_records",
+        "load_params", "ridge_fit", "save_params", "simulate_flawed_audit",
+    ),
+    "config": ("LlmSettings", "RunConfig", "load_config"),
+    "core": (
+        "ALL_CHECKS", "AnalysisDocument", "ApplicabilityMask", "AuditResult", "AuditVector", "CheckId", "Claim",
+        "ClaimType", "RequiredStandard", "STANCE_NEUTRAL", "STANCE_REFUTES", "STANCE_SUPPORTS", "SchemaError",
+        "Verdict", "derive_mask", "map_verdict",
+    ),
+    "corpus": (
+        "Corpus", "CorpusIntegrityError", "Document", "EmbeddingError", "EvidenceChunk", "HashEmbedder",
+        "SCENARIO_LABELS", "Scenario", "embed_chunks", "evidence_for_claim", "filter_scenario", "ingest",
+        "load_corpus", "retrieve", "save_corpus",
+    ),
+    "evaluation": (
+        "ALL_METHODS", "AblationFlags", "CellMetrics", "ConfusionMatrix", "RunReport", "VerdictRecord", "build_report",
+        "cohen_kappa", "csv_rows", "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "render_table",
+        "run_matrix",
+    ),
+    "llm": ("Asker", "HttpChatClient", "LlmClient", "LlmConfigError", "LlmError", "MockLlm", "TokenUsage"),
+    "redundancy": (
+        "NoVocabularyError", "chunk_redundancy", "cosine", "document_weight", "redundancy_for_texts", "tfidf_fit",
+    ),
+    "scoring": (
+        "DocumentContribution", "HvParams", "Tallies", "aggregate", "effective_contribution", "hv",
+        "intrinsic_quality", "log_odds", "make_contribution",
+    ),
+    "threshold": (
+        "RidgeModel", "ThresholdConfig", "base_threshold", "constant_boldness_model", "encode_features",
+        "ridge_predict", "tau_auto", "threshold_for_claim", "verdict",
+    ),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str) -> object:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,17 +1,25 @@
-"""File helpers shared across the package: atomic writes, JSON-lines reads and JSON value checks."""
+"""File helpers shared across the package: atomic writes, JSON-lines reads, JSON value checks and the record codec."""
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
+import enum
 import json
+import operator
 import os
 import tempfile
+import types
+import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
 # What each check accepts, by the Python type json.loads gives it.
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
+_JSON_TYPES = {
+    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list", dict: "an object"
+}
 
 
 def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
@@ -72,3 +80,129 @@ def json_array(name: str, value: Any, kind: type, error: type[ValueError] = Valu
     """`value` as a tuple if it is a list whose every item has the JSON type `kind`; else `error`."""
     items = json_value(name, value, list, error)
     return tuple(json_value(f"{name}[{i}]", item, kind, error) for i, item in enumerate(items))
+
+
+class JsonRecord:
+    """Base of the frozen dataclasses stored as JSON, whose fields give both directions.
+
+    A field is stored under its name, or under `_json_keys[name]`; a key
+    of None leaves it out, and reading leaves it at its default. Its
+    annotation sets its JSON form:
+
+    - `str`, `int`, `float`, `bool`: as is, read through `json_value`
+    - `X | None`: null or the form of X
+    - `tuple[T, ...]`: a list of T
+    - a `str` enum: its value
+    - a `JsonRecord`: an object of its fields, named without a prefix
+    - `Mapping[E, R]` over an enum E and a record R: an object keyed by member name, in member order
+
+    A field in `_json_as_is` is read unchecked, for `__post_init__` to
+    check. A bad value raises `_json_error` naming the field. Each class's
+    plan is built on first use and kept on the class.
+    """
+
+    _json_keys: typing.Mapping[str, str | None] = {}
+    _json_as_is: frozenset[str] = frozenset()
+    _json_error: type[ValueError] = ValueError
+
+    def to_json(self) -> dict[str, Any]:
+        return _plan(type(self)).encode(self)
+
+    @classmethod
+    def from_json(cls: type[T], payload: Any) -> T:
+        return cls._decode(payload, "")
+
+    @classmethod
+    def _decode(cls: type[T], payload: Any, prefix: str) -> T:
+        """`from_json`, naming each field `prefix` + its key."""
+        return _plan(cls).decode(cls.__name__, payload, cls._json_error, prefix)
+
+
+class _Plan:
+    """A record class's encoder, and its stored fields as (attribute, key, decoder or None)."""
+
+    def __init__(self, cls: type[JsonRecord]) -> None:
+        hints = typing.get_type_hints(cls)
+        coders = {
+            field.name: (key, *((None, None) if field.name in cls._json_as_is else _coders(hints[field.name])))
+            for field in dataclasses.fields(cls)
+            if (key := cls._json_keys.get(field.name, field.name)) is not None
+        }
+        self.cls = cls
+        self.fields = [(attr, key, decode) for attr, (key, _, decode) in coders.items()]
+        # Generated as the dataclass methods are: a dict display of
+        # attribute reads costs what a hand-written `to_json` does.
+        namespace = {f"encode_{attr}": encode for attr, (_, encode, _) in coders.items()}
+        items = ", ".join(
+            f"{key!r}: record.{attr}" if encode is None else f"{key!r}: encode_{attr}(record.{attr})"
+            for attr, (key, encode, _) in coders.items()
+        )
+        exec(f"def encode(record):\n    return {{{items}}}\n", namespace)
+        self.encode = namespace["encode"]
+
+    def decode(self, name: str, payload: Any, error: type[ValueError], prefix: str) -> Any:
+        json_value(name, payload, dict, error)
+        values = {}
+        for attr, key, decode in self.fields:
+            try:
+                value = payload[key]
+            except KeyError:
+                raise error(f"{prefix}{key}: missing") from None
+            values[attr] = value if decode is None else decode(prefix + key, value, error, prefix)
+        return self.cls(**values)
+
+
+def _plan(cls: type[JsonRecord]) -> _Plan:
+    if "_json_plan" not in cls.__dict__:
+        cls._json_plan = _Plan(cls)  # type: ignore[attr-defined]
+    return cls._json_plan  # type: ignore[attr-defined]
+
+
+def _coders(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[..., Any]]:
+    """The encoder and decoder of a field annotated `hint`.
+
+    The encoder maps a value to JSON, None meaning as it is. The decoder
+    takes (field name, JSON value, error class, prefix of nested names).
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _JSON_TYPES:
+        return None, lambda name, value, error, prefix: json_value(name, value, hint, error)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        encode, decode = _coders(args[0])
+        return (
+            None if encode is None else lambda value: None if value is None else encode(value),
+            lambda name, value, error, prefix: None if value is None else decode(name, value, error, prefix),
+        )
+    if origin is tuple:
+        encode, decode = _coders(args[0])
+        return (
+            list if encode is None else lambda value: list(map(encode, value)),
+            lambda name, value, error, prefix: tuple(
+                decode(f"{name}[{i}]", item, error, f"{name}[{i}]: ")
+                for i, item in enumerate(json_value(name, value, list, error))
+            ),
+        )
+    if origin is collections.abc.Mapping and issubclass(args[0], enum.Enum):
+        names = [(member, member.name) for member in args[0]]
+        encode, decode = _coders(args[1])
+
+        def decode_mapping(name: str, value: Any, error: type[ValueError], prefix: str) -> dict[Any, Any]:
+            json_value(name, value, dict, error)
+            return {
+                member: decode(prefix + key, value[key], error, f"{prefix}{key}: ")
+                for member, key in names
+                if key in value
+            }
+
+        return (lambda value: {key: encode(value[member]) for member, key in names if member in value}), decode_mapping
+    if issubclass(hint, enum.Enum):
+        members = {member.value: member for member in hint}
+
+        def decode_member(name: str, value: Any, error: type[ValueError], prefix: str) -> enum.Enum:
+            if json_value(name, value, str, error) not in members:
+                raise error(f"{name}: expected one of {list(members)}, got {value!r}")
+            return members[value]
+
+        return operator.attrgetter("value"), decode_member
+    plan = _plan(hint)
+    return plan.encode, plan.decode

@@ -10,14 +10,15 @@ aggregation scalars that best reproduce the binarized human verdicts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._files import json_value, read_json_lines, write_atomic
+from ._files import JsonRecord, read_json_lines, write_atomic
 from ._rng import DeterministicStream
 from .core import CheckId, AuditVector, RequiredStandard
-from .scoring import HvParams, Tallies, hv
+from .scoring import HvParams, Tallies, sigmoid
 from .threshold import RidgeModel, ThresholdConfig, encode_features, threshold_for_claim
 
 if TYPE_CHECKING:
@@ -27,7 +28,7 @@ HUMAN_VERDICTS = ("Support", "Contradict", "Uncertain")
 
 
 @dataclass(frozen=True)
-class CalibrationRecord:
+class CalibrationRecord(JsonRecord):
     """One human-rated synthetic claim, exactly the fields the raters produce."""
 
     specificity: int
@@ -45,29 +46,6 @@ class CalibrationRecord:
             raise ValueError(f"confidence must be in 0..100, got {self.confidence!r}")
         if not 0.0 <= self.boldness_target <= 1.0:
             raise ValueError(f"boldness_target must be in [0, 1], got {self.boldness_target!r}")
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "specificity": self.specificity,
-            "testability": self.testability,
-            "required_standard": self.required_standard.value,
-            "boldness_target": self.boldness_target,
-            "tallies": self.tallies.to_json(),
-            "human_verdict": self.human_verdict,
-            "confidence": self.confidence,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "CalibrationRecord":
-        return cls(
-            specificity=json_value("specificity", payload["specificity"], int),
-            testability=json_value("testability", payload["testability"], int),
-            required_standard=RequiredStandard(payload["required_standard"]),
-            boldness_target=json_value("boldness_target", payload["boldness_target"], float),
-            tallies=Tallies.from_json(payload["tallies"]),
-            human_verdict=json_value("human_verdict", payload["human_verdict"], str),
-            confidence=json_value("confidence", payload["confidence"], int),
-        )
 
 
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
@@ -172,13 +150,23 @@ def grid_search(
     if not usable:
         raise ValueError("every calibration record is Uncertain; no binary targets to fit")
 
+    # Both axes ascend, so the least values are the first; HvParams rejects
+    # a negative alpha. Each score is hv(tallies, HvParams(alpha, lam)),
+    # with the terms of lambda or the record alone computed once.
+    HvParams(alpha=grid.alpha_values[0], lambda_=grid.lambda_values[0])
+    dampers = [math.log1p(tallies.h_neutral) for tallies, _, _ in usable]
+    ratios = {
+        lam: [math.log((tallies.h_support + lam) / (tallies.h_refute + lam)) for tallies, _, _ in usable]
+        for lam in grid.lambda_values
+    }
     best_correct = -1
     best_cell = (grid.alpha_values[0], grid.lambda_values[0])
     for alpha in grid.alpha_values:
         for lam in grid.lambda_values:
-            params = HvParams(alpha=alpha, lambda_=lam)
             correct = sum(
-                1 for tallies, tau, target in usable if (hv(tallies, params) >= tau) == target
+                1
+                for ratio, damper, (_, tau, target) in zip(ratios[lam], dampers, usable)
+                if (sigmoid(ratio - alpha * damper) >= tau) == target
             )
             # Strict improvement only: earlier cells win ties, and both
             # axes ascend, so the winner is the lexicographic minimum.

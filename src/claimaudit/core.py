@@ -9,11 +9,11 @@ from __future__ import annotations
 import enum
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Mapping
 
-from ._files import json_array, json_value
+from ._files import JsonRecord, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +99,11 @@ def parse_check_id(raw: str | CheckId) -> CheckId:
 
 
 @dataclass(frozen=True)
-class Claim:
+class Claim(JsonRecord):
     """A claim to verify, with its pre-computed features and ground truth."""
+
+    _json_as_is = frozenset({"specificity", "testability"})
+    _json_error = SchemaError
 
     id: str
     text: str
@@ -125,10 +128,7 @@ class Claim:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "Claim":
-        required = {
-            "id", "text", "claim_type", "topic", "specificity",
-            "testability", "required_standard", "probe_questions", "ground_truth",
-        }
+        required = {spec.name for spec in fields(cls)}
         missing = required - payload.keys()
         if missing:
             raise SchemaError(f"claim payload missing fields: {sorted(missing)}")
@@ -138,46 +138,20 @@ class Claim:
         claim_id = json_value("claim id", payload["id"], str, SchemaError)
         if payload["ground_truth"] == "Uncertain":
             raise UncertainGroundTruthError(f"claim {claim_id!r}: Uncertain ground truth is excluded at ingestion")
-        try:
-            ground_truth = Verdict(payload["ground_truth"])
-        except ValueError:
-            raise SchemaError(f"claim {claim_id!r}: bad ground truth {payload['ground_truth']!r}") from None
-        probes = json_array(f"claim {claim_id!r}: probe_questions", payload["probe_questions"], str, SchemaError)
-        return cls(
-            id=claim_id,
-            text=json_value(f"claim {claim_id!r}: text", payload["text"], str, SchemaError),
-            claim_type=ClaimType(payload["claim_type"]),
-            topic=json_value(f"claim {claim_id!r}: topic", payload["topic"], str, SchemaError),
-            specificity=payload["specificity"],
-            testability=payload["testability"],
-            required_standard=RequiredStandard(payload["required_standard"]),
-            probe_questions=probes,
-            ground_truth=ground_truth,
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "claim_type": self.claim_type.value,
-            "topic": self.topic,
-            "specificity": self.specificity,
-            "testability": self.testability,
-            "required_standard": self.required_standard.value,
-            "probe_questions": list(self.probe_questions),
-            "ground_truth": self.ground_truth.value,
-        }
+        return cls._decode(payload, f"claim {claim_id!r}: ")
 
 
 @dataclass(frozen=True)
-class GlobalIntegritySignals:
+class GlobalIntegritySignals(JsonRecord):
     funding_transparency: str
     conflict_of_interest: str
     data_availability: str
 
 
 @dataclass(frozen=True)
-class CheckSignal:
+class CheckSignal(JsonRecord):
+    _json_as_is = frozenset({"is_applicable"})
+
     is_applicable: bool
     objective_analysis: str
 
@@ -192,13 +166,15 @@ class CheckSignal:
 
 
 @dataclass(frozen=True)
-class AnalysisDocument:
+class AnalysisDocument(JsonRecord):
     """Structured methodological signals for one paper.
 
     The JSON field names (`global_integrity_signals`,
     `veritable_check_signals`, `is_applicable`, `objective_analysis`)
     are a fixed external contract; do not rename them.
     """
+
+    _json_error = SchemaError
 
     global_integrity_signals: GlobalIntegritySignals
     veritable_check_signals: Mapping[CheckId, CheckSignal]
@@ -207,48 +183,6 @@ class AnalysisDocument:
         for check in ALL_CHECKS:
             if check not in self.veritable_check_signals:
                 raise SchemaError(f"analysis is missing check entry {check.name}")
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "AnalysisDocument":
-        try:
-            gis = payload["global_integrity_signals"]
-            raw_signals = payload["veritable_check_signals"]
-        except KeyError as exc:
-            raise SchemaError(f"analysis payload missing {exc.args[0]!r}") from None
-        signals: dict[CheckId, CheckSignal] = {}
-        for check in ALL_CHECKS:
-            if check.name not in raw_signals:
-                raise SchemaError(f"analysis is missing check entry {check.name}")
-            entry = raw_signals[check.name]
-            signals[check] = CheckSignal(
-                is_applicable=entry["is_applicable"],
-                objective_analysis=json_value(
-                    f"{check.name}: objective_analysis", entry["objective_analysis"], str, SchemaError
-                ),
-            )
-        names = ("funding_transparency", "conflict_of_interest", "data_availability")
-        return cls(
-            global_integrity_signals=GlobalIntegritySignals(
-                **{name: json_value(name, gis[name], str, SchemaError) for name in names}
-            ),
-            veritable_check_signals=signals,
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "global_integrity_signals": {
-                "funding_transparency": self.global_integrity_signals.funding_transparency,
-                "conflict_of_interest": self.global_integrity_signals.conflict_of_interest,
-                "data_availability": self.global_integrity_signals.data_availability,
-            },
-            "veritable_check_signals": {
-                check.name: {
-                    "is_applicable": signal.is_applicable,
-                    "objective_analysis": signal.objective_analysis,
-                }
-                for check, signal in sorted(self.veritable_check_signals.items())
-            },
-        }
 
     @cached_property
     def indented_json(self) -> str:

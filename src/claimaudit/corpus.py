@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -343,7 +345,7 @@ class HashEmbedder:
                 token_hash = fnv1a64(f"{self.seed}\x1f{token}")
                 slot = self._slots[token] = (token_hash % self.dim, 1.0 if (token_hash >> 63) == 0 else -1.0)
             values[slot[0]] += slot[1]
-        norm = math.sqrt(sum(value * value for value in values))
+        norm = math.sqrt(sum(map(operator.mul, values, values)))
         if norm == 0.0:
             return tuple(values)
         return tuple(value / norm for value in values)
@@ -369,8 +371,10 @@ def embed_chunks(corpus: Corpus, embedder: Embedder) -> Corpus:
                 )
             if not any(vector):
                 logger.warning("chunk %s has no tokens; flagged with a zero embedding", chunk.id)
-            new_chunks.append(replace(chunk, embedding=vector))
-        new_documents[doc_id] = replace(document, chunks=tuple(new_chunks))
+            new_chunks.append(EvidenceChunk(chunk.id, chunk.doc_id, chunk.ordinal, chunk.text, vector))
+        new_documents[doc_id] = Document(
+            document.id, document.title, document.source_uri, document.retracted, document.analysis, tuple(new_chunks)
+        )
     if failed:
         raise EmbeddingError(f"failed to embed chunks: {failed}")
     return replace(corpus, documents=new_documents, embedder=embedder)
@@ -470,8 +474,10 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     if embedded:
         write_atomic(
             root / "embeddings.jsonl",
+            # Each line is `json.dumps` of {"chunk_id", "embedding"} with sorted
+            # keys; every entry is finite, so `repr` writes it as `json` does.
             (
-                json.dumps({"chunk_id": chunk.id, "embedding": list(chunk.embedding)}, sort_keys=True) + "\n"
+                f'{{"chunk_id": {encode_basestring_ascii(chunk.id)}, "embedding": {chunk.embedding.tolist()!r}}}\n'
                 for chunk in embedded
             ),
         )
@@ -513,7 +519,10 @@ def load_embeddings(corpus: Corpus, directory: str | Path) -> Corpus:
         return corpus
     vectors = dict(read_json_lines(embeddings_path, "embedding", _vector_line))
     new_documents = {
-        doc_id: replace(doc, chunks=tuple(replace(chunk, embedding=vectors.get(chunk.id)) for chunk in doc.chunks))
+        doc_id: Document(
+            doc.id, doc.title, doc.source_uri, doc.retracted, doc.analysis,
+            tuple(EvidenceChunk(c.id, doc_id, c.ordinal, c.text, vectors.get(c.id)) for c in doc.chunks),
+        )
         for doc_id, doc in corpus.documents.items()
     }
     return replace(corpus, documents=new_documents)

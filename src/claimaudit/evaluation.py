@@ -13,11 +13,11 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from ._files import json_optional, json_value, read_json_lines
+from ._files import JsonRecord, read_json_lines
 from .audit import (
     AuditFailureError,
     AuditRequest,
@@ -177,7 +177,7 @@ class AblationFlags:
 
 
 @dataclass(frozen=True, kw_only=True)
-class VerdictRecord:
+class VerdictRecord(JsonRecord):
     """One (claim, method, scenario) cell of the verify matrix.
 
     The defaults describe a cell without an answer, so a failure record
@@ -200,74 +200,18 @@ class VerdictRecord:
     tokens_approximate: bool = False
     failure: str | None = None
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "claim_id": self.claim_id,
-            "method": self.method,
-            "scenario": self.scenario,
-            "verdict": self.verdict,
-            "ground_truth": self.ground_truth,
-            "hv": self.hv,
-            "tau": self.tau,
-            "tallies": None if self.tallies is None else self.tallies.to_json(),
-            "contributions": [
-                {
-                    "doc_id": c.doc_id,
-                    "stance": c.stance,
-                    "quality": c.quality,
-                    "weight": c.weight,
-                    "eta": c.eta,
-                }
-                for c in self.contributions
-            ],
-            "n_evidence_docs": self.n_evidence_docs,
-            "retrieval_mode": self.retrieval_mode,
-            "tokens_in": self.tokens_in,
-            "tokens_out": self.tokens_out,
-            "tokens_approximate": self.tokens_approximate,
-            "failure": self.failure,
-        }
-
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "VerdictRecord":
-        verdict = None if payload["verdict"] is None else _verdict_label("verdict", payload["verdict"])
-        failure = json_optional("failure", payload["failure"], str)
-        if (verdict is None) == (failure is None):
-            raise ValueError(f"needs exactly one of verdict and failure, got verdict {verdict!r}, failure {failure!r}")
-        return cls(
-            claim_id=json_value("claim_id", payload["claim_id"], str),
-            method=json_value("method", payload["method"], str),
-            scenario=json_value("scenario", payload["scenario"], str),
-            verdict=verdict,
-            ground_truth=_verdict_label("ground_truth", payload["ground_truth"]),
-            hv=json_optional("hv", payload["hv"], float),
-            tau=json_optional("tau", payload["tau"], float),
-            tallies=None if payload["tallies"] is None else Tallies.from_json(payload["tallies"]),
-            contributions=tuple(
-                DocumentContribution(
-                    doc_id=json_value("contributions.doc_id", c["doc_id"], str),
-                    stance=json_value("contributions.stance", c["stance"], int),
-                    quality=json_value("contributions.quality", c["quality"], float),
-                    weight=json_value("contributions.weight", c["weight"], float),
-                    eta=json_value("contributions.eta", c["eta"], float),
-                )
-                for c in json_value("contributions", payload["contributions"], list)
-            ),
-            n_evidence_docs=json_value("n_evidence_docs", payload["n_evidence_docs"], int),
-            retrieval_mode=json_optional("retrieval_mode", payload["retrieval_mode"], str),
-            tokens_in=json_value("tokens_in", payload["tokens_in"], int),
-            tokens_out=json_value("tokens_out", payload["tokens_out"], int),
-            tokens_approximate=json_value("tokens_approximate", payload["tokens_approximate"], bool),
-            failure=failure,
-        )
-
-
-def _verdict_label(name: str, value: Any) -> str:
-    """`value` if it is the value of a `Verdict`; else ValueError naming `name`."""
-    labels = [member.value for member in Verdict]
-    if json_value(name, value, str) not in labels:
-        raise ValueError(f"{name}: expected one of {labels}, got {value!r}")
-    return value
+        record = super().from_json(payload)
+        labels = [member.value for member in Verdict]
+        for name, label in (("verdict", record.verdict), ("ground_truth", record.ground_truth)):
+            if label not in (*labels, None):
+                raise ValueError(f"{name}: expected one of {labels}, got {label!r}")
+        if (record.verdict is None) == (record.failure is None):
+            raise ValueError(
+                f"needs exactly one of verdict and failure, got verdict {record.verdict!r}, failure {record.failure!r}"
+            )
+        return record
 
 
 def record_line(record: VerdictRecord) -> str:
@@ -502,7 +446,7 @@ def run_matrix(
 
 
 @dataclass(frozen=True)
-class CellMetrics:
+class CellMetrics(JsonRecord):
     """Aggregates for one (method, scenario) group of records."""
 
     method: str
@@ -515,27 +459,13 @@ class CellMetrics:
     avg_tokens_out: float
     tokens_approximate: bool
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "scenario": self.scenario,
-            "n": self.n,
-            "failures": self.failures,
-            "macro_f1": self.macro_f1,
-            "mcc": self.mcc,
-            "avg_tokens_in": self.avg_tokens_in,
-            "avg_tokens_out": self.avg_tokens_out,
-            "tokens_approximate": self.tokens_approximate,
-        }
-
 
 @dataclass(frozen=True)
-class RunReport:
-    records: tuple[VerdictRecord, ...]
-    cells: tuple[CellMetrics, ...] = field(default=())
+class RunReport(JsonRecord):
+    _json_keys = {"records": None}
 
-    def to_json(self) -> dict[str, Any]:
-        return {"cells": [cell.to_json() for cell in self.cells]}
+    records: tuple[VerdictRecord, ...] = ()
+    cells: tuple[CellMetrics, ...] = ()
 
 
 def build_report(records: Sequence[VerdictRecord]) -> RunReport:

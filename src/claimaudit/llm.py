@@ -1,8 +1,8 @@
-"""Provider-agnostic LLM clients: live HTTP, scripted replay, seeded mock.
+"""Provider-agnostic LLM clients: live HTTP and seeded mock.
 
 Every prompt-driven step in the pipeline talks to the one-method
-`LlmClient` interface, so live runs, recorded transcripts, and fully
-offline mock runs are interchangeable at every call site.
+`LlmClient` interface, so live runs, test doubles, and fully offline
+mock runs are interchangeable at every call site.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
-from ._rng import DeterministicStream, fnv1a64
+from ._rng import DeterministicStream
 
 if TYPE_CHECKING:
     import requests
@@ -43,10 +43,6 @@ class LlmTransportError(LlmError):
         super().__init__(message)
         self.retryable = retryable
         self.retry_after = retry_after
-
-
-class ScriptMissError(LlmError):
-    """A scripted transcript has no entry for the requested prompt."""
 
 
 @dataclass(frozen=True)
@@ -299,33 +295,6 @@ def _transport_error(exc: Exception) -> LlmTransportError:
     elif isinstance(exc, ValueError):
         return LlmTransportError(f"malformed payload: {exc}", retryable=True)
     return LlmTransportError(f"LLM request failed: {exc}")
-
-
-def prompt_fingerprint(prompt: str) -> str:
-    """Stable 16-hex-digit key for a prompt, used by scripted transcripts."""
-    return format(fnv1a64(prompt), "016x")
-
-
-class ScriptedTranscript(LlmClient):
-    """Replays canned responses keyed by prompt fingerprint.
-
-    The transcript file is a JSON object mapping fingerprints (as
-    produced by `prompt_fingerprint`) to raw response strings.
-    """
-
-    def __init__(self, responses: Mapping[str, str]) -> None:
-        self._responses = dict(responses)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ScriptedTranscript":
-        with open(path, encoding="utf-8") as handle:
-            return cls(json.load(handle))
-
-    def complete(self, prompt: str, *, schema: Mapping[str, Any] | None = None) -> LlmReply:
-        key = prompt_fingerprint(prompt)
-        if key not in self._responses:
-            raise ScriptMissError(f"no scripted response for prompt fingerprint {key}")
-        return LlmReply(text=self._responses[key])
 
 
 _VERDICT_WEIGHTS = (("Valid", 40.0), ("Invalid", 35.0), ("Unverifiable", 25.0))

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._files import json_value
+from ._files import JsonRecord
 from .core import (
     STANCE_NEUTRAL,
     STANCE_REFUTES,
@@ -38,7 +38,7 @@ class NoApplicableChecksError(ValueError):
 
 
 @dataclass(frozen=True)
-class HvParams:
+class HvParams(JsonRecord):
     """The two calibratable aggregation scalars.
 
     ``lambda_`` regularizes the log-odds ratio so it stays defined with
@@ -46,6 +46,8 @@ class HvParams:
     confidence. The trailing underscore only avoids the Python keyword;
     the serialized name is "lambda".
     """
+
+    _json_keys = {"lambda_": "lambda"}
 
     alpha: float = 0.5
     lambda_: float = 0.1
@@ -56,19 +58,9 @@ class HvParams:
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
 
-    def to_json(self) -> dict[str, float]:
-        return {"alpha": self.alpha, "lambda": self.lambda_}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "HvParams":
-        return cls(
-            alpha=json_value("alpha", payload["alpha"], float),
-            lambda_=json_value("lambda", payload["lambda"], float),
-        )
-
 
 @dataclass(frozen=True)
-class DocumentContribution:
+class DocumentContribution(JsonRecord):
     """One document's weighed vote: stance, quality, novelty weight, eta."""
 
     doc_id: str
@@ -86,7 +78,7 @@ class DocumentContribution:
 
 
 @dataclass(frozen=True)
-class Tallies:
+class Tallies(JsonRecord):
     """Summed effective contributions by stance."""
 
     h_support: float = 0.0
@@ -101,17 +93,6 @@ class Tallies:
         ):
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
-
-    def to_json(self) -> dict[str, float]:
-        return {"h_support": self.h_support, "h_refute": self.h_refute, "h_neutral": self.h_neutral}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Tallies":
-        return cls(
-            h_support=json_value("h_support", payload["h_support"], float),
-            h_refute=json_value("h_refute", payload["h_refute"], float),
-            h_neutral=json_value("h_neutral", payload["h_neutral"], float),
-        )
 
 
 def intrinsic_quality(audit: AuditVector, mask: ApplicabilityMask) -> float:

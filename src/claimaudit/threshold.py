@@ -12,9 +12,9 @@ comparison so training and inference cannot skew.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
-from ._files import json_array, json_value
+from ._files import JsonRecord
 from .core import RequiredStandard, Verdict
 
 if TYPE_CHECKING:
@@ -70,7 +70,7 @@ class ThresholdConfig:
 
 
 @dataclass(frozen=True)
-class RidgeModel:
+class RidgeModel(JsonRecord):
     """A fitted linear boldness predictor with its regularization strength."""
 
     weights: tuple[float, ...]
@@ -80,17 +80,6 @@ class RidgeModel:
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
-
-    def to_json(self) -> dict[str, Any]:
-        return {"weights": list(self.weights), "intercept": self.intercept, "gamma": self.gamma}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "RidgeModel":
-        return cls(
-            weights=json_array("weights", payload["weights"], float),
-            intercept=json_value("intercept", payload["intercept"], float),
-            gamma=json_value("gamma", payload["gamma"], float),
-        )
 
 
 def constant_boldness_model(value: float = 0.5) -> RidgeModel:

@@ -34,11 +34,10 @@ from claimaudit.llm import (
     LlmReply,
     LlmTransportError,
     MockLlm,
-    ScriptedTranscript,
-    prompt_fingerprint,
 )
 
 from oracles import dempster_pair
+from scripted_llm import ScriptedTranscript, prompt_fingerprint
 from test_core import make_claim
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

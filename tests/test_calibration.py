@@ -160,6 +160,12 @@ class TestGridSearch:
         first = grid_search(records, grid, cfg, ridge)
         assert all(grid_search(records, grid, cfg, ridge) == first for _ in range(3))
 
+    def test_negative_alpha_in_the_grid_raises(self):
+        records = [random_record(np.random.default_rng(4)) for _ in range(10)]
+        grid = Grid(alpha_values=(-0.5, 0.5), lambda_values=(0.1,))
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            grid_search(records, grid, ThresholdConfig(), constant_boldness_model())
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             Grid(alpha_values=(0.5, 0.5), lambda_values=(0.1,))
@@ -238,6 +244,7 @@ class TestRecordIo:
             ("confidence", "80", "confidence: expected an integer, got '80'"),
             ("boldness_target", "0.5", "boldness_target: expected a number, got '0.5'"),
             ("human_verdict", 1, "human_verdict: expected a string, got 1"),
+            ("required_standard", "Weak", "required_standard: expected one of"),
             ("tallies", {"h_support": True, "h_refute": 0.2, "h_neutral": 0.1}, "h_support: expected a number"),
         ],
     )
@@ -271,8 +278,9 @@ class TestRecordIo:
             ({"ridge": {"weights": "0.1", "intercept": 0.5, "gamma": 1.0}}, "weights: expected a list"),
             ({"ridge": {"weights": [0.1, None], "intercept": 0.5, "gamma": 1.0}}, "weights[1]: expected a number"),
             ({"ridge": {"weights": [0.1], "intercept": False, "gamma": 1.0}}, "intercept: expected a number"),
+            ({"ridge": {"weights": [0.1], "intercept": 0.5, "gamma": "1"}}, "gamma: expected a number"),
         ],
-        ids=["bool-alpha", "string-lambda", "string-weights", "null-weight", "bool-intercept"],
+        ids=["bool-alpha", "string-lambda", "string-weights", "null-weight", "bool-intercept", "string-gamma"],
     )
     def test_mistyped_params_value_is_named(self, tmp_path, edit, message):
         path = tmp_path / "params.json"

@@ -187,6 +187,9 @@ class TestIngest:
             (lambda m: m["claims"][0].update(id=9), "claim id: expected a string, got 9"),
             (lambda m: m["claims"][0].update(text=5), "'K01': text: expected a string, got 5"),
             (lambda m: m["claims"][0].update(topic=None), "'K01': topic: expected a string, got None"),
+            (lambda m: m["claims"][0].update(claim_type=5), "'K01': claim_type: expected a string, got 5"),
+            (lambda m: m["claims"][0].update(required_standard="Weak"), "'K01': required_standard: expected one of"),
+            (lambda m: m["claims"][0].update(ground_truth="Maybe"), "'K01': ground_truth: expected one of"),
             (lambda m: m["documents"][0]["analysis"]["veritable_check_signals"]["C1"].update(objective_analysis=None),
              "C1: objective_analysis: expected a string, got None"),
             (lambda m: m["documents"][0]["analysis"]["global_integrity_signals"].update(data_availability=7),
@@ -195,7 +198,8 @@ class TestIngest:
         ids=[
             "is_applicable", "retracted", "float-ordinal", "bool-ordinal", "float-specificity", "bool-testability",
             "int-document-id", "null-title", "int-source-uri", "int-chunk-id", "int-chunk-text", "int-claim-id",
-            "int-claim-text", "null-topic", "null-objective-analysis", "int-data-availability",
+            "int-claim-text", "null-topic", "int-claim-type", "unknown-standard", "unknown-ground-truth",
+            "null-objective-analysis", "int-data-availability",
         ],
     )
     def test_mistyped_field_is_rejected_by_name(self, tmp_path, spoil, needle):

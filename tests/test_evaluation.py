@@ -15,8 +15,15 @@ from pathlib import Path
 import pytest
 
 import claimaudit.evaluation as evaluation
-from claimaudit.audit import BATCH_AUDIT_SCHEMA, load_template
-from claimaudit.core import CheckId, Verdict
+from claimaudit.audit import (
+    BATCH_AUDIT_SCHEMA,
+    AuditRequest,
+    PaperToAudit,
+    load_template,
+    mock_audit,
+    render_audit_response,
+)
+from claimaudit.core import AnalysisDocument, CheckId, Verdict
 from claimaudit.corpus import (
     EVIDENCE_FROM_MAP,
     EVIDENCE_FROM_RETRIEVAL,
@@ -45,12 +52,13 @@ from claimaudit.evaluation import (
     render_table,
     run_matrix,
 )
-from claimaudit.llm import LlmClient, LlmReply, LlmTransportError, MockLlm, ScriptedTranscript
+from claimaudit.llm import LlmClient, LlmReply, LlmTransportError, MockLlm
 from claimaudit.scoring import HvParams, Tallies, make_contribution
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
 from oracles import cohen_kappa_exact, gwet_ac1_exact, macro_f1_exact, mcc_exact
-from test_corpus import make_corpus, make_manifest
+from scripted_llm import ScriptedTranscript
+from test_corpus import make_corpus, make_manifest, replicated_fixture_manifest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCENARIOS = ("TY0", "TY1", "TY3", "TY5")
@@ -557,6 +565,51 @@ class TestSharedCells:
         assert [record.failure for record in k01] == [
             f"no evidence chunks survive scenario {label}" for _ in ALL_METHODS for label in ("TY0", "TY1")
         ]
+
+
+_BATCH_AUDIT_CLAIM = re.compile(r'### CLAIM TO VERIFY ###\n"(.*?)"\n\n### PAPERS TO AUDIT ###\n', re.DOTALL)
+
+
+class _MockReplayClient(LlmClient):
+    """Answers a live run with the mock path's replies.
+
+    The batch audit is answered with `mock_audit`, rendered to the wire
+    format, of the request rebuilt from the prompt, so each paper's
+    analysis goes through its JSON codec into the prompt and back. Every
+    other turn goes to `MockLlm(seed)`.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.mock = MockLlm(seed)
+
+    def complete(self, prompt, *, schema=None):
+        if schema is not BATCH_AUDIT_SCHEMA:
+            return self.mock.complete(prompt, schema=schema)
+        claim = _BATCH_AUDIT_CLAIM.search(prompt)
+        papers, _ = json.JSONDecoder().raw_decode(prompt, claim.end())
+        request = AuditRequest(
+            claim_text=claim.group(1),
+            papers=tuple(
+                PaperToAudit(
+                    paper_id=paper["paper_id"],
+                    analysis=AnalysisDocument.from_json(paper["paper_json_content"]),
+                    chunks=tuple(paper["evidence_text_chunks"]),
+                )
+                for paper in papers
+            ),
+        )
+        return LlmReply(text=render_audit_response(mock_audit(request, self.seed)))
+
+
+class TestLiveEqualsMock:
+    @pytest.mark.parametrize("replicas", [2, 3])
+    def test_live_records_equal_mock_records(self, tmp_path, replicas):
+        corpus = embed_chunks(make_corpus(tmp_path, replicated_fixture_manifest(replicas)), HashEmbedder())
+        mock = _run_fixtures(corpus, SCENARIOS, mock=True)
+        live = _run_fixtures(corpus, SCENARIOS, mock=False, client=_MockReplayClient(7))
+        assert sum(record.failure is None for record in mock) > len(mock) // 2
+        assert dump_records(live) == dump_records(mock)
 
 
 # Every template a run renders, and the schema title of the turn it asks.

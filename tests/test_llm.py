@@ -15,13 +15,12 @@ from claimaudit.llm import (
     LlmTransportError,
     MAX_RETRY_AFTER_S,
     MockLlm,
-    ScriptedTranscript,
-    ScriptMissError,
     TokenUsage,
     approx_token_count,
     extract_json_object,
-    prompt_fingerprint,
 )
+
+from scripted_llm import ScriptedTranscript, ScriptMissError, prompt_fingerprint
 
 
 class TestApproxTokenCount:

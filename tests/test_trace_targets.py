@@ -16,8 +16,9 @@ import pytest
 import claimaudit.audit as audit
 import claimaudit.baselines as baselines
 from claimaudit.audit import mock_audit, render_audit_response
-from claimaudit.llm import Asker, MockLlm, ScriptedTranscript, prompt_fingerprint
+from claimaudit.llm import Asker, MockLlm
 
+from scripted_llm import ScriptedTranscript, prompt_fingerprint
 from test_audit import make_request
 from test_baselines import SNIPPETS
 from test_core import make_claim
