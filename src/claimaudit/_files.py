@@ -8,6 +8,7 @@ import enum
 import json
 import operator
 import os
+import sys
 import tempfile
 import types
 import typing
@@ -71,6 +72,18 @@ def json_value(name: str, value: Any, kind: type, error: type[ValueError] = Valu
     return float(value) if kind is float else value
 
 
+def json_object(name: str, value: Any, keys: set[str], error: type[ValueError] = ValueError) -> Any:
+    """`value` if it is an object with exactly the keys `keys`; else `error` naming `name`."""
+    json_value(name, value, dict, error)
+    missing = keys - value.keys()
+    if missing:
+        raise error(f"{name} missing fields: {sorted(missing)}")
+    unknown = value.keys() - keys
+    if unknown:
+        raise error(f"{name} has unknown fields: {sorted(unknown)}")
+    return value
+
+
 def json_optional(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> Any:
     """None if `value` is null, else `value` checked as `json_value` checks it."""
     return None if value is None else json_value(name, value, kind, error)
@@ -122,9 +135,11 @@ class _Plan:
     """A record class's encoder, and its stored fields as (attribute, key, decoder or None)."""
 
     def __init__(self, cls: type[JsonRecord]) -> None:
-        hints = typing.get_type_hints(cls)
+        # Each stored field's annotation, a string in every record module
+        # (`from __future__ import annotations`), is evaluated once in that module.
+        module = vars(sys.modules[cls.__module__])
         coders = {
-            field.name: (key, *((None, None) if field.name in cls._json_as_is else _coders(hints[field.name])))
+            field.name: (key, *((None, None) if field.name in cls._json_as_is else _coders(eval(field.type, module))))
             for field in dataclasses.fields(cls)
             if (key := cls._json_keys.get(field.name, field.name)) is not None
         }

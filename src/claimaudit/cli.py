@@ -26,6 +26,7 @@ from .corpus import (
     load_corpus,
     load_embeddings,
     save_corpus,
+    save_embeddings,
 )
 # `cmd_verify` streams records through `record_line`; `dump_records` stays a
 # module attribute because the benchmark tracer's target list names it here.
@@ -87,7 +88,7 @@ def _with_embeddings(cfg: RunConfig, corpus: Corpus) -> Corpus:
     """`corpus` ready to retrieve: the store's vectors, if there is a store, and the embedder that made them."""
     if (cfg.store / "manifest.json").exists():
         corpus = load_embeddings(corpus, cfg.store)
-    if any(chunk.embedding is not None for chunk in corpus.all_chunks()):
+    if corpus.vectors:
         # The store keeps the vectors, not the embedder that made them.
         corpus = replace(corpus, embedder=HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
     return corpus
@@ -113,7 +114,8 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> int:
     corpus = _load_corpus(cfg)
     embedded = embed_chunks(corpus, HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
-    save_corpus(embedded, cfg.store)
+    # Embedding changes no byte of a stored manifest, so only a new store gets one.
+    (save_embeddings if (cfg.store / "manifest.json").exists() else save_corpus)(embedded, cfg.store)
     print(f"embedded {len(embedded.all_chunks())} chunks at dimension {cfg.embed_dim} into {cfg.store}")
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Mapping
 
-from ._files import JsonRecord, json_value
+from ._files import JsonRecord, json_object, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -128,13 +128,7 @@ class Claim(JsonRecord):
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "Claim":
-        required = {spec.name for spec in fields(cls)}
-        missing = required - payload.keys()
-        if missing:
-            raise SchemaError(f"claim payload missing fields: {sorted(missing)}")
-        unknown = payload.keys() - required
-        if unknown:
-            raise SchemaError(f"claim payload has unknown fields: {sorted(unknown)}")
+        json_object("claim payload", payload, {spec.name for spec in fields(cls)}, SchemaError)
         claim_id = json_value("claim id", payload["id"], str, SchemaError)
         if payload["ground_truth"] == "Uncertain":
             raise UncertainGroundTruthError(f"claim {claim_id!r}: Uncertain ground truth is excluded at ingestion")

@@ -4,8 +4,8 @@ The corpus is an immutable value after ingestion; embedding returns a
 new handle. The store is a directory of two plain files: the corpus as a
 manifest in the ingest schema, read back by the same parser and checks as
 any manifest, and a JSON-lines embedding file once chunks are embedded.
-Both are written one document or one vector at a time, and each chunk
-holds its vector as a packed, read-only float64 buffer.
+Both are written one document or one vector at a time. The vectors live
+on the corpus, one packed, read-only float64 buffer per chunk id.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ._files import json_value, read_json_lines, write_atomic
+from ._files import json_object, json_value, read_json_lines, write_atomic
 from ._rng import fnv1a64
 from .core import AnalysisDocument, Claim, SchemaError
 from .redundancy import tokenize
@@ -50,11 +50,16 @@ class EmbeddingError(RuntimeError):
 def _packed(values: Iterable[float]) -> memoryview:
     """`values` as a read-only float64 buffer: 8 bytes an entry, and `==` compares the entries.
 
-    A read-only one-dimensional float64 memoryview is returned as it is.
+    Raises ValueError unless every entry is a finite float.
     """
-    if isinstance(values, memoryview) and values.readonly and values.format == "d" and values.ndim == 1:
-        return values
-    return memoryview(array("d", values)).toreadonly()
+    try:
+        vector = array("d", values)
+    except OverflowError as exc:
+        raise ValueError(f"embedding: {exc}") from None
+    if not all(map(math.isfinite, vector)):
+        bad = next(entry for entry in vector if not math.isfinite(entry))
+        raise ValueError(f"embedding: expected finite numbers, got {bad!r}")
+    return memoryview(vector).toreadonly()
 
 
 @dataclass(frozen=True)
@@ -63,17 +68,10 @@ class EvidenceChunk:
     doc_id: str
     ordinal: int
     text: str
-    # Held packed (see `_packed`), whatever sequence it is given as. A
-    # float buffer has no hash, so the chunk's hash leaves it out.
-    embedding: Sequence[float] | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.ordinal, bool) or not isinstance(self.ordinal, int) or self.ordinal < 0:
             raise SchemaError(f"chunk {self.id!r}: ordinal must be a nonnegative integer, got {self.ordinal!r}")
-        if self.embedding is not None:
-            object.__setattr__(self, "embedding", _packed(self.embedding))
-            if not all(map(math.isfinite, self.embedding)):
-                raise SchemaError(f"chunk {self.id!r}: embedding entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -112,13 +110,14 @@ class Embedder(Protocol):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable handle over documents, claims, scenarios, and evidence."""
+    """Immutable handle over documents, claims, scenarios, evidence, and each embedded chunk's vector."""
 
     documents: Mapping[str, Document]
     claims: Mapping[str, Claim]
     scenarios: Mapping[str, Scenario]
     evidence_map: Mapping[str, tuple[str, ...]]
     embedder: Embedder | None = field(default=None, compare=False)
+    vectors: Mapping[str, memoryview] = field(default_factory=dict)  # chunk id -> `_packed` vector
 
     def document(self, doc_id: str) -> Document:
         try:
@@ -157,7 +156,7 @@ class Corpus:
 
     @cached_property
     def _chunk_matrix(self) -> _ChunkMatrix:
-        return _ChunkMatrix(self.all_chunks())
+        return _ChunkMatrix(self.all_chunks(), self.vectors)
 
 
 class _ChunkMatrix:
@@ -170,20 +169,21 @@ class _ChunkMatrix:
     add in another order and can flip near-ties in the last ulp.
     """
 
-    def __init__(self, chunks: Iterable[EvidenceChunk]) -> None:
+    def __init__(self, chunks: Iterable[EvidenceChunk], vectors: Mapping[str, memoryview]) -> None:
         import numpy as np
 
         self.chunks = tuple(sorted(chunks, key=lambda chunk: (chunk.doc_id, chunk.ordinal)))
-        missing = [chunk.id for chunk in self.chunks if chunk.embedding is None]
+        missing = [chunk.id for chunk in self.chunks if chunk.id not in vectors]
         if missing:
             raise EmbeddingError(f"chunks are missing embeddings: {missing[:5]}")
-        dims = sorted({len(chunk.embedding) for chunk in self.chunks})
+        rows = [vectors[chunk.id] for chunk in self.chunks]
+        dims = sorted(set(map(len, rows)))
         if len(dims) > 1:
             raise EmbeddingError(f"chunk embeddings have mixed dimensions {dims}")
         self.dim = dims[0] if dims else 0
-        vectors = np.array([chunk.embedding for chunk in self.chunks], dtype=np.float64)
+        matrix = np.array(rows, dtype=np.float64)
         # Column-major, so each column the sums walk is contiguous.
-        self.vectors = np.asfortranarray(vectors.reshape(len(self.chunks), self.dim))
+        self.vectors = np.asfortranarray(matrix.reshape(len(self.chunks), self.dim))
         squares = np.zeros(len(self.chunks))
         for column in self.vectors.T:
             squares += column * column
@@ -210,22 +210,14 @@ class _ChunkMatrix:
         return scores
 
 
-def _require_keys(payload: Mapping[str, Any], required: set[str], what: str) -> None:
-    missing = required - payload.keys()
-    if missing:
-        raise CorpusIntegrityError(f"{what} missing fields: {sorted(missing)}")
-    unknown = payload.keys() - required
-    if unknown:
-        raise CorpusIntegrityError(f"{what} has unknown fields: {sorted(unknown)}")
-
-
 def _build_document(payload: Mapping[str, Any]) -> Document:
-    _require_keys(payload, {"id", "title", "source_uri", "retracted", "analysis", "chunks"}, "document")
+    keys = {"id", "title", "source_uri", "retracted", "analysis", "chunks"}
+    json_object("document", payload, keys, CorpusIntegrityError)
     doc_id = json_value("document id", payload["id"], str, CorpusIntegrityError)
     chunks = []
     for raw in payload["chunks"]:
         what = f"chunk of document {doc_id!r}"
-        _require_keys(raw, {"id", "ordinal", "text"}, what)
+        json_object(what, raw, {"id", "ordinal", "text"}, CorpusIntegrityError)
         chunk_id = json_value(f"{what}: id", raw["id"], str, CorpusIntegrityError)
         text = json_value(f"chunk {chunk_id!r}: text", raw["text"], str, CorpusIntegrityError)
         chunks.append(EvidenceChunk(id=chunk_id, doc_id=doc_id, ordinal=raw["ordinal"], text=text))
@@ -255,7 +247,7 @@ def _check_scenarios(scenarios: Mapping[str, Scenario], documents: Mapping[str, 
 
 
 def _build_corpus(payload: Mapping[str, Any]) -> Corpus:
-    _require_keys(payload, {"documents", "claims", "scenarios", "evidence_map"}, "manifest")
+    json_object("manifest", payload, {"documents", "claims", "scenarios", "evidence_map"}, CorpusIntegrityError)
 
     documents: dict[str, Document] = {}
     chunk_ids: set[str] = set()
@@ -276,8 +268,7 @@ def _build_corpus(payload: Mapping[str, Any]) -> Corpus:
             raise CorpusIntegrityError(f"duplicate claim id {claim.id!r}")
         claims[claim.id] = claim
 
-    raw_scenarios = payload["scenarios"]
-    _require_keys(raw_scenarios, set(SCENARIO_LABELS), "scenarios")
+    raw_scenarios = json_object("scenarios", payload["scenarios"], set(SCENARIO_LABELS), CorpusIntegrityError)
     scenarios: dict[str, Scenario] = {}
     for label in SCENARIO_LABELS:
         members = [str(doc_id) for doc_id in raw_scenarios[label]]
@@ -288,7 +279,8 @@ def _build_corpus(payload: Mapping[str, Any]) -> Corpus:
     _check_scenarios(scenarios, documents)
 
     evidence_map: dict[str, tuple[str, ...]] = {}
-    for claim_id, chunk_list in payload["evidence_map"].items():
+    raw_map = json_value("evidence_map", payload["evidence_map"], dict, CorpusIntegrityError)
+    for claim_id, chunk_list in raw_map.items():
         if claim_id not in claims:
             raise CorpusIntegrityError(f"evidence_map references unknown claim {claim_id!r}")
         for chunk_id in chunk_list:
@@ -352,32 +344,26 @@ class HashEmbedder:
 
 
 def embed_chunks(corpus: Corpus, embedder: Embedder) -> Corpus:
-    """Return a corpus whose every chunk carries an embedding."""
+    """Return the corpus with a vector for every chunk, in chunk order, and the embedder that made them."""
     failed: list[str] = []
-    new_documents: dict[str, Document] = {}
-    for doc_id, document in corpus.documents.items():
-        new_chunks = []
-        for chunk in document.chunks:
-            try:
-                vector = _packed(embedder.embed(chunk.text))
-            except Exception as exc:
-                logger.warning("embedding failed for chunk %s: %s", chunk.id, exc)
-                failed.append(chunk.id)
-                new_chunks.append(chunk)
-                continue
-            if len(vector) != embedder.dim:
-                raise EmbeddingError(
-                    f"embedder returned dimension {len(vector)} for chunk {chunk.id!r}, expected {embedder.dim}"
-                )
-            if not any(vector):
-                logger.warning("chunk %s has no tokens; flagged with a zero embedding", chunk.id)
-            new_chunks.append(EvidenceChunk(chunk.id, chunk.doc_id, chunk.ordinal, chunk.text, vector))
-        new_documents[doc_id] = Document(
-            document.id, document.title, document.source_uri, document.retracted, document.analysis, tuple(new_chunks)
-        )
+    vectors: dict[str, memoryview] = {}
+    for chunk in corpus.all_chunks():
+        try:
+            vector = _packed(embedder.embed(chunk.text))
+        except Exception as exc:
+            logger.warning("embedding failed for chunk %s: %s", chunk.id, exc)
+            failed.append(chunk.id)
+            continue
+        if len(vector) != embedder.dim:
+            raise EmbeddingError(
+                f"embedder returned dimension {len(vector)} for chunk {chunk.id!r}, expected {embedder.dim}"
+            )
+        if not any(vector):
+            logger.warning("chunk %s has no tokens; flagged with a zero embedding", chunk.id)
+        vectors[chunk.id] = vector
     if failed:
         raise EmbeddingError(f"failed to embed chunks: {failed}")
-    return replace(corpus, documents=new_documents, embedder=embedder)
+    return replace(corpus, vectors=vectors, embedder=embedder)
 
 
 def retrieve(claim: Claim, corpus: Corpus, k: int = DEFAULT_RETRIEVAL_K) -> list[EvidenceChunk]:
@@ -465,31 +451,37 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     `manifest.json` holds every document with its analysis and chunks
     inline, so `load_corpus` is `ingest` plus the `embeddings.jsonl` merge.
     Both files are streamed, one document or one vector at a time.
-    A corpus without embeddings removes the store's `embeddings.jsonl`,
-    so vectors of an earlier corpus never attach to re-ingested chunks.
     """
-    root = Path(directory)
-    write_atomic(root / "manifest.json", _manifest_parts(corpus))
-    embedded = [chunk for chunk in corpus.all_chunks() if chunk.embedding is not None]
-    if embedded:
-        write_atomic(
-            root / "embeddings.jsonl",
-            # Each line is `json.dumps` of {"chunk_id", "embedding"} with sorted
-            # keys; every entry is finite, so `repr` writes it as `json` does.
-            (
-                f'{{"chunk_id": {encode_basestring_ascii(chunk.id)}, "embedding": {chunk.embedding.tolist()!r}}}\n'
-                for chunk in embedded
-            ),
-        )
-    else:
-        (root / "embeddings.jsonl").unlink(missing_ok=True)
+    write_atomic(Path(directory) / "manifest.json", _manifest_parts(corpus))
+    save_embeddings(corpus, directory)
+
+
+def save_embeddings(corpus: Corpus, directory: str | Path) -> None:
+    """Write `corpus.vectors`, in order, as the store's `embeddings.jsonl`.
+
+    A corpus without vectors removes the file, so vectors of an earlier
+    corpus never attach to re-ingested chunks.
+    """
+    path = Path(directory) / "embeddings.jsonl"
+    if not corpus.vectors:
+        path.unlink(missing_ok=True)
+        return
+    write_atomic(
+        path,
+        # Each line is `json.dumps` of {"chunk_id", "embedding"} with sorted
+        # keys; every entry is finite, so `repr` writes it as `json` does.
+        (
+            f'{{"chunk_id": {encode_basestring_ascii(chunk_id)}, "embedding": {vector.tolist()!r}}}\n'
+            for chunk_id, vector in corpus.vectors.items()
+        ),
+    )
 
 
 def load_corpus(directory: str | Path, *, embeddings: bool = True) -> Corpus:
     """Rebuild a corpus from `save_corpus` output, re-running all checks.
 
     With `embeddings=False` the store's `embeddings.jsonl` is not read,
-    and every chunk comes back without a vector.
+    and the corpus comes back without vectors.
     """
     root = Path(directory)
     try:
@@ -506,23 +498,14 @@ def _vector_line(line: Mapping[str, Any]) -> tuple[str, memoryview]:
     if not set(map(type, entries)) <= {int, float}:
         bad = next(entry for entry in entries if type(entry) not in (int, float))
         raise ValueError(f"embedding: expected numbers, got {bad!r}")
-    try:
-        return line["chunk_id"], _packed(entries)
-    except OverflowError as exc:
-        raise ValueError(f"embedding: {exc}") from None
+    return line["chunk_id"], _packed(entries)
 
 
 def load_embeddings(corpus: Corpus, directory: str | Path) -> Corpus:
-    """`corpus` with the vectors of the store's `embeddings.jsonl` attached, if the store has one."""
+    """`corpus` with the store's `embeddings.jsonl` vectors in file order, skipping ids the corpus lacks."""
     embeddings_path = Path(directory) / "embeddings.jsonl"
     if not embeddings_path.exists():
         return corpus
-    vectors = dict(read_json_lines(embeddings_path, "embedding", _vector_line))
-    new_documents = {
-        doc_id: Document(
-            doc.id, doc.title, doc.source_uri, doc.retracted, doc.analysis,
-            tuple(EvidenceChunk(c.id, doc_id, c.ordinal, c.text, vectors.get(c.id)) for c in doc.chunks),
-        )
-        for doc_id, doc in corpus.documents.items()
-    }
-    return replace(corpus, documents=new_documents)
+    chunks = corpus._chunk_index
+    lines = read_json_lines(embeddings_path, "embedding", _vector_line)
+    return replace(corpus, vectors={chunk_id: vector for chunk_id, vector in lines if chunk_id in chunks})

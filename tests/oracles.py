@@ -131,8 +131,8 @@ def cosine_left_to_right(a, b) -> float:
     return dot / (norm_a * norm_b)
 
 
-def rank_by_cosine(query, chunks) -> list[tuple[str, float]]:
-    """Every chunk as (id, cosine to query), by (-cosine, doc_id, ordinal)."""
-    scored = [(chunk, cosine_left_to_right(query, chunk.embedding)) for chunk in chunks]
+def rank_by_cosine(query, chunks, vectors) -> list[tuple[str, float]]:
+    """Every chunk as (id, cosine of `vectors[id]` to query), by (-cosine, doc_id, ordinal)."""
+    scored = [(chunk, cosine_left_to_right(query, vectors[chunk.id])) for chunk in chunks]
     scored.sort(key=lambda pair: (-pair[1], pair[0].doc_id, pair[0].ordinal))
     return [(chunk.id, score) for chunk, score in scored]

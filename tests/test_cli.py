@@ -338,11 +338,32 @@ class TestIngestAndEmbed:
         assert main(["--config", str(config_path), "ingest"]) == 1
         assert "GHOST" in capsys.readouterr().err
 
+    def test_manifest_entry_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        config_path = setup_workspace(tmp_path)
+        payload = make_manifest()
+        payload["claims"][0] = ["not", "an", "object"]
+        (tmp_path / "manifest.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["--config", str(config_path), "ingest"]) == 1
+        assert capsys.readouterr().err == "error: claim payload: expected an object, got ['not', 'an', 'object']\n"
+
     def test_embed_populates_embeddings(self, tmp_path):
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "ingest"]) == 0
         assert main(["--config", str(config_path), "embed"]) == 0
         assert (tmp_path / "out" / "store" / "embeddings.jsonl").exists()
+
+    def test_embed_leaves_the_stored_manifest_untouched(self, tmp_path):
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "ingest"]) == 0
+        manifest = tmp_path / "out" / "store" / "manifest.json"
+
+        def state():
+            stat = manifest.stat()
+            return manifest.read_bytes(), stat.st_mtime_ns, stat.st_ino
+
+        before = state()
+        assert main(["--config", str(config_path), "embed"]) == 0
+        assert state() == before
 
     def test_embed_without_prior_ingest_starts_from_manifest(self, tmp_path):
         config_path = setup_workspace(tmp_path)
@@ -358,7 +379,7 @@ class TestIngestAndEmbed:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["--config", str(config_path), "ingest"]) == 0
         store = tmp_path / "out" / "store"
-        assert load_corpus(store).chunk("D01-c0").embedding is None
+        assert load_corpus(store).vectors == {}
         assert [path.name for path in store.iterdir()] == ["manifest.json"]
 
 
@@ -612,6 +633,40 @@ class TestStartup:
         assert run("ingest", "embed") == "[0, 0] False"
         assert run("calibrate", "verify --mock --seed 7") == "[0, 0] True"
         assert run("report") == "[0] False"
+
+
+class TestAcrossInterpreters:
+    """`ingest`, `embed` and `report` load no numpy, so every supported Python must write the same bytes."""
+
+    @staticmethod
+    def _run(python: str, directory: Path, *commands: str) -> None:
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+        for command in commands:
+            result = subprocess.run(
+                [python, "-m", "claimaudit.cli", "--config", "config.json", *command.split()],
+                cwd=directory, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, f"{python} {command}: {result.stderr}"
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory) -> Path:
+        """Every command's files as this interpreter writes them over a copy of the fixtures."""
+        directory = tmp_path_factory.mktemp("reference")
+        shutil.copytree(FIXTURES, directory, dirs_exist_ok=True)
+        self._run(sys.executable, directory, "ingest", "embed", "verify --mock --seed 7", "report")
+        return directory / "out"
+
+    @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+    def test_numpy_free_commands_write_the_same_bytes(self, reference, tmp_path, version):
+        python = shutil.which(f"python{version}")
+        if python is None or subprocess.run([python, "-c", ""], capture_output=True, timeout=60).returncode != 0:
+            pytest.skip(f"no python{version} that starts")
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "out").mkdir()
+        shutil.copyfile(reference / "records.jsonl", tmp_path / "out" / "records.jsonl")
+        self._run(python, tmp_path, "ingest", "embed", "report")
+        for name in ("store/manifest.json", "store/embeddings.jsonl", "report.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 class TestShippedFixtures:

@@ -22,6 +22,7 @@ from claimaudit.corpus import (
     filter_scenario,
     ingest,
     load_corpus,
+    load_embeddings,
     n_evidence_docs,
     retrieve,
     save_corpus,
@@ -194,12 +195,20 @@ class TestIngest:
              "C1: objective_analysis: expected a string, got None"),
             (lambda m: m["documents"][0]["analysis"]["global_integrity_signals"].update(data_availability=7),
              "data_availability: expected a string, got 7"),
+            (lambda m: m["claims"].__setitem__(0, ["not", "an", "object"]),
+             r"claim payload: expected an object, got \['not', 'an', 'object'\]"),
+            (lambda m: m["documents"].__setitem__(0, ["D01"]), r"document: expected an object, got \['D01'\]"),
+            (lambda m: m["documents"][0]["chunks"].__setitem__(0, "D01-c0"),
+             "chunk of document 'D01': expected an object, got 'D01-c0'"),
+            (lambda m: m.update(scenarios=list(SCENARIO_LABELS)), "scenarios: expected an object, got"),
+            (lambda m: m.update(evidence_map=[]), r"evidence_map: expected an object, got \[\]"),
         ],
         ids=[
             "is_applicable", "retracted", "float-ordinal", "bool-ordinal", "float-specificity", "bool-testability",
             "int-document-id", "null-title", "int-source-uri", "int-chunk-id", "int-chunk-text", "int-claim-id",
             "int-claim-text", "null-topic", "int-claim-type", "unknown-standard", "unknown-ground-truth",
-            "null-objective-analysis", "int-data-availability",
+            "null-objective-analysis", "int-data-availability", "list-claim", "list-document", "string-chunk",
+            "list-scenarios", "list-evidence-map",
         ],
     )
     def test_mistyped_field_is_rejected_by_name(self, tmp_path, spoil, needle):
@@ -314,15 +323,30 @@ class _FailingEmbedder:
         raise RuntimeError("backend down")
 
 
+class _NonFiniteEmbedder:
+    dim = 4
+
+    def embed(self, text):
+        return (0.5, math.inf, 0.0, 0.0) if "savanna" in text else (1.0, 0.0, 0.0, 0.0)
+
+
 class TestEmbedChunks:
     def test_returns_new_embedded_corpus(self, tmp_path):
         corpus = make_corpus(tmp_path)
         embedded = embed_chunks(corpus, HashEmbedder())
-        assert all(chunk.embedding is None for chunk in corpus.all_chunks())
-        assert all(
-            chunk.embedding is not None and len(chunk.embedding) == 64 for chunk in embedded.all_chunks()
-        )
+        assert corpus.vectors == {}
+        assert list(embedded.vectors) == [chunk.id for chunk in corpus.all_chunks()]
+        assert all(len(vector) == 64 for vector in embedded.vectors.values())
         assert embedded.embedder is not None
+
+    def test_vectors_attach_without_rebuilding_documents(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        embedded = embed_chunks(corpus, HashEmbedder())
+        assert embedded.documents is corpus.documents
+        save_corpus(embedded, tmp_path / "store")
+        bare = load_corpus(tmp_path / "store", embeddings=False)
+        assert bare.vectors == {}
+        assert load_embeddings(bare, tmp_path / "store").documents is bare.documents
 
     def test_embedding_twice_is_stable(self, tmp_path):
         corpus = make_corpus(tmp_path)
@@ -336,6 +360,11 @@ class TestEmbedChunks:
         with pytest.raises(EmbeddingError, match="D01-c0"):
             embed_chunks(make_corpus(tmp_path), _FailingEmbedder())
 
+    def test_non_finite_entry_fails_its_chunk(self, tmp_path, caplog):
+        with pytest.raises(EmbeddingError, match=r"failed to embed chunks: \['D03-c0'\]"):
+            embed_chunks(make_corpus(tmp_path), _NonFiniteEmbedder())
+        assert "expected finite numbers, got inf" in caplog.text
+
     def test_tokenless_chunk_warns_and_keeps_zero_vector(self, tmp_path, caplog):
         payload = make_manifest()
         payload["documents"][2]["chunks"][1]["text"] = "?"
@@ -343,7 +372,7 @@ class TestEmbedChunks:
         with caplog.at_level("WARNING"):
             embedded = embed_chunks(corpus, HashEmbedder())
         assert "zero embedding" in caplog.text
-        assert list(embedded.chunk("D03-c1").embedding) == [0.0] * 64
+        assert list(embedded.vectors["D03-c1"]) == [0.0] * 64
 
 
 def replicated_fixture_manifest(replicas: int) -> dict:
@@ -403,6 +432,11 @@ class TestRetrieve:
         with pytest.raises(EmbeddingError, match="missing embeddings"):
             retrieve(corpus.claim("K02"), corpus)
 
+    def test_a_chunk_without_a_vector_fails_retrieval(self, embedded):
+        partial = replace(embedded, vectors={k: v for k, v in embedded.vectors.items() if k != "D02-c1"})
+        with pytest.raises(EmbeddingError, match=r"chunks are missing embeddings: \['D02-c1'\]"):
+            retrieve(partial.claim("K02"), partial)
+
     def test_query_dimension_mismatch_names_both_dimensions(self, embedded):
         reconfigured = replace(embedded, embedder=HashEmbedder(dim=32))
         with pytest.raises(EmbeddingError, match="dimension 32 .* dimension 64"):
@@ -421,20 +455,21 @@ class TestRetrieve:
 
     def test_matches_bruteforce_ranking(self, embedded):
         claim = embedded.claim("K02")
-        expected = rank_by_cosine(HashEmbedder().embed(claim.text), embedded.all_chunks())
+        expected = rank_by_cosine(HashEmbedder().embed(claim.text), embedded.all_chunks(), embedded.vectors)
         got = retrieve(claim, embedded, k=5)
         assert [c.id for c in got] == [chunk_id for chunk_id, _ in expected[:5]]
 
     def test_full_ranking_is_bit_identical_to_the_oracle(self, tmp_path):
         corpus = embed_chunks(make_corpus(tmp_path, replicated_fixture_manifest(4)), HashEmbedder())
         chunks = corpus.all_chunks()
-        assert sum(1 for chunk in chunks if not any(chunk.embedding)) == 1
+        assert sum(1 for vector in corpus.vectors.values() if not any(vector)) == 1
         matrix = corpus._chunk_matrix
         for claim in corpus.claims.values():
             query = HashEmbedder().embed(claim.text)
             scores = dict(zip((chunk.id for chunk in matrix.chunks), matrix.cosine(query)))
             got = [(chunk.id, scores[chunk.id].hex()) for chunk in retrieve(claim, corpus, k=len(chunks))]
-            assert got == [(chunk_id, score.hex()) for chunk_id, score in rank_by_cosine(query, chunks)], claim.id
+            expected = rank_by_cosine(query, chunks, corpus.vectors)
+            assert got == [(chunk_id, score.hex()) for chunk_id, score in expected], claim.id
 
     def test_matrix_is_built_once_per_handle(self, embedded, monkeypatch):
         calls = _count_all_chunks(monkeypatch)
@@ -540,7 +575,7 @@ class TestSaveLoad:
         save_corpus(corpus, tmp_path / "store")
         loaded = load_corpus(tmp_path / "store")
         assert loaded == corpus
-        assert loaded.chunk("D01-c0").embedding == corpus.chunk("D01-c0").embedding
+        assert loaded.vectors["D01-c0"] == corpus.vectors["D01-c0"]
         assert sorted(path.name for path in (tmp_path / "store").iterdir()) == ["embeddings.jsonl", "manifest.json"]
 
     def test_store_files_equal_the_whole_payload_dumps(self, tmp_path):
@@ -563,7 +598,7 @@ class TestSaveLoad:
             "evidence_map": {claim_id: list(ids) for claim_id, ids in corpus.evidence_map.items()},
         }
         embeddings = "".join(
-            json.dumps({"chunk_id": chunk.id, "embedding": list(chunk.embedding)}, sort_keys=True) + "\n"
+            json.dumps({"chunk_id": chunk.id, "embedding": list(corpus.vectors[chunk.id])}, sort_keys=True) + "\n"
             for chunk in corpus.all_chunks()
         )
         assert (tmp_path / "store" / "manifest.json").read_text(encoding="utf-8") == json.dumps(
@@ -576,14 +611,24 @@ class TestSaveLoad:
         embedded = embed_chunks(corpus, HashEmbedder())
         save_corpus(embedded, tmp_path / "store")
         loaded = load_corpus(tmp_path / "store")
-        for chunk in (embedded.chunk("D01-c0"), loaded.chunk("D01-c0")):
-            assert list(chunk.embedding) == list(HashEmbedder().embed(chunk.text))
+        for vector in (embedded.vectors["D01-c0"], loaded.vectors["D01-c0"]):
+            assert list(vector) == list(HashEmbedder().embed(corpus.chunk("D01-c0").text))
             with pytest.raises(TypeError):
-                chunk.embedding[0] = 1.0
-            assert chunk == replace(chunk, embedding=tuple(chunk.embedding))
-            assert hash(chunk) == hash(replace(chunk, embedding=None))
-        assert loaded.chunk("D01-c0").embedding == embedded.chunk("D01-c0").embedding
-        assert loaded.chunk("D01-c0").embedding != loaded.chunk("D01-c1").embedding
+                vector[0] = 1.0
+        assert loaded.vectors["D01-c0"] == embedded.vectors["D01-c0"]
+        assert loaded.vectors["D01-c0"] != loaded.vectors["D01-c1"]
+
+    def test_load_keeps_file_order_and_ignores_unknown_chunk_ids(self, tmp_path):
+        corpus = embed_chunks(make_corpus(tmp_path), HashEmbedder())
+        save_corpus(corpus, tmp_path / "store")
+        path = tmp_path / "store" / "embeddings.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        ghost = json.dumps({"chunk_id": "GHOST-c0", "embedding": [1.0] * 64}) + "\n"
+        path.write_text("".join([lines[-1], ghost, *lines[:-1]]), encoding="utf-8")
+        loaded = load_corpus(tmp_path / "store")
+        ids = [chunk.id for chunk in corpus.all_chunks()]
+        assert list(loaded.vectors) == [ids[-1], *ids[:-1]]
+        assert loaded.vectors == corpus.vectors
 
     def test_blank_embedding_line_is_skipped(self, tmp_path):
         corpus = embed_chunks(make_corpus(tmp_path), HashEmbedder())
@@ -601,8 +646,10 @@ class TestSaveLoad:
             {"chunk_id": "D01-c1", "embedding": ["0.5"] + [0.0] * 63},
             {"chunk_id": "D01-c1", "embedding": [True] + [0.0] * 63},
             {"chunk_id": "D01-c1", "embedding": [10**400] + [0.0] * 63},
+            {"chunk_id": "D01-c1", "embedding": [math.nan] + [0.0] * 63},
+            {"chunk_id": "D01-c1", "embedding": [0.0] * 63 + [-math.inf]},
         ],
-        ids=["no-embedding", "not-a-list", "string-entry", "bool-entry", "too-large-entry"],
+        ids=["no-embedding", "not-a-list", "string-entry", "bool-entry", "too-large-entry", "nan-entry", "inf-entry"],
     )
     def test_malformed_embedding_line_is_named(self, tmp_path, line):
         save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), tmp_path / "store")
