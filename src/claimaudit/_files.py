@@ -13,7 +13,7 @@ import tempfile
 import types
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Container, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -62,14 +62,23 @@ def read_json_lines(path: str | Path, what: str, parse: Callable[[Any], T]) -> l
     return items
 
 
-def json_value(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> Any:
+def json_value(
+    name: str, value: Any, kind: type, error: type[ValueError] = ValueError, among: Container[Any] | None = None
+) -> Any:
     """`value` if it has the JSON type `kind`, a number as a float; else `error` naming `name`.
 
     A bool is neither an integer nor a number, and a float is not an integer.
+    With `among` (a label set, or the ids read so far), the value must also
+    be in it: the type is checked first, so a list never reaches the lookup.
     """
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise error(f"{name}: expected {_JSON_TYPES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if among is not None and value not in among:
+        raise error(f"{name}: unknown {value!r}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise error(f"{name}: expected a number, got an integer too large for one") from None
 
 
 def json_object(name: str, value: Any, keys: set[str], error: type[ValueError] = ValueError) -> Any:
@@ -84,15 +93,19 @@ def json_object(name: str, value: Any, keys: set[str], error: type[ValueError] =
     return value
 
 
-def json_optional(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> Any:
-    """None if `value` is null, else `value` checked as `json_value` checks it."""
-    return None if value is None else json_value(name, value, kind, error)
+def json_optional(
+    name: str, value: Any, kind: type, error: type[ValueError] = ValueError, *, default: Any = None
+) -> Any:
+    """`default` if `value` is null (or absent, read as null), else `value` checked as `json_value` checks it."""
+    return default if value is None else json_value(name, value, kind, error)
 
 
-def json_array(name: str, value: Any, kind: type, error: type[ValueError] = ValueError) -> tuple[Any, ...]:
-    """`value` as a tuple if it is a list whose every item has the JSON type `kind`; else `error`."""
+def json_array(
+    name: str, value: Any, kind: type, error: type[ValueError] = ValueError, among: Container[Any] | None = None
+) -> tuple[Any, ...]:
+    """`value` as a tuple if it is a list of items that `json_value` accepts as `kind` and `among`; else `error`."""
     items = json_value(name, value, list, error)
-    return tuple(json_value(f"{name}[{i}]", item, kind, error) for i, item in enumerate(items))
+    return tuple(json_value(f"{name}[{i}]", item, kind, error, among) for i, item in enumerate(items))
 
 
 class JsonRecord:

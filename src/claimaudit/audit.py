@@ -16,8 +16,9 @@ from functools import cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _string_json
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
+from ._files import json_array, json_optional, json_value
 from ._rng import DeterministicStream
 from .core import (
     AnalysisDocument,
@@ -26,9 +27,7 @@ from .core import (
     CheckId,
     SCORE_LABELS,
     STANCE_LABELS,
-    SchemaError,
     derive_mask,
-    parse_check_id,
     validate_audit,
 )
 from .llm import Asker, LlmError, LlmReply, TokenUsage, approx_token_count, extract_json_object
@@ -191,58 +190,39 @@ def _extract_json(raw: str) -> Any:
 def parse_audit_response(raw: str, req: AuditRequest) -> list[AuditResult]:
     """Validate the wire payload and map labels to numeric scores/stances.
 
+    Every value is read by its JSON type; a wrong type, an unknown label
+    or a duplicate paper makes the response unparseable, hence retryable.
     Unknown paper ids are dropped with a warning; any requested paper
-    left unanswered makes the response incomplete, hence retryable.
+    left unanswered makes the response incomplete, hence retryable too.
     """
-    payload = _extract_json(raw)
-    if not isinstance(payload, dict) or "all_papers_audit" not in payload:
-        raise AuditParseError("audit response lacks the all_papers_audit key")
-    entries = payload["all_papers_audit"]
-    if not isinstance(entries, list):
-        raise AuditParseError("all_papers_audit must be an array")
+    error = AuditParseError
+    payload = json_value("audit response", _extract_json(raw), dict, error)
     known = {paper.paper_id for paper in req.papers}
-    results: list[AuditResult] = []
-    seen: set[str] = set()
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise AuditParseError("audit entries must be objects")
-        try:
-            paper_id = str(entry["paper_id"])
-            stance_label = entry["stance"]
-            checks = entry["checks"]
-        except KeyError as exc:
-            raise AuditParseError(f"audit entry missing field {exc.args[0]!r}") from None
+    results: dict[str, AuditResult] = {}
+    for i, entry in enumerate(json_array("all_papers_audit", payload.get("all_papers_audit"), dict, error)):
+        at = f"all_papers_audit[{i}]"
+        paper_id = json_value(f"{at}.paper_id", entry.get("paper_id"), str, error)
         if paper_id not in known:
             logger.warning("dropping audit for unknown paper id %r", paper_id)
             continue
-        if paper_id in seen:
+        if paper_id in results:
             raise AuditParseError(f"duplicate audit entry for paper {paper_id!r}")
-        seen.add(paper_id)
-        if stance_label not in STANCE_LABELS:
-            raise AuditParseError(f"unknown stance {stance_label!r} for paper {paper_id!r}")
-        if not isinstance(checks, dict):
-            raise AuditParseError(f"checks for paper {paper_id!r} must be an object")
+        stance = json_value(f"{at}.stance", entry.get("stance"), str, error, STANCE_LABELS)
         scores: dict[CheckId, float] = {}
         reasoning: dict[CheckId, str] = {}
-        for name, cell in checks.items():
-            try:
-                check = parse_check_id(name)
-            except SchemaError as exc:
-                raise AuditParseError(str(exc)) from None
-            if not isinstance(cell, dict) or "score" not in cell:
-                raise AuditParseError(f"check {name} for paper {paper_id!r} lacks a score")
-            score_label = cell["score"]
-            if score_label not in SCORE_LABELS:
-                raise AuditParseError(f"unknown score {score_label!r} for check {name}")
-            scores[check] = SCORE_LABELS[score_label]
-            reasoning[check] = str(cell.get("reasoning", ""))
-        results.append(
-            AuditResult(paper_id=paper_id, stance=STANCE_LABELS[stance_label], audit=AuditVector(scores, reasoning))
+        for name, cell in json_value(f"{at}.checks", entry.get("checks"), dict, error).items():
+            check = CheckId[json_value(f"{at}.checks", name, str, error, CheckId.__members__)]
+            where = f"{at}.checks.{name}"
+            json_value(where, cell, dict, error)
+            scores[check] = SCORE_LABELS[json_value(f"{where}.score", cell.get("score"), str, error, SCORE_LABELS)]
+            reasoning[check] = json_optional(f"{where}.reasoning", cell.get("reasoning"), str, error, default="")
+        results[paper_id] = AuditResult(
+            paper_id=paper_id, stance=STANCE_LABELS[stance], audit=AuditVector(scores, reasoning)
         )
-    missing = sorted(known - seen)
+    missing = sorted(known - results.keys())
     if missing:
         raise AuditParseError(f"audit response is missing papers: {missing}")
-    return results
+    return list(results.values())
 
 
 def render_audit_response(results: Sequence[AuditResult]) -> str:
@@ -289,14 +269,46 @@ def mock_audit(req: AuditRequest, seed: int) -> list[AuditResult]:
     return results
 
 
-def mock_audit_with_usage(
-    req: AuditRequest, seed: int, *, templates: Path | None = None
+def _audit_batches(
+    req: AuditRequest,
+    token_budget: int | None,
+    templates: Path | None,
+    answer: Callable[[AuditRequest, str, TokenUsage], list[AuditResult]],
 ) -> tuple[list[AuditResult], TokenUsage]:
-    """Mock audit plus approximate token accounting for the skipped call."""
-    results = mock_audit(req, seed)
+    """Audit `req` in one batch, or one batch per paper when its prompt is over `token_budget`.
+
+    `answer(batch, prompt, usage)` answers one batch and records its
+    usage. A single paper that alone exceeds the budget is a claim-level
+    failure. No budget (None) never splits.
+    """
     usage = TokenUsage()
-    usage.record(build_audit_prompt(req, templates=templates), LlmReply(text=render_audit_response(results)))
-    return results, usage
+    try:
+        prompt = build_audit_prompt(req, token_budget=token_budget, templates=templates)
+    except PromptBudgetError as exc:
+        if len(req.papers) == 1:
+            raise AuditFailureError(f"single paper exceeds the audit token budget: {exc}") from exc
+        logger.warning("splitting oversized audit batch into %d single-paper requests", len(req.papers))
+        results = []
+        for paper in req.papers:
+            single = AuditRequest(claim_text=req.claim_text, papers=(paper,))
+            sub_results, sub_usage = _audit_batches(single, token_budget, templates, answer)
+            results.extend(sub_results)
+            usage.merge(sub_usage)
+        return results, usage
+    return answer(req, prompt, usage), usage
+
+
+def mock_audit_with_usage(
+    req: AuditRequest, seed: int, *, templates: Path | None = None, token_budget: int | None = None
+) -> tuple[list[AuditResult], TokenUsage]:
+    """Mock audit plus approximate token accounting for the skipped calls, batched as `run_audit` batches."""
+
+    def answer(batch: AuditRequest, prompt: str, usage: TokenUsage) -> list[AuditResult]:
+        results = mock_audit(batch, seed)
+        usage.record(prompt, LlmReply(text=render_audit_response(results)))
+        return results
+
+    return _audit_batches(req, token_budget, templates, answer)
 
 
 def run_audit(
@@ -306,28 +318,18 @@ def run_audit(
 
     `asker` retries unparseable replies and retryable transport errors;
     exhausting them (or a single paper that alone exceeds the budget) is
-    a claim-level failure.
+    a claim-level failure. Each parsed audit is restricted to its
+    paper's applicable checks.
     """
-    usage = TokenUsage()
-    try:
-        prompt = build_audit_prompt(req, token_budget=token_budget, templates=asker.templates)
-    except PromptBudgetError as exc:
-        if len(req.papers) == 1:
-            raise AuditFailureError(f"single paper exceeds the audit token budget: {exc}") from exc
-        logger.warning("splitting oversized audit batch into %d single-paper requests", len(req.papers))
-        results = []
-        for paper in req.papers:
-            single = AuditRequest(claim_text=req.claim_text, papers=(paper,))
-            sub_results, sub_usage = run_audit(asker, single, token_budget=token_budget)
-            results.extend(sub_results)
-            usage.merge(sub_usage)
-        return results, usage
 
-    masks = {paper.paper_id: derive_mask(paper.analysis) for paper in req.papers}
-    try:
-        parsed = asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=req), usage)
-    except LlmError as exc:
-        raise AuditFailureError(f"audit transport failed: {exc}") from exc
-    except ValueError as exc:
-        raise AuditFailureError(f"audit response {exc}") from exc
-    return [replace(result, audit=validate_audit(result.audit, masks[result.paper_id])) for result in parsed], usage
+    def answer(batch: AuditRequest, prompt: str, usage: TokenUsage) -> list[AuditResult]:
+        try:
+            parsed = asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=batch), usage)
+        except LlmError as exc:
+            raise AuditFailureError(f"audit transport failed: {exc}") from exc
+        except ValueError as exc:
+            raise AuditFailureError(f"audit response {exc}") from exc
+        masks = {paper.paper_id: derive_mask(paper.analysis) for paper in batch.papers}
+        return [replace(result, audit=validate_audit(result.audit, masks[result.paper_id])) for result in parsed]
+
+    return _audit_batches(req, token_budget, asker.templates, answer)

@@ -24,6 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
+from ._files import json_array, json_optional, json_value
 from .audit import load_template, render_template
 from .core import Claim, Verdict
 from .llm import Asker, LlmError, TokenUsage, extract_json_object
@@ -239,61 +240,44 @@ _PROBE_VERDICTS: Mapping[str, Verdict] = {
 
 
 def _read_confidence(payload: Mapping[str, Any]) -> float:
-    raw = payload.get("confidence")
-    if raw is None:
-        return 0.5
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"confidence must be numeric, got {raw!r}")
-    if not 0 <= raw <= 100:
-        raise ValueError(f"confidence must be in 0..100, got {raw!r}")
-    return float(raw) / 100.0
+    confidence = json_optional("confidence", payload.get("confidence"), float, default=50.0)
+    if not 0 <= confidence <= 100:
+        raise ValueError(f"confidence must be in 0..100, got {confidence!r}")
+    return confidence / 100.0
 
 
 def _read_verdict(payload: Any) -> tuple[Verdict, str, float]:
-    if not isinstance(payload, dict):
-        raise ValueError("verdict payload must be a JSON object")
-    label = payload.get("verdict")
-    if label not in _BASELINE_VERDICTS:
-        raise ValueError(f"unknown verdict {label!r}")
-    return _BASELINE_VERDICTS[label], str(payload.get("justification", "")), _read_confidence(payload)
+    json_value("verdict payload", payload, dict)
+    label = json_value("verdict", payload.get("verdict"), str, among=_BASELINE_VERDICTS)
+    justification = json_optional("justification", payload.get("justification"), str, default="")
+    return _BASELINE_VERDICTS[label], justification, _read_confidence(payload)
 
 
 def _read_probe(payload: Any) -> tuple[Verdict, float]:
-    if not isinstance(payload, dict):
-        raise ValueError("probe payload must be a JSON object")
-    label = payload.get("verdict")
-    if label not in _PROBE_VERDICTS:
-        raise ValueError(f"unknown probe verdict {label!r}")
+    json_value("probe payload", payload, dict)
+    label = json_value("verdict", payload.get("verdict"), str, among=_PROBE_VERDICTS)
     return _PROBE_VERDICTS[label], _read_confidence(payload)
 
 
 def _read_critiques(payload: Any) -> list[Critique]:
-    if not isinstance(payload, dict) or not isinstance(payload.get("critiques"), list):
-        raise ValueError("critiques payload must carry a critiques array")
-    critiques = []
-    for entry in payload["critiques"]:
-        if not isinstance(entry, dict):
-            raise ValueError("each critique must be a JSON object")
-        relevance = entry.get("relevance")
-        support = entry.get("support")
-        if relevance not in (RELEVANT, IRRELEVANT):
-            raise ValueError(f"unknown relevance label {relevance!r}")
-        if support not in SUPPORT_LABELS:
-            raise ValueError(f"unknown support label {support!r}")
-        critiques.append(
-            Critique(
-                passage_id=str(entry.get("passage_id", "")),
-                relevance=relevance,
-                support=support,
-                note=str(entry.get("note", "")),
-            )
+    json_value("critiques payload", payload, dict)
+    return [
+        Critique(
+            passage_id=json_optional(f"critiques[{i}].passage_id", entry.get("passage_id"), str, default=""),
+            relevance=json_value(
+                f"critiques[{i}].relevance", entry.get("relevance"), str, among=(RELEVANT, IRRELEVANT)
+            ),
+            support=json_value(f"critiques[{i}].support", entry.get("support"), str, among=SUPPORT_LABELS),
+            note=json_optional(f"critiques[{i}].note", entry.get("note"), str, default=""),
         )
-    return critiques
+        for i, entry in enumerate(json_array("critiques", payload.get("critiques"), dict))
+    ]
 
 
 def _read_flare_initial(payload: Any) -> tuple[Verdict, str, float, str]:
     verdict, justification, confidence = _read_verdict(payload)
-    return verdict, justification, confidence, str(payload.get("request_full_review", "None"))
+    request = json_optional("request_full_review", payload.get("request_full_review"), str, default="None")
+    return verdict, justification, confidence, request
 
 
 @dataclass

@@ -89,15 +89,6 @@ class Verdict(str, enum.Enum):
     INVALID = "Invalid"
 
 
-def parse_check_id(raw: str | CheckId) -> CheckId:
-    if isinstance(raw, CheckId):
-        return raw
-    try:
-        return CheckId[raw]
-    except KeyError:
-        raise SchemaError(f"unknown check id {raw!r}") from None
-
-
 @dataclass(frozen=True)
 class Claim(JsonRecord):
     """A claim to verify, with its pre-computed features and ground truth."""

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ._files import json_object, json_value, read_json_lines, write_atomic
+from ._files import json_array, json_object, json_value, read_json_lines, write_atomic
 from ._rng import fnv1a64
 from .core import AnalysisDocument, Claim, SchemaError
 from .redundancy import tokenize
@@ -210,12 +210,12 @@ class _ChunkMatrix:
         return scores
 
 
-def _build_document(payload: Mapping[str, Any]) -> Document:
+def _build_document(payload: Any) -> Document:
     keys = {"id", "title", "source_uri", "retracted", "analysis", "chunks"}
     json_object("document", payload, keys, CorpusIntegrityError)
     doc_id = json_value("document id", payload["id"], str, CorpusIntegrityError)
     chunks = []
-    for raw in payload["chunks"]:
+    for raw in json_value(f"document {doc_id!r}: chunks", payload["chunks"], list, CorpusIntegrityError):
         what = f"chunk of document {doc_id!r}"
         json_object(what, raw, {"id", "ordinal", "text"}, CorpusIntegrityError)
         chunk_id = json_value(f"{what}: id", raw["id"], str, CorpusIntegrityError)
@@ -246,50 +246,36 @@ def _check_scenarios(scenarios: Mapping[str, Scenario], documents: Mapping[str, 
         raise CorpusIntegrityError(f"TY5 must exclude retracted TY0 documents: {sorted(overlap)}")
 
 
-def _build_corpus(payload: Mapping[str, Any]) -> Corpus:
-    json_object("manifest", payload, {"documents", "claims", "scenarios", "evidence_map"}, CorpusIntegrityError)
+def _by_id(what: str, items: Iterable[Any]) -> dict[str, Any]:
+    """`items` keyed by their `id`, in order; an id that repeats is an integrity error."""
+    by_id: dict[str, Any] = {}
+    for item in items:
+        if by_id.setdefault(item.id, item) is not item:
+            raise CorpusIntegrityError(f"duplicate {what} id {item.id!r}")
+    return by_id
 
-    documents: dict[str, Document] = {}
-    chunk_ids: set[str] = set()
-    for raw in payload["documents"]:
-        document = _build_document(raw)
-        if document.id in documents:
-            raise CorpusIntegrityError(f"duplicate document id {document.id!r}")
-        for chunk in document.chunks:
-            if chunk.id in chunk_ids:
-                raise CorpusIntegrityError(f"duplicate chunk id {chunk.id!r}")
-            chunk_ids.add(chunk.id)
-        documents[document.id] = document
 
-    claims: dict[str, Claim] = {}
-    for raw in payload["claims"]:
-        claim = Claim.from_json(raw)
-        if claim.id in claims:
-            raise CorpusIntegrityError(f"duplicate claim id {claim.id!r}")
-        claims[claim.id] = claim
+def _build_corpus(payload: Any) -> Corpus:
+    error = CorpusIntegrityError
+    json_object("manifest", payload, {"documents", "claims", "scenarios", "evidence_map"}, error)
+    documents = _by_id("document", map(_build_document, json_value("documents", payload["documents"], list, error)))
+    chunks = _by_id("chunk", (chunk for document in documents.values() for chunk in document.chunks))
+    claims = _by_id("claim", map(Claim.from_json, json_value("claims", payload["claims"], list, error)))
 
-    raw_scenarios = json_object("scenarios", payload["scenarios"], set(SCENARIO_LABELS), CorpusIntegrityError)
-    scenarios: dict[str, Scenario] = {}
-    for label in SCENARIO_LABELS:
-        members = [str(doc_id) for doc_id in raw_scenarios[label]]
-        for doc_id in members:
-            if doc_id not in documents:
-                raise CorpusIntegrityError(f"scenario {label} references unknown document {doc_id!r}")
-        scenarios[label] = Scenario(label=label, member_doc_ids=frozenset(members))
+    raw_scenarios = json_object("scenarios", payload["scenarios"], set(SCENARIO_LABELS), error)
+    scenarios = {
+        label: Scenario(
+            label=label,
+            member_doc_ids=frozenset(json_array(f"scenarios.{label}", raw_scenarios[label], str, error, documents)),
+        )
+        for label in SCENARIO_LABELS
+    }
     _check_scenarios(scenarios, documents)
 
-    evidence_map: dict[str, tuple[str, ...]] = {}
-    raw_map = json_value("evidence_map", payload["evidence_map"], dict, CorpusIntegrityError)
-    for claim_id, chunk_list in raw_map.items():
-        if claim_id not in claims:
-            raise CorpusIntegrityError(f"evidence_map references unknown claim {claim_id!r}")
-        for chunk_id in chunk_list:
-            if chunk_id not in chunk_ids:
-                raise CorpusIntegrityError(
-                    f"evidence_map for claim {claim_id!r} references unknown chunk {chunk_id!r}"
-                )
-        evidence_map[claim_id] = tuple(str(chunk_id) for chunk_id in chunk_list)
-
+    evidence_map = {}
+    for claim_id, chunk_ids in json_value("evidence_map", payload["evidence_map"], dict, error).items():
+        json_value("evidence_map claim", claim_id, str, error, claims)
+        evidence_map[claim_id] = json_array(f"evidence_map.{claim_id}", chunk_ids, str, error, chunks)
     return Corpus(documents=documents, claims=claims, scenarios=scenarios, evidence_map=evidence_map)
 
 

@@ -277,7 +277,9 @@ def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> Ce
     papers = _papers_for(ctx.corpus, chunks)
     request = AuditRequest(claim_text=claim.text, papers=papers)
     if ctx.mock:
-        results, usage = mock_audit_with_usage(request, ctx.seed, templates=ctx.asker.templates)
+        results, usage = mock_audit_with_usage(
+            request, ctx.seed, templates=ctx.asker.templates, token_budget=ctx.token_budget
+        )
     else:
         results, usage = run_audit(ctx.asker, request, token_budget=ctx.token_budget)
 

@@ -29,7 +29,6 @@ from .core import (
     STANCE_SUPPORTS,
     ApplicabilityMask,
     AuditVector,
-    validate_audit,
 )
 
 
@@ -103,8 +102,7 @@ def intrinsic_quality(audit: AuditVector, mask: ApplicabilityMask) -> float:
     """
     if mask.k == 0:
         raise NoApplicableChecksError("no applicable checks")
-    restricted = validate_audit(audit, mask)
-    total = sum(restricted.scores.get(check, 0.0) for check in mask.applicable_checks())
+    total = sum(audit.scores.get(check, 0.0) for check in mask.applicable_checks())
     return total / mask.k
 
 

@@ -251,6 +251,13 @@ class TestParseAuditResponse:
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C1": {"score": "Meh"}}}]}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C99": {"score": "Pass"}}}]}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports"}]}',
+            '{"all_papers_audit": [{"paper_id": "D01", "stance": ["Supports"], "checks": {}}]}',
+            '{"all_papers_audit": [{"paper_id": ["D01"], "stance": "Supports", "checks": {}}]}',
+            '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": ["C1"]}]}',
+            '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C1": {"score": ["Pass"]}}}]}',
+            '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C1": {"score": "Pass", '
+            '"reasoning": 3}}}]}',
+            '[{"paper_id": "D01", "stance": "Supports", "checks": {}}]',
         ],
     )
     def test_malformed_payloads_raise_parse_error(self, raw):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -341,6 +342,34 @@ class TestRunCot:
         assert client.titles == ["cot_verdict"] * 4
         assert sleeps == [1.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize(
+        "reply,message",
+        [
+            ('{"verdict": ["Valid"], "confidence": 50}', "verdict: expected a string, got ['Valid']"),
+            ('{"verdict": {"Valid": 1}}', "verdict: expected a string, got {'Valid': 1}"),
+            ('{"verdict": "Valid", "justification": 5}', "justification: expected a string, got 5"),
+            ('{"verdict": "Valid", "confidence": "high"}', "confidence: expected a number, got 'high'"),
+            ('{"verdict": "Valid", "confidence": true}', "confidence: expected a number, got True"),
+            ('{"verdict": "Valid", "confidence": 1%s}' % ("0" * 400), "confidence: expected a number, got an integer"),
+            ("[1, 2]", "verdict payload: expected an object, got [1, 2]"),
+        ],
+        ids=[
+            "list-verdict", "object-verdict", "int-justification", "string-confidence", "bool-confidence",
+            "huge-confidence", "list",
+        ],
+    )
+    def test_mistyped_reply_is_unparseable_and_retried(self, reply, message):
+        client = _TitleClient({"cot_verdict": reply})
+        with pytest.raises(ValueError, match=re.escape(f"cot_verdict reply unparseable after 4 attempts: {message}")):
+            run_cot(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS)
+        assert client.titles == ["cot_verdict"] * 4
+
+    @pytest.mark.parametrize("justification", ["null", '""'])
+    def test_null_justification_reads_empty(self, justification):
+        reply = f'{{"verdict": "Valid", "justification": {justification}}}'
+        result = run_cot(Asker(_TitleClient({"cot_verdict": reply}), sleep=None), make_claim(), SNIPPETS)
+        assert (result.verdict, result.justification) == (Verdict.VALID, "")
+
     def test_scripted_run_is_deterministic(self):
         claim = make_claim()
         client = script(
@@ -475,6 +504,16 @@ class TestRunFlare:
             result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {"D02": "text"})
         assert result.verdict is Verdict.VALID
         assert "P99" in caplog.text
+
+    # Only null reads as "None"; an empty string is a request that names no listed paper.
+    @pytest.mark.parametrize("request_json,warned", [("null", False), ('"None"', False), ('""', True)])
+    def test_only_a_null_request_reads_as_none(self, caplog, request_json, warned):
+        initial = f'{{"verdict": "Valid", "justification": "x", "request_full_review": {request_json}}}'
+        client = _TitleClient({"flare_initial_verdict": initial})
+        with caplog.at_level("WARNING"):
+            result = run_flare(Asker(client, sleep=None), make_claim(), SNIPPETS, {})
+        assert (result.verdict, client.titles) == (Verdict.VALID, ["flare_initial_verdict"])
+        assert ("matches no listed paper id" in caplog.text) is warned
 
     def test_listed_id_without_stored_text_keeps_first_verdict(self, caplog):
         claim = make_claim()

@@ -338,13 +338,25 @@ class TestIngestAndEmbed:
         assert main(["--config", str(config_path), "ingest"]) == 1
         assert "GHOST" in capsys.readouterr().err
 
-    def test_manifest_entry_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "spoil,message",
+        [
+            (lambda m: m["claims"].__setitem__(0, ["not", "an", "object"]),
+             "claim payload: expected an object, got ['not', 'an', 'object']"),
+            (lambda m: m["scenarios"].update(TY0=5), "scenarios.TY0: expected a list, got 5"),
+            (lambda m: m["documents"][0].update(chunks=7), "document 'D01': chunks: expected a list, got 7"),
+            (lambda m: m.update(claims="K01"), "claims: expected a list, got 'K01'"),
+            (lambda m: m["evidence_map"].update(K01="D01-c0"), "evidence_map.K01: expected a list, got 'D01-c0'"),
+        ],
+        ids=["list-claim", "int-scenario", "int-chunks", "string-claims", "string-evidence-list"],
+    )
+    def test_manifest_entry_that_is_not_an_object_exits_1(self, tmp_path, capsys, spoil, message):
         config_path = setup_workspace(tmp_path)
         payload = make_manifest()
-        payload["claims"][0] = ["not", "an", "object"]
+        spoil(payload)
         (tmp_path / "manifest.json").write_text(json.dumps(payload), encoding="utf-8")
         assert main(["--config", str(config_path), "ingest"]) == 1
-        assert capsys.readouterr().err == "error: claim payload: expected an object, got ['not', 'an', 'object']\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_embed_populates_embeddings(self, tmp_path):
         config_path = setup_workspace(tmp_path)

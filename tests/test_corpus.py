@@ -202,13 +202,19 @@ class TestIngest:
              "chunk of document 'D01': expected an object, got 'D01-c0'"),
             (lambda m: m.update(scenarios=list(SCENARIO_LABELS)), "scenarios: expected an object, got"),
             (lambda m: m.update(evidence_map=[]), r"evidence_map: expected an object, got \[\]"),
+            (lambda m: m["scenarios"].update(TY0=5), "scenarios.TY0: expected a list, got 5"),
+            (lambda m: m["documents"][0].update(chunks=7), "document 'D01': chunks: expected a list, got 7"),
+            (lambda m: m["evidence_map"].update(K01=3), "evidence_map.K01: expected a list, got 3"),
+            (lambda m: m.update(documents={}), r"documents: expected a list, got \{\}"),
+            (lambda m: m["scenarios"]["TY3"].append(1), r"scenarios.TY3\[\d+\]: expected a string, got 1"),
         ],
         ids=[
             "is_applicable", "retracted", "float-ordinal", "bool-ordinal", "float-specificity", "bool-testability",
             "int-document-id", "null-title", "int-source-uri", "int-chunk-id", "int-chunk-text", "int-claim-id",
             "int-claim-text", "null-topic", "int-claim-type", "unknown-standard", "unknown-ground-truth",
             "null-objective-analysis", "int-data-availability", "list-claim", "list-document", "string-chunk",
-            "list-scenarios", "list-evidence-map",
+            "list-scenarios", "list-evidence-map", "int-scenario", "int-chunks", "int-evidence-list",
+            "object-documents", "int-scenario-member",
         ],
     )
     def test_mistyped_field_is_rejected_by_name(self, tmp_path, spoil, needle):

@@ -13,10 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import claimaudit.evaluation as evaluation
 from claimaudit.audit import (
     BATCH_AUDIT_SCHEMA,
+    DEFAULT_TOKEN_BUDGET,
     AuditRequest,
     PaperToAudit,
     load_template,
@@ -56,6 +59,7 @@ from claimaudit.llm import LlmClient, LlmReply, LlmTransportError, MockLlm
 from claimaudit.scoring import HvParams, Tallies, make_contribution
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
+from json_strategies import or_any
 from oracles import cohen_kappa_exact, gwet_ac1_exact, macro_f1_exact, mcc_exact
 from scripted_llm import ScriptedTranscript
 from test_corpus import make_corpus, make_manifest, replicated_fixture_manifest
@@ -465,10 +469,12 @@ class TestCellDispatch:
         assert len(calls) == 3
 
 
-def _run_fixtures(corpus, scenarios, *, mock, client=None, methods=ALL_METHODS, templates=None):
+def _run_fixtures(
+    corpus, scenarios, *, mock, client=None, methods=ALL_METHODS, templates=None, token_budget=DEFAULT_TOKEN_BUDGET
+):
     return run_matrix(
         corpus, methods, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
-        seed=7, mock=mock, client=client, sleep=lambda _: None, templates=templates,
+        seed=7, mock=mock, client=client, sleep=lambda _: None, templates=templates, token_budget=token_budget,
     ).records
 
 
@@ -603,13 +609,115 @@ class _MockReplayClient(LlmClient):
 
 
 class TestLiveEqualsMock:
-    @pytest.mark.parametrize("replicas", [2, 3])
-    def test_live_records_equal_mock_records(self, tmp_path, replicas):
+    # At 2000 tokens some batches split into one request per paper; at 600
+    # every paper alone is over the budget, so every audit cell fails.
+    @pytest.mark.parametrize(
+        "replicas,token_budget",
+        [
+            pytest.param(2, DEFAULT_TOKEN_BUDGET, id="2"),
+            pytest.param(3, DEFAULT_TOKEN_BUDGET, id="3"),
+            pytest.param(2, 2000, id="2-budget-2000"),
+            pytest.param(2, 600, id="2-budget-600"),
+        ],
+    )
+    def test_live_records_equal_mock_records(self, tmp_path, replicas, token_budget):
         corpus = embed_chunks(make_corpus(tmp_path, replicated_fixture_manifest(replicas)), HashEmbedder())
-        mock = _run_fixtures(corpus, SCENARIOS, mock=True)
-        live = _run_fixtures(corpus, SCENARIOS, mock=False, client=_MockReplayClient(7))
+        mock = _run_fixtures(corpus, SCENARIOS, mock=True, token_budget=token_budget)
+        live = _run_fixtures(corpus, SCENARIOS, mock=False, client=_MockReplayClient(7), token_budget=token_budget)
         assert sum(record.failure is None for record in mock) > len(mock) // 2
+        audit = [record for record in mock if record.method == "audit"]
+        if token_budget == 600:
+            assert all(record.verdict is None for record in audit)
+        elif token_budget == 2000:
+            unsplit = _run_fixtures(corpus, SCENARIOS, mock=True, methods=("audit",))
+            assert sum(record.tokens_in for record in audit) > sum(record.tokens_in for record in unsplit)
         assert dump_records(live) == dump_records(mock)
+
+
+def _verdict_reply(labels, **extra):
+    """A verdict turn's reply: each field a valid value or any JSON value."""
+    return st.fixed_dictionaries(
+        {
+            "verdict": or_any(st.sampled_from(labels)),
+            "justification": or_any(st.text(max_size=6)),
+            "confidence": or_any(st.integers(0, 100)),
+            **extra,
+        }
+    )
+
+
+_AUDIT_CHECK = or_any(
+    st.fixed_dictionaries(
+        {"score": or_any(st.sampled_from(["Pass", "Uncertain", "Fail"])), "reasoning": or_any(st.text(max_size=6))}
+    )
+)
+_CRITIQUE = st.fixed_dictionaries(
+    {
+        "passage_id": or_any(st.sampled_from(["S1", "S2"])),
+        "relevance": or_any(st.sampled_from(["Relevant", "Irrelevant"])),
+        "support": or_any(st.sampled_from(["Fully Supported", "Partially Supported", "Contradictory", "No Support"])),
+        "note": or_any(st.text(max_size=6)),
+    }
+)
+_DRAWN_REPLIES = {
+    "cot_verdict": _verdict_reply(["Valid", "Invalid", "Unverifiable"]),
+    "selfrag_verdict": _verdict_reply(["Valid", "Invalid", "Unverifiable"]),
+    "flare_final_verdict": _verdict_reply(["Valid", "Invalid", "Unverifiable"]),
+    "flare_initial_verdict": _verdict_reply(
+        ["Valid", "Invalid", "Unverifiable"], request_full_review=or_any(st.sampled_from(["None", "D01", "P999"]))
+    ),
+    "ciber_probe_verdict": _verdict_reply(["Agree", "Disagree", "Neutral"]),
+    "selfrag_critiques": st.fixed_dictionaries({"critiques": or_any(st.lists(_CRITIQUE, max_size=3))}),
+}
+
+
+class _DrawnReplies(LlmClient):
+    """Answers each turn with a reply drawn for its schema, any field of it possibly of the wrong JSON type."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def complete(self, prompt, *, schema=None):
+        title = schema["title"]
+        if title == "batch_audit_response":
+            entry = st.fixed_dictionaries(
+                {
+                    "paper_id": or_any(st.sampled_from(re.findall(r'"paper_id": "([^"]+)"', prompt))),
+                    "stance": or_any(st.sampled_from(["Supports", "Refutes", "Neutral"])),
+                    "checks": or_any(st.dictionaries(st.sampled_from([check.name for check in CheckId]), _AUDIT_CHECK)),
+                }
+            )
+            reply = st.fixed_dictionaries({"all_papers_audit": or_any(st.lists(entry, max_size=3))})
+        else:
+            reply = _DRAWN_REPLIES[title]
+        return LlmReply(text=self.data.draw(or_any(reply).map(json.dumps) | st.text(max_size=6), label=title))
+
+
+class TestDrawnReplies:
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """A one-claim corpus (K01, pinned evidence) and a two-claim one (K02 retrieves)."""
+        one_claim, two_claims = make_manifest(), make_manifest()
+        del one_claim["claims"][1]
+        return [
+            embed_chunks(make_corpus(tmp_path_factory.mktemp("drawn"), payload), HashEmbedder())
+            for payload in (one_claim, two_claims)
+        ]
+
+    # Many turns draw from one example, so an example can run past Hypothesis's data budget.
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_cell_is_a_verdict_or_a_failure(self, corpora, data):
+        corpus = data.draw(st.sampled_from(corpora), label="corpus")
+        scenarios = ("TY0", "TY3")
+        records = run_matrix(
+            corpus, ALL_METHODS, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
+            seed=7, mock=False, client=_DrawnReplies(data), retries=1, sleep=lambda _: None,
+        ).records
+        assert [(record.claim_id, record.method, record.scenario) for record in records] == list(
+            itertools.product(corpus.claims, ALL_METHODS, scenarios)
+        )
+        assert all((record.verdict is None) != (record.failure is None) for record in records)
 
 
 # Every template a run renders, and the schema title of the turn it asks.

@@ -1,4 +1,4 @@
-"""File helper tests: atomic writes and the JSON codec of the stored record types."""
+"""File helper tests: atomic writes, the typed JSON readers and the JSON codec of the stored record types."""
 
 import json
 import re
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimaudit._files import write_atomic
+from claimaudit._files import json_array, json_optional, json_value, write_atomic
 from claimaudit.calibration import CalibrationRecord
 from claimaudit.core import (
     ALL_CHECKS,
@@ -138,6 +138,33 @@ RECORD_IDS = [cls.__name__ for cls in RECORDS]
 
 def _through_json_text(payload):
     return json.loads(json.dumps(payload))
+
+
+class TestTypedReaders:
+    @pytest.mark.parametrize(
+        "value,message",
+        [(["Valid"], "verdict: expected a string, got ['Valid']"), ("Maybe", "verdict: unknown 'Maybe'")],
+    )
+    def test_a_label_is_checked_as_a_string_before_the_lookup(self, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            json_value("verdict", value, str, among={"Valid": 1})
+        assert json_value("verdict", "Valid", str, among={"Valid": 1}) == "Valid"
+
+    def test_an_array_item_outside_the_known_set_is_named_by_its_position(self):
+        assert json_array("ids", ["a", "b"], str, among={"a", "b"}) == ("a", "b")
+        with pytest.raises(ValueError, match=re.escape("ids[1]: unknown 'c'")):
+            json_array("ids", ["a", "c"], str, among={"a", "b"})
+
+    def test_an_integer_too_large_for_a_float_is_named(self):
+        with pytest.raises(ValueError, match="^confidence: expected a number, got an integer too large for one$"):
+            json_value("confidence", 10**400, float)
+
+    def test_only_null_reads_as_the_default(self):
+        assert json_optional("note", None, str, default="") == ""
+        assert json_optional("flag", None, str, default="None") == "None"
+        assert json_optional("flag", "", str, default="None") == ""
+        with pytest.raises(ValueError, match=re.escape("note: expected a string, got 5")):
+            json_optional("note", 5, str, default="")
 
 
 class TestRecordCodec:

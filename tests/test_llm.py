@@ -4,6 +4,8 @@ import json
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimaudit.llm import (
     Asker,
@@ -20,6 +22,7 @@ from claimaudit.llm import (
     extract_json_object,
 )
 
+from json_strategies import ANY_JSON, or_any
 from scripted_llm import ScriptedTranscript, ScriptMissError, prompt_fingerprint
 
 
@@ -336,6 +339,49 @@ class TestHttpChatClient:
 
         assert Asker(client, sleep=sleep).ask("p", {}, str, TokenUsage()) == "ok"
         assert free == [True, True]
+
+
+class _TextResponse(_FakeResponse):
+    """A response whose body is the text `_payload`; `json()` raises ValueError on a body that is not JSON."""
+
+    def json(self):
+        return json.loads(self._payload)
+
+
+_BODIES = st.one_of(
+    st.builds(
+        lambda text, usage: json.dumps(_chat_payload(text, usage)),
+        or_any(st.text(max_size=8)),
+        st.none() | st.fixed_dictionaries({"prompt_tokens": or_any(st.integers(0, 99)), "completion_tokens": ANY_JSON}),
+    ),
+    ANY_JSON.map(json.dumps),
+    st.text(max_size=8),
+)
+
+_OUTCOMES = st.one_of(
+    st.builds(
+        _TextResponse,
+        _BODIES,
+        st.sampled_from([200, 400, 404, 429, 500, 503]),
+        st.dictionaries(st.just("Retry-After"), st.integers(0, 120).map(str) | st.text(max_size=4), max_size=1),
+    ),
+    st.builds(requests.ConnectionError, st.just("down")),
+    st.builds(requests.Timeout, st.just("slow")),
+)
+
+
+class TestDrawnTransport:
+    @settings(max_examples=150, deadline=None)
+    @given(outcomes=st.lists(_OUTCOMES, min_size=4, max_size=4), retries=st.integers(0, 3))
+    def test_only_transport_or_parse_errors_escape(self, outcomes, retries):
+        session, sleeps = _FakeSession(outcomes), []
+        asker = Asker(_client(session), retries=retries, sleep=sleeps.append)
+        try:
+            asker.ask("p", {"title": "t"}, extract_json_object, TokenUsage())
+        except (LlmTransportError, ValueError):
+            pass
+        assert len(session.calls) <= retries + 1
+        assert all(0 <= wait <= MAX_RETRY_AFTER_S for wait in sleeps)
 
 
 VERDICT_SCHEMA = {"title": "cot_verdict"}

@@ -1,10 +1,12 @@
 """The package keeps no module-level state that its functions rebind,
-and one place applies the retry policy.
+one place applies the retry policy, and JSON from outside is read by type.
 
 A `global` statement lets one call change what every later call in the
 process sees; per-run values belong to the objects a run creates (the
 `Asker` carries the template directory, for one). Every LLM call goes
-through `Asker.ask`, so no second retry loop can wrap a client call.
+through `Asker.ask`, so no second retry loop can wrap a client call. The
+manifest and LLM reply readers go through `_files`' typed readers, so a
+wrong type fails by name instead of being checked by hand or coerced.
 """
 
 import ast
@@ -78,3 +80,27 @@ def test_only_the_asker_calls_a_client():
         for caller in _complete_callers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert callers == ["llm.py:Asker.ask"]
+
+
+# The readers of a manifest and of LLM replies, by module.
+_TYPED_READERS = {
+    "corpus.py": ("_build_document", "_build_corpus"),
+    "baselines.py": ("_read_confidence", "_read_verdict", "_read_probe", "_read_critiques", "_read_flare_initial"),
+    "audit.py": ("parse_audit_response",),
+}
+
+
+@pytest.mark.parametrize(
+    "module,reader",
+    [(module, reader) for module, readers in _TYPED_READERS.items() for reader in readers],
+    ids=[f"{module}:{reader}" for module, readers in _TYPED_READERS.items() for reader in readers],
+)
+def test_outside_json_is_read_by_the_typed_readers(module, reader):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == reader]
+    by_hand = [
+        f"line {node.lineno}: {node.func.id}(...)"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "str")
+    ]
+    assert by_hand == []
