@@ -10,7 +10,7 @@ the final evidence score in (0, 1).
 from pathlib import Path
 
 from claimaudit.audit import AuditRequest, PaperToAudit, mock_audit_with_usage
-from claimaudit.core import STANCE_REFUTES, STANCE_SUPPORTS, derive_mask
+from claimaudit.core import STANCE_REFUTES, STANCE_SUPPORTS
 from claimaudit.corpus import evidence_for_claim, ingest
 from claimaudit.scoring import HvParams, aggregate, hv, intrinsic_quality, log_odds, make_contribution
 
@@ -46,11 +46,11 @@ def main() -> None:
 
     contributions = []
     for result in results:
-        mask = derive_mask(corpus.document(result.paper_id).analysis)
-        quality = intrinsic_quality(result.audit, mask)
+        checks = corpus.document(result.paper_id).analysis.applicable_checks
+        quality = intrinsic_quality(result.audit, checks)
         scores = ", ".join(f"{check.name}={score:g}" for check, score in sorted(result.audit.scores.items()))
         print(f"  {result.paper_id}: {STANCE_NAMES[result.stance]:8s} "
-              f"q={quality:.3f} over {mask.k} applicable checks ({scores})")
+              f"q={quality:.3f} over {len(checks)} applicable checks ({scores})")
         # Redundancy weighting is covered in demo 02; treat every document
         # as fresh evidence here.
         contributions.append(make_contribution(result.paper_id, result.stance, quality, weight=1.0))

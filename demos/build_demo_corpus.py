@@ -15,7 +15,7 @@ from pathlib import Path
 
 from claimaudit._rng import DeterministicStream
 from claimaudit.calibration import simulate_flawed_audit
-from claimaudit.core import ALL_CHECKS, CheckId, derive_mask
+from claimaudit.core import ALL_CHECKS
 from claimaudit.corpus import ingest
 from claimaudit.scoring import intrinsic_quality
 
@@ -178,8 +178,7 @@ def build_calibration_records() -> list[dict]:
         for j in range(stream.randint(2, 4)):
             checks = stream.sample(list(ALL_CHECKS), stream.randint(3, 8))
             audit = simulate_flawed_audit(SEED * 1000 + i * 10 + j, checks)
-            mask = _mask_for(checks)
-            quality = intrinsic_quality(audit, mask)
+            quality = intrinsic_quality(audit, tuple(sorted(checks)))
             if verdict == "Support":
                 stance = stream.weighted_choice([(1, 70), (-1, 15), (0, 15)])
             elif verdict == "Contradict":
@@ -208,24 +207,6 @@ def build_calibration_records() -> list[dict]:
             }
         )
     return records
-
-
-def _mask_for(checks):
-    from claimaudit.core import AnalysisDocument, CheckSignal, GlobalIntegritySignals
-
-    analysis = AnalysisDocument(
-        global_integrity_signals=GlobalIntegritySignals(
-            funding_transparency="declared", conflict_of_interest="none", data_availability="open"
-        ),
-        veritable_check_signals={
-            check: CheckSignal(
-                is_applicable=check in set(checks),
-                objective_analysis="reviewed" if check in set(checks) else "N/A",
-            )
-            for check in ALL_CHECKS
-        },
-    )
-    return derive_mask(analysis)
 
 
 def build_config() -> dict:
@@ -260,7 +241,7 @@ def check_invariants(manifest_path: Path) -> None:
     ]
     assert sorted(retracted_ty0) == ["D07", "D08"]
     for doc in corpus.documents.values():
-        assert derive_mask(doc.analysis).k >= 1, f"{doc.id} has no applicable checks"
+        assert doc.analysis.applicable_checks, f"{doc.id} has no applicable checks"
     for cid, chunk_ids in corpus.evidence_map.items():
         chunks = [corpus.chunk(chunk_id) for chunk_id in chunk_ids]
         for label, scenario in corpus.scenarios.items():

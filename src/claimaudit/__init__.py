@@ -27,9 +27,9 @@ _EXPORTS = {
     ),
     "config": ("LlmSettings", "RunConfig", "load_config"),
     "core": (
-        "ALL_CHECKS", "AnalysisDocument", "ApplicabilityMask", "AuditResult", "AuditVector", "CheckId", "Claim",
-        "ClaimType", "RequiredStandard", "STANCE_NEUTRAL", "STANCE_REFUTES", "STANCE_SUPPORTS", "SchemaError",
-        "Verdict", "derive_mask", "map_verdict",
+        "ALL_CHECKS", "AnalysisDocument", "AuditResult", "AuditVector", "CheckId", "Claim", "ClaimType",
+        "RequiredStandard", "STANCE_NEUTRAL", "STANCE_REFUTES", "STANCE_SUPPORTS", "SchemaError", "Verdict",
+        "map_verdict",
     ),
     "corpus": (
         "Corpus", "CorpusIntegrityError", "Document", "EmbeddingError", "EvidenceChunk", "HashEmbedder",

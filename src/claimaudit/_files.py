@@ -48,8 +48,9 @@ def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
 def read_json_lines(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
     """Parse each non-blank line of a JSON-lines file with `parse`, in file order.
 
-    A line that is not JSON, or that `parse` rejects with ValueError,
-    KeyError or TypeError, raises ValueError("<path>:<line>: bad <what>: ...").
+    A line that is not JSON or nests deeper than the recursion limit, or
+    that `parse` rejects with ValueError, KeyError or TypeError, raises
+    ValueError("<path>:<line>: bad <what>: ...").
     """
     items = []
     with Path(path).open(encoding="utf-8") as handle:
@@ -57,7 +58,7 @@ def read_json_lines(path: str | Path, what: str, parse: Callable[[Any], T]) -> l
             try:
                 if line.strip():
                     items.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad {what}: {exc}") from exc
     return items
 

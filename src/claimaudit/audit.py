@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _string_json
@@ -27,8 +27,6 @@ from .core import (
     CheckId,
     SCORE_LABELS,
     STANCE_LABELS,
-    derive_mask,
-    validate_audit,
 )
 from .llm import Asker, LlmError, LlmReply, TokenUsage, approx_token_count, extract_json_object
 
@@ -192,17 +190,19 @@ def parse_audit_response(raw: str, req: AuditRequest) -> list[AuditResult]:
 
     Every value is read by its JSON type; a wrong type, an unknown label
     or a duplicate paper makes the response unparseable, hence retryable.
-    Unknown paper ids are dropped with a warning; any requested paper
-    left unanswered makes the response incomplete, hence retryable too.
+    Unknown paper ids are dropped with a warning, and so is a score on a
+    check the paper's analysis marks inapplicable: an auditor may
+    over-answer, and such scores do not count. Any requested paper left
+    unanswered makes the response incomplete, hence retryable too.
     """
     error = AuditParseError
     payload = json_value("audit response", _extract_json(raw), dict, error)
-    known = {paper.paper_id for paper in req.papers}
+    applicable = {paper.paper_id: paper.analysis.applicable_checks for paper in req.papers}
     results: dict[str, AuditResult] = {}
     for i, entry in enumerate(json_array("all_papers_audit", payload.get("all_papers_audit"), dict, error)):
         at = f"all_papers_audit[{i}]"
         paper_id = json_value(f"{at}.paper_id", entry.get("paper_id"), str, error)
-        if paper_id not in known:
+        if paper_id not in applicable:
             logger.warning("dropping audit for unknown paper id %r", paper_id)
             continue
         if paper_id in results:
@@ -214,12 +214,17 @@ def parse_audit_response(raw: str, req: AuditRequest) -> list[AuditResult]:
             check = CheckId[json_value(f"{at}.checks", name, str, error, CheckId.__members__)]
             where = f"{at}.checks.{name}"
             json_value(where, cell, dict, error)
-            scores[check] = SCORE_LABELS[json_value(f"{where}.score", cell.get("score"), str, error, SCORE_LABELS)]
-            reasoning[check] = json_optional(f"{where}.reasoning", cell.get("reasoning"), str, error, default="")
+            score = SCORE_LABELS[json_value(f"{where}.score", cell.get("score"), str, error, SCORE_LABELS)]
+            why = json_optional(f"{where}.reasoning", cell.get("reasoning"), str, error, default="")
+            if check not in applicable[paper_id]:
+                logger.warning("dropping audit score for inapplicable check %s", check.name)
+                continue
+            scores[check] = score
+            reasoning[check] = why
         results[paper_id] = AuditResult(
             paper_id=paper_id, stance=STANCE_LABELS[stance], audit=AuditVector(scores, reasoning)
         )
-    missing = sorted(known - results.keys())
+    missing = sorted(applicable.keys() - results.keys())
     if missing:
         raise AuditParseError(f"audit response is missing papers: {missing}")
     return list(results.values())
@@ -262,7 +267,7 @@ def mock_audit(req: AuditRequest, seed: int) -> list[AuditResult]:
         stance = STANCE_LABELS[stream.weighted_choice(_MOCK_STANCE_WEIGHTS)]
         scores: dict[CheckId, float] = {}
         reasoning: dict[CheckId, str] = {}
-        for check in derive_mask(paper.analysis).applicable_checks():
+        for check in paper.analysis.applicable_checks:
             scores[check] = stream.weighted_choice(_MOCK_SCORE_WEIGHTS)
             reasoning[check] = f"mock audit of {check.name}"
         results.append(AuditResult(paper_id=paper.paper_id, stance=stance, audit=AuditVector(scores, reasoning)))
@@ -318,18 +323,15 @@ def run_audit(
 
     `asker` retries unparseable replies and retryable transport errors;
     exhausting them (or a single paper that alone exceeds the budget) is
-    a claim-level failure. Each parsed audit is restricted to its
-    paper's applicable checks.
+    a claim-level failure.
     """
 
     def answer(batch: AuditRequest, prompt: str, usage: TokenUsage) -> list[AuditResult]:
         try:
-            parsed = asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=batch), usage)
+            return asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=batch), usage)
         except LlmError as exc:
             raise AuditFailureError(f"audit transport failed: {exc}") from exc
         except ValueError as exc:
             raise AuditFailureError(f"audit response {exc}") from exc
-        masks = {paper.paper_id: derive_mask(paper.analysis) for paper in batch.papers}
-        return [replace(result, audit=validate_audit(result.audit, masks[result.paper_id])) for result in parsed]
 
     return _audit_batches(req, token_budget, asker.templates, answer)

@@ -147,8 +147,20 @@ class Critique:
     note: str = ""
 
 
+_BASELINE_VERDICTS: Mapping[str, Verdict] = {
+    "Valid": Verdict.VALID,
+    "Invalid": Verdict.INVALID,
+    "Unverifiable": Verdict.UNVERIFIABLE,
+}
+
+_PROBE_VERDICTS: Mapping[str, Verdict] = {
+    "Agree": Verdict.SUPPORTS,
+    "Disagree": Verdict.REFUTES,
+    "Neutral": Verdict.NEUTRAL,
+}
+
 _VERDICT_PROPERTIES: Mapping[str, Any] = {
-    "verdict": {"enum": ["Valid", "Invalid", "Unverifiable"]},
+    "verdict": {"enum": list(_BASELINE_VERDICTS)},
     "justification": {"type": "string"},
     "confidence": {"type": "integer", "minimum": 0, "maximum": 100},
 }
@@ -202,11 +214,7 @@ CIBER_PROBE_SCHEMA: Mapping[str, Any] = {
     "title": "ciber_probe_verdict",
     "type": "object",
     "required": ["verdict", "justification"],
-    "properties": {
-        "verdict": {"enum": ["Agree", "Disagree", "Neutral"]},
-        "justification": {"type": "string"},
-        "confidence": {"type": "integer", "minimum": 0, "maximum": 100},
-    },
+    "properties": {**_VERDICT_PROPERTIES, "verdict": {"enum": list(_PROBE_VERDICTS)}},
 }
 
 
@@ -224,19 +232,6 @@ def snippet_paper_ids(snippets: Sequence[EvidenceLike]) -> list[str]:
     for snippet in snippets:
         seen.setdefault(snippet.doc_id, None)
     return list(seen)
-
-
-_BASELINE_VERDICTS: Mapping[str, Verdict] = {
-    "Valid": Verdict.VALID,
-    "Invalid": Verdict.INVALID,
-    "Unverifiable": Verdict.UNVERIFIABLE,
-}
-
-_PROBE_VERDICTS: Mapping[str, Verdict] = {
-    "Agree": Verdict.SUPPORTS,
-    "Disagree": Verdict.REFUTES,
-    "Neutral": Verdict.NEUTRAL,
-}
 
 
 def _read_confidence(payload: Mapping[str, Any]) -> float:

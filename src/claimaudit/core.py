@@ -1,4 +1,4 @@
-"""Shared domain model: checks, claims, audits, masks, and verdict vocabulary.
+"""Shared domain model: checks, claims, audits, and verdict vocabulary.
 
 Every other module builds on these types. All of them are immutable
 values after construction and safe to share across threads.
@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import enum
 import json
-import logging
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Mapping
 
 from ._files import JsonRecord, json_object, json_value
-
-logger = logging.getLogger(__name__)
 
 
 class SchemaError(ValueError):
@@ -174,6 +171,11 @@ class AnalysisDocument(JsonRecord):
         """`json.dumps(self.to_json(), indent=2)`, rendered once per document."""
         return json.dumps(self.to_json(), indent=2)
 
+    @cached_property
+    def applicable_checks(self) -> tuple[CheckId, ...]:
+        """The checks this analysis marks applicable, in check order: the ones a paper's quality averages over."""
+        return tuple(check for check in ALL_CHECKS if self.veritable_check_signals[check].is_applicable)
+
 
 @dataclass(frozen=True)
 class AuditVector:
@@ -193,27 +195,6 @@ class AuditVector:
 
 
 @dataclass(frozen=True)
-class ApplicabilityMask:
-    """Total bit map over the 11 checks; K is the applicable-check count."""
-
-    bits: Mapping[CheckId, int]
-
-    def __post_init__(self) -> None:
-        for check in ALL_CHECKS:
-            if check not in self.bits:
-                raise SchemaError(f"mask is missing check {check.name}")
-            if self.bits[check] not in (0, 1):
-                raise SchemaError(f"mask bit for {check.name} must be 0 or 1")
-
-    @property
-    def k(self) -> int:
-        return sum(self.bits[check] for check in ALL_CHECKS)
-
-    def applicable_checks(self) -> tuple[CheckId, ...]:
-        return tuple(check for check in ALL_CHECKS if self.bits[check] == 1)
-
-
-@dataclass(frozen=True)
 class AuditResult:
     """One document's audited relation to a claim: stance plus audit vector."""
 
@@ -226,31 +207,6 @@ class AuditResult:
             raise SchemaError(f"stance must be one of {VALID_STANCES}, got {self.stance!r}")
 
 
-def derive_mask(analysis: AnalysisDocument) -> ApplicabilityMask:
-    """Project the per-check applicability flags into a bit mask."""
-    return ApplicabilityMask(
-        bits={check: 1 if analysis.veritable_check_signals[check].is_applicable else 0 for check in ALL_CHECKS}
-    )
-
-
 def map_verdict(v: Verdict) -> Verdict:
     """Binarize any verdict: Supports/Valid count as Valid, the rest as Invalid."""
     return Verdict.VALID if v in (Verdict.SUPPORTS, Verdict.VALID) else Verdict.INVALID
-
-
-def validate_audit(audit: AuditVector, mask: ApplicabilityMask) -> AuditVector:
-    """Restrict an audit to applicable checks, dropping over-answered scores.
-
-    A score on a masked-out check is a warning, not a failure: an LLM
-    auditor may over-answer, and such scores simply do not count.
-    """
-    kept_scores: dict[CheckId, float] = {}
-    kept_reasoning: dict[CheckId, str] = {}
-    for check, score in audit.scores.items():
-        if mask.bits.get(check, 0) == 1:
-            kept_scores[check] = score
-            if check in audit.reasoning:
-                kept_reasoning[check] = audit.reasoning[check]
-        else:
-            logger.warning("dropping audit score for inapplicable check %s", check.name)
-    return AuditVector(scores=kept_scores, reasoning=kept_reasoning)

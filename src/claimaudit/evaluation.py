@@ -37,7 +37,7 @@ from .baselines import (
     run_flare,
     run_selfrag,
 )
-from .core import Claim, STANCE_REFUTES, STANCE_SUPPORTS, Verdict, derive_mask, map_verdict
+from .core import Claim, STANCE_REFUTES, STANCE_SUPPORTS, Verdict, map_verdict
 from .corpus import (
     Corpus,
     DEFAULT_RETRIEVAL_K,
@@ -284,13 +284,14 @@ def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> Ce
         results, usage = run_audit(ctx.asker, request, token_budget=ctx.token_budget)
 
     weights = _document_weights(chunks, papers, ctx.flags.use_redundancy_penalty)
+    applicable = {paper.paper_id: paper.analysis.applicable_checks for paper in papers}
     contributions: list[DocumentContribution] = []
     for result in results:
-        mask = derive_mask(ctx.corpus.document(result.paper_id).analysis)
-        if mask.k == 0:
+        checks = applicable[result.paper_id]
+        if not checks:
             logger.warning("document %s has no applicable checks; it contributes nothing", result.paper_id)
             continue
-        quality = intrinsic_quality(result.audit, mask)
+        quality = intrinsic_quality(result.audit, checks)
         contributions.append(make_contribution(result.paper_id, result.stance, quality, weights[result.paper_id]))
     tallies = aggregate(contributions)
     fields: CellFields = {

@@ -89,8 +89,9 @@ def extract_json_object(raw: str) -> Any:
     """Parse the JSON object in a reply, tolerating markdown fences.
 
     Providers ignore structured-output hints often enough that the
-    parser accepts a fenced or prose-wrapped object; anything else
-    raises ValueError so the caller can retry.
+    parser accepts a fenced or prose-wrapped object; anything else,
+    a reply nested deeper than the recursion limit included, raises
+    ValueError so the caller can retry.
     """
     text = raw.strip()
     if text.startswith("```"):
@@ -98,12 +99,12 @@ def extract_json_object(raw: str) -> Any:
         text = re.sub(r"\s*```$", "", text)
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         start, end = text.find("{"), text.rfind("}")
         if start != -1 and end > start:
             try:
                 return json.loads(text[start : end + 1])
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 pass
         raise ValueError("reply does not contain a JSON object") from None
 
@@ -253,7 +254,7 @@ class HttpChatClient(LlmClient):
                 response = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
                 response.raise_for_status()
                 payload = response.json()
-            except (requests.RequestException, ValueError) as exc:
+            except (requests.RequestException, ValueError, RecursionError) as exc:
                 raise _transport_error(exc) from exc
         return _read_reply(payload)
 
@@ -292,7 +293,7 @@ def _transport_error(exc: Exception) -> LlmTransportError:
             return LlmTransportError(str(exc), retryable=True)
     elif isinstance(exc, (requests.ConnectionError, requests.Timeout)):
         return LlmTransportError(str(exc), retryable=True)
-    elif isinstance(exc, ValueError):
+    elif isinstance(exc, (ValueError, RecursionError)):
         return LlmTransportError(f"malformed payload: {exc}", retryable=True)
     return LlmTransportError(f"LLM request failed: {exc}")
 

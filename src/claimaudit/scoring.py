@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ._files import JsonRecord
-from .core import (
-    STANCE_NEUTRAL,
-    STANCE_REFUTES,
-    STANCE_SUPPORTS,
-    ApplicabilityMask,
-    AuditVector,
-)
+from .core import STANCE_NEUTRAL, STANCE_REFUTES, STANCE_SUPPORTS, AuditVector, CheckId
 
 
 class NoApplicableChecksError(ValueError):
@@ -94,16 +88,15 @@ class Tallies(JsonRecord):
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
-def intrinsic_quality(audit: AuditVector, mask: ApplicabilityMask) -> float:
-    """Mean audit score over the applicable checks.
+def intrinsic_quality(audit: AuditVector, checks: tuple[CheckId, ...]) -> float:
+    """Mean audit score over the applicable `checks`; an unscored check counts 0.
 
-    Raises NoApplicableChecksError when the mask has no 1-bits; the
-    caller must exclude such documents from the tallies (and log them).
+    Raises NoApplicableChecksError when `checks` is empty; the caller
+    must exclude such documents from the tallies (and log them).
     """
-    if mask.k == 0:
+    if not checks:
         raise NoApplicableChecksError("no applicable checks")
-    total = sum(audit.scores.get(check, 0.0) for check in mask.applicable_checks())
-    return total / mask.k
+    return sum(audit.scores.get(check, 0.0) for check in checks) / len(checks)
 
 
 def effective_contribution(q: float, w: float) -> float:

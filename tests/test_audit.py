@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from claimaudit.audit import (
     AuditFailureError,
@@ -28,8 +30,6 @@ from claimaudit.core import (
     AuditVector,
     CheckId,
     STANCE_SUPPORTS,
-    derive_mask,
-    validate_audit,
 )
 from claimaudit.llm import Asker, LlmClient, LlmReply, approx_token_count
 
@@ -220,6 +220,50 @@ class TestParseAuditResponse:
         )
         (result,) = parse_audit_response(raw, make_request())
         assert result.stance == 0
+        assert result.audit == AuditVector(scores={}, reasoning={})
+
+    def test_scores_on_inapplicable_checks_are_dropped_with_one_warning_each(self, caplog):
+        request = make_request(
+            papers=[make_paper("D01", applicable={CheckId.C1}), make_paper("D02", applicable=set())]
+        )
+        raw = json.dumps(
+            {
+                "all_papers_audit": [
+                    {
+                        "paper_id": "D01",
+                        "stance": "Supports",
+                        "checks": {
+                            "C1": {"score": "Pass", "reasoning": "ok"},
+                            "C2": {"score": "Uncertain", "reasoning": "over-answered"},
+                            "C5": {"score": "Fail", "reasoning": "over-answered"},
+                        },
+                    },
+                    {"paper_id": "D02", "stance": "Neutral", "checks": {"C1": {"score": "Pass"}}},
+                ]
+            }
+        )
+        with caplog.at_level("WARNING", logger="claimaudit.audit"):
+            first, second = parse_audit_response(raw, request)
+        assert first.audit == AuditVector(scores={CheckId.C1: 1.0}, reasoning={CheckId.C1: "ok"})
+        assert second.audit == AuditVector(scores={}, reasoning={})
+        assert [record.getMessage() for record in caplog.records] == [
+            f"dropping audit score for inapplicable check {name}" for name in ("C2", "C5", "C1")
+        ]
+
+    @given(
+        st.sets(st.sampled_from(ALL_CHECKS)),
+        st.dictionaries(st.sampled_from(ALL_CHECKS), st.sampled_from(["Pass", "Uncertain", "Fail"])),
+    )
+    def test_parsed_scores_are_in_domain_and_applicable(self, applicable, answered):
+        request = make_request(papers=[make_paper("D01", applicable=applicable)])
+        checks = {check.name: {"score": label} for check, label in answered.items()}
+        raw = json.dumps({"all_papers_audit": [{"paper_id": "D01", "stance": "Neutral", "checks": checks}]})
+        (result,) = parse_audit_response(raw, request)
+        assert result.audit.scores == {
+            check: {"Pass": 1.0, "Uncertain": 0.5, "Fail": 0.0}[label]
+            for check, label in answered.items()
+            if check in applicable
+        }
 
     def test_fenced_response_is_accepted(self):
         request = make_request()
@@ -250,6 +294,11 @@ class TestParseAuditResponse:
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Maybe", "checks": {}}]}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C1": {"score": "Meh"}}}]}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C99": {"score": "Pass"}}}]}',
+            '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"c1": {"score": "Pass"}}}]}',
+            # C2 is not applicable to D01, yet a bad cell there still makes the reply unparseable.
+            '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C2": {"score": "Meh"}}}]}',
+            '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C2": {"score": "Pass", '
+            '"reasoning": 3}}}]}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports"}]}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": ["Supports"], "checks": {}}]}',
             '{"all_papers_audit": [{"paper_id": ["D01"], "stance": "Supports", "checks": {}}]}',
@@ -286,11 +335,11 @@ class TestMockAudit:
         (result,) = mock_audit(request, seed=3)
         assert set(result.audit.scores) <= {CheckId.C2, CheckId.C9}
 
-    def test_validate_audit_is_a_no_op_end_to_end(self):
+    def test_scores_exactly_the_applicable_checks(self):
         request = make_request(papers=[make_paper("D01"), make_paper("D02", applicable={CheckId.C4})])
-        masks = {paper.paper_id: derive_mask(paper.analysis) for paper in request.papers}
-        for result in mock_audit(request, seed=11):
-            assert validate_audit(result.audit, masks[result.paper_id]) == result.audit
+        for result, paper in zip(mock_audit(request, seed=11), request.papers):
+            assert tuple(result.audit.scores) == paper.analysis.applicable_checks
+            assert tuple(result.audit.reasoning) == paper.analysis.applicable_checks
 
     def test_scores_cover_all_three_values_over_many_draws(self):
         seen = set()

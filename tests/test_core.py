@@ -1,12 +1,12 @@
-"""Domain-model contracts: masks, verdict binarization, audit validation."""
+"""Domain-model contracts: applicable checks, verdict binarization, audit scores."""
 
-import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from claimaudit.core import (
     ALL_CHECKS,
     AnalysisDocument,
-    ApplicabilityMask,
     AuditResult,
     AuditVector,
     CheckId,
@@ -18,9 +18,7 @@ from claimaudit.core import (
     SchemaError,
     UncertainGroundTruthError,
     Verdict,
-    derive_mask,
     map_verdict,
-    validate_audit,
 )
 
 
@@ -57,27 +55,24 @@ def make_claim(**overrides) -> Claim:
     return Claim(**base)
 
 
-class TestDeriveMask:
-    def test_all_applicable_gives_eleven_ones(self):
-        mask = derive_mask(make_analysis(set(ALL_CHECKS)))
-        assert mask.k == 11
-        assert all(mask.bits[c] == 1 for c in ALL_CHECKS)
+class TestApplicableChecks:
+    @given(st.sets(st.sampled_from(ALL_CHECKS)))
+    @example(set())
+    @example({CheckId.C10, CheckId.C8})
+    @example(set(ALL_CHECKS))
+    def test_equals_the_applicability_flags_in_check_order(self, applicable):
+        analysis = make_analysis(applicable)
+        flags = analysis.veritable_check_signals
+        assert analysis.applicable_checks == tuple(check for check in ALL_CHECKS if flags[check].is_applicable)
+        assert analysis.applicable_checks == tuple(sorted(applicable))
 
-    def test_none_applicable_gives_zero_mask(self):
-        mask = derive_mask(make_analysis(set()))
-        assert mask.k == 0
-
-    def test_projection_of_two_bits(self):
-        mask = derive_mask(make_analysis({CheckId.C8, CheckId.C10}))
-        assert mask.k == 2
-        assert mask.applicable_checks() == (CheckId.C8, CheckId.C10)
-
-    def test_popcount_matches_flag_count_on_random_analyses(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            applicable = {c for c in ALL_CHECKS if rng.random() < 0.5}
-            mask = derive_mask(make_analysis(applicable))
-            assert mask.k == len(applicable)
+    def test_computed_once_per_document(self):
+        analysis = make_analysis({CheckId.C1, CheckId.C2})
+        first = analysis.applicable_checks
+        # The signals map is a plain dict; a later edit to it is not seen,
+        # because the tuple was computed on first access and kept.
+        analysis.veritable_check_signals[CheckId.C1] = CheckSignal(is_applicable=False, objective_analysis="N/A")
+        assert analysis.applicable_checks is first
 
     def test_missing_check_entry_names_the_check(self):
         payload = make_analysis(set(ALL_CHECKS)).to_json()
@@ -106,31 +101,10 @@ class TestMapVerdict:
             assert map_verdict(map_verdict(verdict)) is map_verdict(verdict)
 
 
-class TestValidateAudit:
-    def test_masked_out_scores_are_dropped(self):
-        audit = AuditVector(scores={CheckId.C1: 1.0, CheckId.C2: 0.5})
-        mask = ApplicabilityMask(bits={c: 1 if c is CheckId.C1 else 0 for c in ALL_CHECKS})
-        restricted = validate_audit(audit, mask)
-        assert restricted.scores == {CheckId.C1: 1.0}
-
-    def test_empty_audit_stays_empty(self):
-        mask = derive_mask(make_analysis(set(ALL_CHECKS)))
-        assert validate_audit(AuditVector(scores={}), mask).scores == {}
-
+class TestAuditVector:
     def test_score_domain_is_closed(self):
         with pytest.raises(SchemaError, match="0.7"):
             AuditVector(scores={CheckId.C3: 0.7})
-
-    def test_accepted_scores_always_in_domain(self):
-        rng = np.random.default_rng(7)
-        values = [0.0, 0.5, 1.0]
-        for _ in range(100):
-            scores = {c: values[rng.integers(0, 3)] for c in ALL_CHECKS if rng.random() < 0.6}
-            audit = AuditVector(scores=scores)
-            mask = ApplicabilityMask(bits={c: int(rng.random() < 0.5) for c in ALL_CHECKS})
-            restricted = validate_audit(audit, mask)
-            assert all(v in (0.0, 0.5, 1.0) for v in restricted.scores.values())
-            assert set(restricted.scores) <= set(mask.applicable_checks())
 
 
 class TestClaim:

@@ -246,6 +246,13 @@ class _WordSaladClient(_CountingClient):
         return LlmReply(text="word salad")
 
 
+class _DeepNestingClient(_CountingClient):
+    """Answers every turn with JSON nested deeper than the interpreter's recursion limit."""
+
+    def answer(self, prompt, schema):
+        return LlmReply(text="[" * 100_000)
+
+
 class _LiveDouble(_CountingClient):
     """Answers the baselines as MockLlm does and each audit prompt with a stance drawn from its text."""
 
@@ -561,6 +568,16 @@ class TestSharedCells:
         for ty1, ty3 in zip(k01[::2], k01[1::2]):
             assert (ty1.scenario, ty3.scenario, ty3.method) == ("TY1", "TY3", ty1.method)
             assert ty1.failure == ty3.failure
+
+    def test_a_reply_nested_past_the_recursion_limit_fails_every_cell(self, corpus):
+        records = run_matrix(
+            corpus, ALL_METHODS, ("TY0",), AblationFlags(), PARAMS, RIDGE, CFG,
+            seed=7, mock=False, client=_DeepNestingClient(), sleep=lambda _: None,
+        ).records
+        assert [(record.claim_id, record.method) for record in records] == list(
+            itertools.product(corpus.claims, ALL_METHODS)
+        )
+        assert all(record.verdict is None and "unparseable after 4 attempts" in record.failure for record in records)
 
     def test_each_empty_scenario_names_its_own_label(self, tmp_path):
         payload = make_manifest()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimaudit._files import json_array, json_optional, json_value, write_atomic
+from claimaudit._files import json_array, json_optional, json_value, read_json_lines, write_atomic
 from claimaudit.calibration import CalibrationRecord
 from claimaudit.core import (
     ALL_CHECKS,
@@ -41,6 +41,14 @@ class TestWriteAtomic:
             write_atomic(target, parts())
         assert target.read_bytes() == b"old bytes\n"
         assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestReadJsonLines:
+    def test_a_line_nested_past_the_recursion_limit_is_named_by_path_and_line(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        path.write_text("[1]\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad item: maximum recursion depth")):
+            read_json_lines(path, "item", lambda value: value)
 
 
 texts = st.text(max_size=12)

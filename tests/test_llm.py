@@ -82,6 +82,13 @@ class TestExtractJsonObject:
         with pytest.raises(ValueError):
             extract_json_object('{"a": [1, 2')
 
+    @pytest.mark.parametrize(
+        "raw", ["[" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000], ids=["array", "object"]
+    )
+    def test_nesting_past_the_recursion_limit_raises_value_error(self, raw):
+        with pytest.raises(ValueError, match="does not contain a JSON object"):
+            extract_json_object(raw)
+
 
 class TestAsker:
     def test_last_parse_error_names_the_attempts_made(self):
@@ -265,6 +272,14 @@ class TestHttpChatClient:
     def test_malformed_payload_counts_as_failure(self, payload):
         session = _FakeSession([_FakeResponse(payload)] * 4)
         with pytest.raises(LlmTransportError, match="after 4 attempts: malformed payload"):
+            _ask(session, [])
+        assert len(session.calls) == 4
+
+    def test_body_nested_past_the_recursion_limit_is_a_malformed_payload(self):
+        response = requests.Response()
+        response.status_code, response._content, response.encoding = 200, b"[" * 100_000, "utf-8"
+        session = _FakeSession([response] * 4)
+        with pytest.raises(LlmTransportError, match="after 4 attempts: malformed payload: maximum recursion depth"):
             _ask(session, [])
         assert len(session.calls) == 4
 

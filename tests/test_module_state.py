@@ -1,5 +1,6 @@
 """The package keeps no module-level state that its functions rebind,
-one place applies the retry policy, and JSON from outside is read by type.
+one place applies the retry policy, JSON from outside is read by type,
+and one place decides which audit checks count.
 
 A `global` statement lets one call change what every later call in the
 process sees; per-run values belong to the objects a run creates (the
@@ -7,6 +8,8 @@ process sees; per-run values belong to the objects a run creates (the
 through `Asker.ask`, so no second retry loop can wrap a client call. The
 manifest and LLM reply readers go through `_files`' typed readers, so a
 wrong type fails by name instead of being checked by hand or coerced.
+Only `core.py` reads a check's applicability flag, in
+`AnalysisDocument.applicable_checks`; every other module reads that tuple.
 """
 
 import ast
@@ -104,3 +107,32 @@ def test_outside_json_is_read_by_the_typed_readers(module, reader):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "str")
     ]
     assert by_hand == []
+
+
+# Names of the second statement of applicability this package once kept.
+_RETIRED_NAMES = {"ApplicabilityMask", "derive_mask", "validate_audit"}
+
+
+def _names(node):
+    """Every name `node` defines, imports, reads, or spells as a string."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return {node.name}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def test_only_core_reads_the_applicability_flag():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "is_applicable" and path.name != "core.py":
+                found.append(f"{path.name}:{node.lineno}: .is_applicable")
+            found.extend(f"{path.name}:{node.lineno}: {name}" for name in sorted(_names(node) & _RETIRED_NAMES))
+    assert found == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from claimaudit.core import ALL_CHECKS, ApplicabilityMask, AuditVector, CheckId
+from claimaudit.core import AuditVector, CheckId
 from claimaudit.scoring import (
     DocumentContribution,
     HvParams,
@@ -20,31 +20,27 @@ from claimaudit.scoring import (
 from oracles import hv_highprec, log_odds_highprec
 
 
-def mask_of(checks: set[CheckId]) -> ApplicabilityMask:
-    return ApplicabilityMask(bits={c: 1 if c in checks else 0 for c in ALL_CHECKS})
-
-
 class TestIntrinsicQuality:
     def test_all_pass_is_perfect_quality(self):
-        checks = {CheckId.C1, CheckId.C2, CheckId.C3}
+        checks = (CheckId.C1, CheckId.C2, CheckId.C3)
         audit = AuditVector(scores={c: 1.0 for c in checks})
-        assert intrinsic_quality(audit, mask_of(checks)) == 1.0
+        assert intrinsic_quality(audit, checks) == 1.0
 
     def test_mean_over_applicable_checks(self):
         audit = AuditVector(scores={CheckId.C1: 1.0, CheckId.C2: 0.5, CheckId.C3: 0.0})
-        assert intrinsic_quality(audit, mask_of({CheckId.C1, CheckId.C2, CheckId.C3})) == pytest.approx(0.5)
+        assert intrinsic_quality(audit, (CheckId.C1, CheckId.C2, CheckId.C3)) == pytest.approx(0.5)
 
     def test_mask_excludes_inapplicable_scores(self):
         audit = AuditVector(
             scores={CheckId.C1: 1.0, CheckId.C2: 0.5, CheckId.C3: 0.0, CheckId.C4: 1.0}
         )
-        # C4 is masked out: the extra Pass must not lift the mean.
-        q = intrinsic_quality(audit, mask_of({CheckId.C1, CheckId.C2, CheckId.C3}))
+        # C4 is not applicable: the extra Pass must not lift the mean.
+        q = intrinsic_quality(audit, (CheckId.C1, CheckId.C2, CheckId.C3))
         assert q == pytest.approx(0.5)
 
     def test_zero_applicable_checks_is_an_error(self):
         with pytest.raises(NoApplicableChecksError, match="no applicable checks"):
-            intrinsic_quality(AuditVector(scores={}), mask_of(set()))
+            intrinsic_quality(AuditVector(scores={}), ())
 
 
 class TestEffectiveContribution:
