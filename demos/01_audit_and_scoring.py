@@ -12,6 +12,7 @@ from pathlib import Path
 from claimaudit.audit import AuditRequest, PaperToAudit, mock_audit_with_usage
 from claimaudit.core import STANCE_REFUTES, STANCE_SUPPORTS
 from claimaudit.corpus import evidence_for_claim, ingest
+from claimaudit.llm import TokenUsage
 from claimaudit.scoring import HvParams, aggregate, hv, intrinsic_quality, log_odds, make_contribution
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -40,7 +41,8 @@ def main() -> None:
         ),
     )
 
-    results, usage = mock_audit_with_usage(request, seed=7)
+    usage = TokenUsage()
+    results = mock_audit_with_usage(request, 7, usage)
     print(f"audited {len(results)} documents "
           f"(~{usage.tokens_in} tokens in / ~{usage.tokens_out} out if this were a live call)\n")
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from claimaudit.baselines import MassFunction, run_ciber, wbu_fuse
 from claimaudit.core import Verdict
 from claimaudit.corpus import evidence_for_claim, ingest
-from claimaudit.llm import Asker, MockLlm
+from claimaudit.llm import Asker, MockLlm, TokenUsage
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -42,11 +42,12 @@ def main() -> None:
     corpus = ingest(FIXTURES / "manifest.json")
     claim = corpus.claim("K02")
     chunks, _ = evidence_for_claim(corpus, claim)
-    result = run_ciber(Asker(MockLlm(seed=7)), claim, chunks)
+    usage = TokenUsage()
+    result = run_ciber(Asker(MockLlm(seed=7)), claim, chunks, usage)
     print(f"  claim {claim.id}: {claim.text}")
     print(f"  verdict: {result.verdict.value}")
     print(f"  how: {result.justification}")
-    print(f"  token cost: ~{result.tokens_in} in / ~{result.tokens_out} out")
+    print(f"  token cost: ~{usage.tokens_in} in / ~{usage.tokens_out} out")
 
 
 if __name__ == "__main__":

@@ -278,15 +278,16 @@ def _audit_batches(
     req: AuditRequest,
     token_budget: int | None,
     templates: Path | None,
+    usage: TokenUsage,
     answer: Callable[[AuditRequest, str, TokenUsage], list[AuditResult]],
-) -> tuple[list[AuditResult], TokenUsage]:
+) -> list[AuditResult]:
     """Audit `req` in one batch, or one batch per paper when its prompt is over `token_budget`.
 
     `answer(batch, prompt, usage)` answers one batch and records its
-    usage. A single paper that alone exceeds the budget is a claim-level
+    turn into `usage`, the cell's one count, so every sub-batch adds to
+    it. A single paper that alone exceeds the budget is a claim-level
     failure. No budget (None) never splits.
     """
-    usage = TokenUsage()
     try:
         prompt = build_audit_prompt(req, token_budget=token_budget, templates=templates)
     except PromptBudgetError as exc:
@@ -296,30 +297,28 @@ def _audit_batches(
         results = []
         for paper in req.papers:
             single = AuditRequest(claim_text=req.claim_text, papers=(paper,))
-            sub_results, sub_usage = _audit_batches(single, token_budget, templates, answer)
-            results.extend(sub_results)
-            usage.merge(sub_usage)
-        return results, usage
-    return answer(req, prompt, usage), usage
+            results.extend(_audit_batches(single, token_budget, templates, usage, answer))
+        return results
+    return answer(req, prompt, usage)
 
 
 def mock_audit_with_usage(
-    req: AuditRequest, seed: int, *, templates: Path | None = None, token_budget: int | None = None
-) -> tuple[list[AuditResult], TokenUsage]:
-    """Mock audit plus approximate token accounting for the skipped calls, batched as `run_audit` batches."""
+    req: AuditRequest, seed: int, usage: TokenUsage, *, templates: Path | None = None, token_budget: int | None = None
+) -> list[AuditResult]:
+    """Mock audit recording the approximate tokens of the skipped calls into `usage`, batched as `run_audit` batches."""
 
     def answer(batch: AuditRequest, prompt: str, usage: TokenUsage) -> list[AuditResult]:
         results = mock_audit(batch, seed)
         usage.record(prompt, LlmReply(text=render_audit_response(results)))
         return results
 
-    return _audit_batches(req, token_budget, templates, answer)
+    return _audit_batches(req, token_budget, templates, usage, answer)
 
 
 def run_audit(
-    asker: Asker, req: AuditRequest, *, token_budget: int = DEFAULT_TOKEN_BUDGET
-) -> tuple[list[AuditResult], TokenUsage]:
-    """Audit every paper in the request, splitting batches over budget.
+    asker: Asker, req: AuditRequest, usage: TokenUsage, *, token_budget: int = DEFAULT_TOKEN_BUDGET
+) -> list[AuditResult]:
+    """Audit every paper in the request, splitting batches over budget; every turn is recorded into `usage`.
 
     `asker` retries unparseable replies and retryable transport errors;
     exhausting them (or a single paper that alone exceeds the budget) is
@@ -334,4 +333,4 @@ def run_audit(
         except ValueError as exc:
             raise AuditFailureError(f"audit response {exc}") from exc
 
-    return _audit_batches(req, token_budget, asker.templates, answer)
+    return _audit_batches(req, token_budget, asker.templates, usage, answer)

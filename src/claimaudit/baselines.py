@@ -1,9 +1,10 @@
 """The four baseline verification protocols, as prompt-chain drivers.
 
 Each driver runs a fixed chain of turns through the run's `Asker` (its
-client, retry policy, reply memo and template directory) and validates
-every structured reply. A required turn that fails (a client error, or a
-reply unparseable after the retries) raises out of the driver; a failed
+client, retry policy, reply memo and template directory), records every
+turn into the `TokenUsage` it is given, and validates every structured
+reply. A required turn that fails (a client error, or a reply
+unparseable after the retries) raises out of the driver; a failed
 optional turn falls back: a CIBER probe adds vacuous mass, a FLARE full
 review keeps the first verdict.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from ._files import json_array, json_optional, json_value
@@ -127,16 +128,8 @@ def wbu_fuse(verdicts: Sequence[tuple[Verdict, float]]) -> Verdict:
 
 @dataclass(frozen=True)
 class BaselineVerdict:
-    method: str
     verdict: Verdict
     justification: str
-    tokens_in: int
-    tokens_out: int
-    tokens_approximate: bool = False
-
-    def __post_init__(self) -> None:
-        if self.tokens_in < 0 or self.tokens_out < 0:
-            raise ValueError("token counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -228,10 +221,7 @@ def render_snippets(snippets: Sequence[EvidenceLike]) -> str:
 
 def snippet_paper_ids(snippets: Sequence[EvidenceLike]) -> list[str]:
     """Distinct source paper ids in first-appearance order."""
-    seen: dict[str, None] = {}
-    for snippet in snippets:
-        seen.setdefault(snippet.doc_id, None)
-    return list(seen)
+    return list(dict.fromkeys(snippet.doc_id for snippet in snippets))
 
 
 def _read_confidence(payload: Mapping[str, Any]) -> float:
@@ -277,11 +267,11 @@ def _read_flare_initial(payload: Any) -> tuple[Verdict, str, float, str]:
 
 @dataclass
 class _Chain:
-    """One driver run: its asker and accumulated tokens."""
+    """One driver run: its method (for error texts), its asker, and the cell's usage every turn records into."""
 
     method: str
     asker: Asker
-    usage: TokenUsage = field(default_factory=TokenUsage)
+    usage: TokenUsage
 
     def prompt(self, name: str, mapping: Mapping[str, str]) -> str:
         """Render the run's copy of template `name`."""
@@ -297,16 +287,6 @@ class _Chain:
             return self.asker.ask(prompt, schema, parse, self.usage)
         except ValueError as exc:
             raise ValueError(f"{self.method} {schema['title']} reply {exc}") from exc
-
-    def finish(self, verdict: Verdict, justification: str) -> BaselineVerdict:
-        return BaselineVerdict(
-            method=self.method,
-            verdict=verdict,
-            justification=justification,
-            tokens_in=self.usage.tokens_in,
-            tokens_out=self.usage.tokens_out,
-            tokens_approximate=self.usage.approximate,
-        )
 
 
 def enforce_synthesis_rules(model_verdict: Verdict, critiques: Sequence[Critique]) -> Verdict:
@@ -338,18 +318,18 @@ def _cot_turn(chain: _Chain, claim: Claim, snippets: Sequence[EvidenceLike]) -> 
     return chain.ask(prompt, COT_VERDICT_SCHEMA, _read_verdict)
 
 
-def run_cot(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) -> BaselineVerdict:
+def run_cot(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage) -> BaselineVerdict:
     """Single-pass verdict with justification."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_COT, asker)
+    chain = _Chain(METHOD_COT, asker, usage)
     verdict, justification, _ = _cot_turn(chain, claim, snippets)
-    return chain.finish(verdict, justification)
+    return BaselineVerdict(verdict, justification)
 
 
-def run_selfrag(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) -> BaselineVerdict:
+def run_selfrag(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage) -> BaselineVerdict:
     """Critique turn feeding a synthesis turn, with rules re-enforced."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_SELFRAG, asker)
+    chain = _Chain(METHOD_SELFRAG, asker, usage)
     rendered = render_snippets(snippets)
     critique_prompt = chain.prompt(
         "selfrag_critique", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered}
@@ -366,11 +346,11 @@ def run_selfrag(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) ->
     final = enforce_synthesis_rules(model_verdict, critiques)
     if final is not model_verdict:
         justification = f"{justification} [adjusted to {final.value} by the synthesis rules]"
-    return chain.finish(final, justification)
+    return BaselineVerdict(final, justification)
 
 
 def run_flare(
-    asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], full_texts: Mapping[str, str]
+    asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], full_texts: Mapping[str, str], usage: TokenUsage
 ) -> BaselineVerdict:
     """Snippet verdict first; optionally one full-text review turn.
 
@@ -379,7 +359,7 @@ def run_flare(
     keeps the first verdict.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_FLARE, asker)
+    chain = _Chain(METHOD_FLARE, asker, usage)
     rendered = render_snippets(snippets)
     paper_ids = snippet_paper_ids(snippets)
     initial_prompt = chain.prompt(
@@ -393,14 +373,14 @@ def run_flare(
     )
     verdict, justification, _, request = chain.ask(initial_prompt, FLARE_INITIAL_SCHEMA, _read_flare_initial)
     if request == "None":
-        return chain.finish(verdict, justification)
+        return BaselineVerdict(verdict, justification)
     if request not in paper_ids:
         logger.warning("full-review request %r matches no listed paper id; keeping the first verdict", request)
-        return chain.finish(verdict, justification)
+        return BaselineVerdict(verdict, justification)
     full_text = full_texts.get(request)
     if full_text is None:
         logger.warning("paper %r has no stored full text; keeping the first verdict", request)
-        return chain.finish(verdict, justification)
+        return BaselineVerdict(verdict, justification)
     review_prompt = chain.prompt(
         "flare_full_review",
         {
@@ -414,7 +394,7 @@ def run_flare(
         verdict, justification, _ = chain.ask(review_prompt, FLARE_FINAL_SCHEMA, _read_verdict)
     except (LlmError, ValueError) as exc:
         logger.warning("full-review turn failed (%s); keeping the first verdict", exc)
-    return chain.finish(verdict, justification)
+    return BaselineVerdict(verdict, justification)
 
 
 # Probe order convention: [agreement, conflict, paraphrase]; an "Agree"
@@ -434,14 +414,14 @@ _FLIP: Mapping[Verdict, Verdict] = {
 }
 
 
-def run_ciber(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) -> BaselineVerdict:
+def run_ciber(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage) -> BaselineVerdict:
     """COT turn plus three probe turns, fused by Dempster's rule.
 
     Failed probes contribute vacuous mass. The fused Supports /
     Refutes / Neutral outcome maps to Valid / Invalid / Unverifiable.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_CIBER, asker)
+    chain = _Chain(METHOD_CIBER, asker, usage)
     rendered = render_snippets(snippets)
     cot_verdict, _, cot_confidence = _cot_turn(chain, claim, snippets)
     pairs: list[tuple[Verdict, float]] = [(cot_verdict, cot_confidence)]
@@ -464,4 +444,4 @@ def run_ciber(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike]) -> B
         f"belief fusion of the primary verdict {cot_verdict.value} "
         f"with probe answers [{', '.join(probe_answers)}]"
     )
-    return chain.finish(_FUSED_TO_VERDICT[fused], justification)
+    return BaselineVerdict(_FUSED_TO_VERDICT[fused], justification)

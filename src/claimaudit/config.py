@@ -23,7 +23,7 @@ from .calibration import Grid, default_grid
 from .core import RequiredStandard
 from .corpus import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
 from .evaluation import ALL_METHODS, AblationFlags
-from .llm import DEFAULT_MAX_IN_FLIGHT, DEFAULT_RETRIES
+from .llm import DEFAULT_MAX_IN_FLIGHT, DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
 from .scoring import HvParams
 from .threshold import CLAMP_HI_DEFAULT, CLAMP_LO_DEFAULT, DEFAULT_PRIORS, ConfigError, ThresholdConfig
 
@@ -37,7 +37,7 @@ class LlmSettings:
     api_key: str | None = None
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     retries: int = DEFAULT_RETRIES
-    timeout: float = 60.0
+    timeout: float = DEFAULT_TIMEOUT_S
 
 
 @dataclass(frozen=True)

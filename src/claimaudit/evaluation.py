@@ -31,7 +31,6 @@ from .baselines import (
     METHOD_COT,
     METHOD_FLARE,
     METHOD_SELFRAG,
-    BaselineVerdict,
     run_ciber,
     run_cot,
     run_flare,
@@ -47,7 +46,7 @@ from .corpus import (
     filter_scenario,
     n_evidence_docs,
 )
-from .llm import DEFAULT_RETRIES, Asker, LlmClient, LlmError, MockLlm
+from .llm import DEFAULT_RETRIES, Asker, LlmClient, LlmError, MockLlm, TokenUsage
 from .redundancy import NoVocabularyError, document_weight, redundancy_for_texts
 from .scoring import DocumentContribution, HvParams, Tallies, aggregate, hv, intrinsic_quality, make_contribution
 from .threshold import RidgeModel, ThresholdConfig, threshold_for_claim
@@ -273,15 +272,15 @@ class RunContext:
 CellFields = dict[str, Any]
 
 
-def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> CellFields:
+def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk], usage: TokenUsage) -> CellFields:
     papers = _papers_for(ctx.corpus, chunks)
     request = AuditRequest(claim_text=claim.text, papers=papers)
     if ctx.mock:
-        results, usage = mock_audit_with_usage(
-            request, ctx.seed, templates=ctx.asker.templates, token_budget=ctx.token_budget
+        results = mock_audit_with_usage(
+            request, ctx.seed, usage, templates=ctx.asker.templates, token_budget=ctx.token_budget
         )
     else:
-        results, usage = run_audit(ctx.asker, request, token_budget=ctx.token_budget)
+        results = run_audit(ctx.asker, request, usage, token_budget=ctx.token_budget)
 
     weights = _document_weights(chunks, papers, ctx.flags.use_redundancy_penalty)
     applicable = {paper.paper_id: paper.analysis.applicable_checks for paper in papers}
@@ -294,13 +293,7 @@ def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> Ce
         quality = intrinsic_quality(result.audit, checks)
         contributions.append(make_contribution(result.paper_id, result.stance, quality, weights[result.paper_id]))
     tallies = aggregate(contributions)
-    fields: CellFields = {
-        "tallies": tallies,
-        "contributions": tuple(contributions),
-        "tokens_in": usage.tokens_in,
-        "tokens_out": usage.tokens_out,
-        "tokens_approximate": usage.approximate,
-    }
+    fields: CellFields = {"tallies": tallies, "contributions": tuple(contributions)}
 
     if ctx.flags.use_hv_score:
         score = hv(tallies, ctx.hv_params)
@@ -315,22 +308,6 @@ def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk]) -> Ce
     return {**fields, "verdict": majority.value}
 
 
-def _baseline(
-    run: Callable[..., BaselineVerdict],
-    ctx: RunContext,
-    claim: Claim,
-    chunks: Sequence[EvidenceChunk],
-    *extra: Any,
-) -> CellFields:
-    result = run(ctx.asker, claim, chunks, *extra)
-    return {
-        "verdict": result.verdict.value,
-        "tokens_in": result.tokens_in,
-        "tokens_out": result.tokens_out,
-        "tokens_approximate": result.tokens_approximate,
-    }
-
-
 def _full_texts(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> dict[str, str]:
     return {
         doc_id: "\n\n".join(chunk.text for chunk in corpus.document(doc_id).chunks)
@@ -338,28 +315,49 @@ def _full_texts(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> dict[str, st
     }
 
 
-# One entry per method, in report order. Each entry names the function
-# it runs (`_audit`'s are `mock_audit_with_usage` and `run_audit`) inside
-# a function body, so that name is looked up on this module when the
-# cell runs and a wrapper installed there (a tracer, a test spy) sees
-# every call.
-_CELLS: dict[str, Callable[[RunContext, Claim, Sequence[EvidenceChunk]], CellFields]] = {
+# One entry per method, in report order. Each entry records every turn
+# it asks into the cell's `TokenUsage` and names the function it runs
+# (`_audit`'s are `mock_audit_with_usage` and `run_audit`) inside a
+# function body, so that name is looked up on this module when the cell
+# runs and a wrapper installed there (a tracer, a test spy) sees every
+# call.
+_CELLS: dict[str, Callable[[RunContext, Claim, Sequence[EvidenceChunk], TokenUsage], CellFields]] = {
     METHOD_AUDIT: _audit,
-    METHOD_COT: lambda ctx, claim, chunks: _baseline(run_cot, ctx, claim, chunks),
-    METHOD_SELFRAG: lambda ctx, claim, chunks: _baseline(run_selfrag, ctx, claim, chunks),
-    METHOD_FLARE: lambda ctx, claim, chunks: _baseline(run_flare, ctx, claim, chunks, _full_texts(ctx.corpus, chunks)),
-    METHOD_CIBER: lambda ctx, claim, chunks: _baseline(run_ciber, ctx, claim, chunks),
+    METHOD_COT: lambda ctx, claim, chunks, usage: {
+        "verdict": run_cot(ctx.asker, claim, chunks, usage).verdict.value
+    },
+    METHOD_SELFRAG: lambda ctx, claim, chunks, usage: {
+        "verdict": run_selfrag(ctx.asker, claim, chunks, usage).verdict.value
+    },
+    METHOD_FLARE: lambda ctx, claim, chunks, usage: {
+        "verdict": run_flare(ctx.asker, claim, chunks, _full_texts(ctx.corpus, chunks), usage).verdict.value
+    },
+    METHOD_CIBER: lambda ctx, claim, chunks, usage: {
+        "verdict": run_ciber(ctx.asker, claim, chunks, usage).verdict.value
+    },
 }
 ALL_METHODS = tuple(_CELLS)
 
 
 def _cell(ctx: RunContext, method: str, claim: Claim, chunks: Sequence[EvidenceChunk]) -> CellFields:
-    """The record fields of one nonempty cell; a cell whose method raises is a failure."""
+    """The record fields of one nonempty cell; a cell whose method raises is a failure, with no tokens.
+
+    The cell's one `TokenUsage` is made here and counts every turn its
+    method asked, memo hits included.
+    """
     n_docs = n_evidence_docs(chunks)
+    usage = TokenUsage()
     try:
-        return {"n_evidence_docs": n_docs, **_CELLS[method](ctx, claim, chunks)}
+        fields = _CELLS[method](ctx, claim, chunks, usage)
     except (AuditFailureError, LlmError, ValueError) as exc:
         return {"n_evidence_docs": n_docs, "failure": str(exc)}
+    return {
+        "n_evidence_docs": n_docs,
+        **fields,
+        "tokens_in": usage.tokens_in,
+        "tokens_out": usage.tokens_out,
+        "tokens_approximate": usage.approximate,
+    }
 
 
 def run_matrix(
@@ -510,17 +508,10 @@ def build_report(records: Sequence[VerdictRecord]) -> RunReport:
     return RunReport(records=tuple(records), cells=tuple(cells))
 
 
-def _ordered_unique(values: Sequence[str]) -> list[str]:
-    seen: dict[str, None] = {}
-    for value in values:
-        seen.setdefault(value, None)
-    return list(seen)
-
-
 def render_table(report: RunReport) -> str:
     """Plain-text grid: methods down, scenarios across, F1/MCC and "(k failed)" per cell."""
-    methods = _ordered_unique([cell.method for cell in report.cells])
-    scenarios = _ordered_unique([cell.scenario for cell in report.cells])
+    methods = list(dict.fromkeys(cell.method for cell in report.cells))
+    scenarios = list(dict.fromkeys(cell.scenario for cell in report.cells))
     by_key = {(cell.method, cell.scenario): cell for cell in report.cells}
     approximate = any(cell.tokens_approximate for cell in report.cells)
 

@@ -61,7 +61,7 @@ def approx_token_count(text: str) -> int:
 
 @dataclass
 class TokenUsage:
-    """Accumulates in/out token counts across the calls of one run."""
+    """Accumulates in/out token counts across the calls of one matrix cell."""
 
     tokens_in: int = 0
     tokens_out: int = 0
@@ -78,11 +78,6 @@ class TokenUsage:
         else:
             self.tokens_out += approx_token_count(reply.text)
             self.approximate = True
-
-    def merge(self, other: "TokenUsage") -> None:
-        self.tokens_in += other.tokens_in
-        self.tokens_out += other.tokens_out
-        self.approximate = self.approximate or other.approximate
 
 
 def extract_json_object(raw: str) -> Any:
@@ -112,6 +107,8 @@ def extract_json_object(raw: str) -> Any:
 DEFAULT_RETRIES = 3
 # Concurrent requests one HttpChatClient sends at most.
 DEFAULT_MAX_IN_FLIGHT = 4
+# Seconds one HTTP request may take.
+DEFAULT_TIMEOUT_S = 60.0
 # The longest Retry-After a turn waits; a server asking for more fails the turn at once.
 MAX_RETRY_AFTER_S = 60.0
 
@@ -213,7 +210,7 @@ class HttpChatClient(LlmClient):
         api_key: str | None = None,
         *,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        timeout: float = 60.0,
+        timeout: float = DEFAULT_TIMEOUT_S,
         session: requests.Session | None = None,
     ) -> None:
         import requests

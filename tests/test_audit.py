@@ -31,7 +31,7 @@ from claimaudit.core import (
     CheckId,
     STANCE_SUPPORTS,
 )
-from claimaudit.llm import Asker, LlmClient, LlmReply, approx_token_count
+from claimaudit.llm import Asker, LlmClient, LlmReply, TokenUsage, approx_token_count
 
 from test_core import make_analysis
 
@@ -351,7 +351,8 @@ class TestMockAudit:
 
     def test_usage_variant_counts_both_sides_approximately(self):
         request = make_request()
-        results, usage = mock_audit_with_usage(request, seed=2)
+        usage = TokenUsage()
+        results = mock_audit_with_usage(request, 2, usage)
         assert results == mock_audit(request, seed=2)
         assert usage.tokens_in == approx_token_count(build_audit_prompt(request))
         assert usage.tokens_out == approx_token_count(render_audit_response(results))
@@ -393,7 +394,8 @@ class TestRunAudit:
         request = make_request()
         canned = render_audit_response(mock_audit(request, seed=1))
         client = _QueueClient([canned])
-        results, usage = run_audit(Asker(client, sleep=lambda _: None), request)
+        usage = TokenUsage()
+        results = run_audit(Asker(client, sleep=lambda _: None), request, usage)
         assert results == mock_audit(request, seed=1)
         assert usage.tokens_in > 0 and usage.tokens_out > 0
         assert client.schemas == [BATCH_AUDIT_SCHEMA]
@@ -414,7 +416,7 @@ class TestRunAudit:
                 ]
             }
         )
-        (result,), _ = run_audit(Asker(_QueueClient([raw]), sleep=lambda _: None), request)
+        (result,) = run_audit(Asker(_QueueClient([raw]), sleep=lambda _: None), request, TokenUsage())
         assert set(result.audit.scores) == {CheckId.C1}
 
     def test_parse_retry_then_success(self):
@@ -422,7 +424,7 @@ class TestRunAudit:
         canned = render_audit_response(mock_audit(request, seed=1))
         client = _QueueClient(["garbage", canned])
         sleeps = []
-        results, usage = run_audit(Asker(client, sleep=sleeps.append), request)
+        results = run_audit(Asker(client, sleep=sleeps.append), request, TokenUsage())
         assert results == mock_audit(request, seed=1)
         assert sleeps == [1.0]
         assert len(client.prompts) == 2
@@ -431,7 +433,7 @@ class TestRunAudit:
         client = _QueueClient(["junk"] * 4)
         sleeps = []
         with pytest.raises(AuditFailureError, match="after 4 attempts"):
-            run_audit(Asker(client, sleep=sleeps.append), make_request())
+            run_audit(Asker(client, sleep=sleeps.append), make_request(), TokenUsage())
         assert sleeps == [1.0, 2.0, 4.0]
 
     def test_transport_failure_fails_the_claim_immediately(self):
@@ -439,7 +441,7 @@ class TestRunAudit:
 
         client = _QueueClient([LlmTransportError("down")])
         with pytest.raises(AuditFailureError, match="transport"):
-            run_audit(Asker(client, sleep=lambda _: None), make_request())
+            run_audit(Asker(client, sleep=lambda _: None), make_request(), TokenUsage())
 
     def test_oversized_batch_splits_by_paper(self):
         papers = [make_paper("D01"), make_paper("D02")]
@@ -458,11 +460,14 @@ class TestRunAudit:
                 for paper_id, single in singles.items()
             }
         )
-        results, usage = run_audit(Asker(client, sleep=lambda _: None), request, token_budget=budget)
+        usage = TokenUsage()
+        results = run_audit(Asker(client, sleep=lambda _: None), request, usage, token_budget=budget)
         assert [r.paper_id for r in results] == ["D01", "D02"]
         assert results == [mock_audit(single, seed=4)[0] for single in singles.values()]
+        # Both single-paper turns add to the one usage passed in.
+        assert usage.tokens_in == sum(approx_token_count(build_audit_prompt(single)) for single in singles.values())
         assert usage.approximate is True
 
     def test_single_oversized_paper_is_a_claim_failure(self):
         with pytest.raises(AuditFailureError, match="budget"):
-            run_audit(Asker(_QueueClient([]), sleep=lambda _: None), make_request(), token_budget=10)
+            run_audit(Asker(_QueueClient([]), sleep=lambda _: None), make_request(), TokenUsage(), token_budget=10)

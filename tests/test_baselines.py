@@ -35,6 +35,7 @@ from claimaudit.llm import (
     LlmReply,
     LlmTransportError,
     MockLlm,
+    TokenUsage,
 )
 
 from oracles import dempster_pair
@@ -323,22 +324,22 @@ class TestRunCot:
         client = script(
             (cot_prompt(claim, SNIPPETS), '{"verdict": "Valid", "justification": "trial evidence", "confidence": 88}')
         )
-        result = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
-        assert result.method == "cot"
+        usage = TokenUsage()
+        result = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS, usage)
         assert result.verdict is Verdict.VALID
         assert result.justification == "trial evidence"
-        assert result.tokens_in > 0 and result.tokens_out > 0
-        assert result.tokens_approximate is True
+        assert usage.tokens_in > 0 and usage.tokens_out > 0
+        assert usage.approximate is True
 
     def test_empty_snippets_rejected(self):
         with pytest.raises(ValueError):
-            run_cot(Asker(MockLlm(1), sleep=lambda _: None), make_claim(), [])
+            run_cot(Asker(MockLlm(1), sleep=lambda _: None), make_claim(), [], TokenUsage())
 
     def test_unparseable_after_retries_raises(self):
         client = _TitleClient({"cot_verdict": "word salad"})
         sleeps = []
         with pytest.raises(ValueError, match="JSON"):
-            run_cot(Asker(client, sleep=sleeps.append), make_claim(), SNIPPETS)
+            run_cot(Asker(client, sleep=sleeps.append), make_claim(), SNIPPETS, TokenUsage())
         assert client.titles == ["cot_verdict"] * 4
         assert sleeps == [1.0, 2.0, 4.0]
 
@@ -361,13 +362,13 @@ class TestRunCot:
     def test_mistyped_reply_is_unparseable_and_retried(self, reply, message):
         client = _TitleClient({"cot_verdict": reply})
         with pytest.raises(ValueError, match=re.escape(f"cot_verdict reply unparseable after 4 attempts: {message}")):
-            run_cot(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS)
+            run_cot(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS, TokenUsage())
         assert client.titles == ["cot_verdict"] * 4
 
     @pytest.mark.parametrize("justification", ["null", '""'])
     def test_null_justification_reads_empty(self, justification):
         reply = f'{{"verdict": "Valid", "justification": {justification}}}'
-        result = run_cot(Asker(_TitleClient({"cot_verdict": reply}), sleep=None), make_claim(), SNIPPETS)
+        result = run_cot(Asker(_TitleClient({"cot_verdict": reply}), sleep=None), make_claim(), SNIPPETS, TokenUsage())
         assert (result.verdict, result.justification) == (Verdict.VALID, "")
 
     def test_scripted_run_is_deterministic(self):
@@ -375,8 +376,8 @@ class TestRunCot:
         client = script(
             (cot_prompt(claim, SNIPPETS), '{"verdict": "Invalid", "justification": "contradicted", "confidence": 70}')
         )
-        first = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
-        second = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
+        first = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
+        second = run_cot(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert first == second
 
 
@@ -433,8 +434,7 @@ class TestRunSelfrag:
         client = selfrag_script(
             claim, CRITIQUES_SUPPORTIVE, '{"verdict": "Valid", "justification": "fully supported", "confidence": 80}'
         )
-        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
-        assert result.method == "selfrag"
+        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.VALID
 
     def test_all_irrelevant_overrides_model_valid(self):
@@ -442,7 +442,7 @@ class TestRunSelfrag:
         client = selfrag_script(
             claim, CRITIQUES_ALL_IRRELEVANT, '{"verdict": "Valid", "justification": "hallucinated", "confidence": 90}'
         )
-        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
+        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.UNVERIFIABLE
         assert "adjusted" in result.justification
 
@@ -451,14 +451,14 @@ class TestRunSelfrag:
         client = selfrag_script(
             claim, CRITIQUES_CONTRADICTORY, '{"verdict": "Valid", "justification": "over-eager", "confidence": 75}'
         )
-        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
+        result = run_selfrag(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.INVALID
 
     def test_failed_critique_turn_raises(self):
         client = _TitleClient({"selfrag_critiques": "not json"})
         sleeps = []
         with pytest.raises(ValueError, match="JSON"):
-            run_selfrag(Asker(client, sleep=sleeps.append), make_claim(), SNIPPETS)
+            run_selfrag(Asker(client, sleep=sleeps.append), make_claim(), SNIPPETS, TokenUsage())
         assert client.titles == ["selfrag_critiques"] * 4
         assert sleeps == [1.0, 2.0, 4.0]
 
@@ -473,8 +473,7 @@ class TestRunFlare:
     def test_no_review_keeps_first_verdict(self):
         claim = make_claim()
         client = script((flare_prompt(claim, SNIPPETS), FLARE_VALID_NO_REVIEW))
-        result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {})
-        assert result.method == "flare"
+        result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {}, TokenUsage())
         assert result.verdict is Verdict.VALID
 
     def test_exact_id_triggers_full_review_turn(self):
@@ -489,7 +488,7 @@ class TestRunFlare:
             (flare_prompt(claim, SNIPPETS), initial),
             (review_prompt(claim, SNIPPETS, "D02", full_texts["D02"]), final),
         )
-        result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, full_texts)
+        result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, full_texts, TokenUsage())
         assert result.verdict is Verdict.INVALID
         assert result.justification == "methods rule it out"
 
@@ -501,7 +500,7 @@ class TestRunFlare:
         )
         client = script((flare_prompt(claim, SNIPPETS), initial))
         with caplog.at_level("WARNING"):
-            result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {"D02": "text"})
+            result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {"D02": "text"}, TokenUsage())
         assert result.verdict is Verdict.VALID
         assert "P99" in caplog.text
 
@@ -511,7 +510,7 @@ class TestRunFlare:
         initial = f'{{"verdict": "Valid", "justification": "x", "request_full_review": {request_json}}}'
         client = _TitleClient({"flare_initial_verdict": initial})
         with caplog.at_level("WARNING"):
-            result = run_flare(Asker(client, sleep=None), make_claim(), SNIPPETS, {})
+            result = run_flare(Asker(client, sleep=None), make_claim(), SNIPPETS, {}, TokenUsage())
         assert (result.verdict, client.titles) == (Verdict.VALID, ["flare_initial_verdict"])
         assert ("matches no listed paper id" in caplog.text) is warned
 
@@ -523,7 +522,7 @@ class TestRunFlare:
         )
         client = script((flare_prompt(claim, SNIPPETS), initial))
         with caplog.at_level("WARNING"):
-            result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {})
+            result = run_flare(Asker(client, sleep=lambda _: None), claim, SNIPPETS, {}, TokenUsage())
         assert result.verdict is Verdict.VALID
         assert "full text" in caplog.text
 
@@ -534,7 +533,9 @@ class TestRunFlare:
         )
         client = _TitleClient({"flare_initial_verdict": initial, "flare_final_verdict": "word salad"})
         with caplog.at_level("WARNING"):
-            result = run_flare(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS, {"D02": "text"})
+            result = run_flare(
+                Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS, {"D02": "text"}, TokenUsage()
+            )
         assert result.verdict is Verdict.VALID
         assert result.justification == "snippets lean valid"
         assert client.titles == ["flare_initial_verdict"] + ["flare_final_verdict"] * 4
@@ -570,8 +571,7 @@ class TestRunCiber:
             # The conflict probe (index 1) must DISAGREE for a supported claim.
             [agree, disagree, agree],
         )
-        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
-        assert result.method == "ciber"
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.VALID
 
     def test_conflict_probe_agreement_counts_against(self):
@@ -584,7 +584,7 @@ class TestRunCiber:
             # Only the conflict probe fires: its Agree must push toward Invalid.
             [neutral, agree, neutral],
         )
-        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.INVALID
 
     def test_symmetric_conflict_is_unverifiable(self):
@@ -597,13 +597,13 @@ class TestRunCiber:
             '{"verdict": "Unverifiable", "justification": "", "confidence": 80}',
             [agree, agree, neutral],
         )
-        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.UNVERIFIABLE
 
     def test_probe_failures_fall_back_to_cot_signal(self):
         claim = make_claim()
         client = _CotOnlyClient('{"verdict": "Valid", "justification": "", "confidence": 60}')
-        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS)
+        result = run_ciber(Asker(client, sleep=lambda _: None), claim, SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.VALID
         assert "failed" in result.justification
 
@@ -614,7 +614,7 @@ class TestRunCiber:
                 "ciber_probe_verdict": "word salad",
             }
         )
-        result = run_ciber(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS)
+        result = run_ciber(Asker(client, sleep=lambda _: None), make_claim(), SNIPPETS, TokenUsage())
         assert result.verdict is Verdict.VALID
         assert "[failed, failed, failed]" in result.justification
 
@@ -625,18 +625,24 @@ class TestMockDrivers:
     @pytest.mark.parametrize("runner", [run_cot, run_selfrag, run_ciber])
     def test_mock_runs_are_deterministic(self, runner):
         claim = make_claim()
-        first = runner(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS)
-        second = runner(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS)
-        assert first == second
+
+        def run():
+            usage = TokenUsage()
+            return runner(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS, usage), usage
+
+        assert run() == run()
 
     def test_mock_flare_is_deterministic(self):
         claim = make_claim()
         full_texts = {"D01": "full text", "D02": "full text"}
-        first = run_flare(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS, full_texts)
-        second = run_flare(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS, full_texts)
-        assert first == second
+
+        def run():
+            usage = TokenUsage()
+            return run_flare(Asker(MockLlm(11), sleep=lambda _: None), claim, SNIPPETS, full_texts, usage), usage
+
+        assert run() == run()
 
     def test_mock_runs_produce_positive_token_counts(self):
-        claim = make_claim()
-        result = run_cot(Asker(MockLlm(5), sleep=lambda _: None), claim, SNIPPETS)
-        assert result.tokens_in > 0 and result.tokens_out > 0 and result.tokens_approximate
+        usage = TokenUsage()
+        run_cot(Asker(MockLlm(5), sleep=lambda _: None), make_claim(), SNIPPETS, usage)
+        assert usage.tokens_in > 0 and usage.tokens_out > 0 and usage.approximate

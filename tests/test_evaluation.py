@@ -22,10 +22,12 @@ from claimaudit.audit import (
     DEFAULT_TOKEN_BUDGET,
     AuditRequest,
     PaperToAudit,
+    build_audit_prompt,
     load_template,
     mock_audit,
     render_audit_response,
 )
+from claimaudit.baselines import run_ciber
 from claimaudit.core import AnalysisDocument, CheckId, Verdict
 from claimaudit.corpus import (
     EVIDENCE_FROM_MAP,
@@ -55,7 +57,7 @@ from claimaudit.evaluation import (
     render_table,
     run_matrix,
 )
-from claimaudit.llm import LlmClient, LlmReply, LlmTransportError, MockLlm
+from claimaudit.llm import Asker, LlmClient, LlmReply, LlmTransportError, MockLlm, TokenUsage, approx_token_count
 from claimaudit.scoring import HvParams, Tallies, make_contribution
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
@@ -649,6 +651,62 @@ class TestLiveEqualsMock:
             unsplit = _run_fixtures(corpus, SCENARIOS, mock=True, methods=("audit",))
             assert sum(record.tokens_in for record in audit) > sum(record.tokens_in for record in unsplit)
         assert dump_records(live) == dump_records(mock)
+
+
+class TestCellTokens:
+    """A cell's tokens are the sum of every turn its method asked, memo hits included."""
+
+    @pytest.fixture(scope="class")
+    def fixtures_corpus(self):
+        return ingest(FIXTURES / "manifest.json")
+
+    @staticmethod
+    def _chunks(corpus, claim, label):
+        evidence, _ = evidence_for_claim(corpus, claim)
+        return filter_scenario(evidence, corpus.scenario(label))
+
+    def test_ciber_counts_the_cot_turn_the_memo_serves(self, fixtures_corpus):
+        client = _LiveDouble(7)
+        records = _run_fixtures(fixtures_corpus, ("TY0",), mock=False, client=client, methods=("cot", "ciber"))
+        # CIBER's CoT prompt is COT's byte for byte, so the client hears it once per claim.
+        assert client.titles()["cot_verdict"] == len(fixtures_corpus.claims)
+        ciber = [record for record in records if record.method == "ciber"]
+        assert len(ciber) == len(fixtures_corpus.claims)
+        for record in ciber:
+            claim = fixtures_corpus.claim(record.claim_id)
+            usage = TokenUsage()
+            run_ciber(Asker(MockLlm(7), memo={}), claim, self._chunks(fixtures_corpus, claim, "TY0"), usage)
+            assert record.failure is None
+            assert (record.tokens_in, record.tokens_out, record.tokens_approximate) == (
+                usage.tokens_in, usage.tokens_out, usage.approximate,
+            )
+
+    def test_a_split_audit_cell_counts_every_single_paper_batch(self, fixtures_corpus):
+        budget = 2000
+        records = _run_fixtures(fixtures_corpus, ("TY3",), mock=True, methods=("audit",), token_budget=budget)
+        splits = 0
+        for record in records:
+            claim = fixtures_corpus.claim(record.claim_id)
+            chunks = self._chunks(fixtures_corpus, claim, "TY3")
+            papers = tuple(
+                PaperToAudit(
+                    paper_id=doc_id,
+                    analysis=fixtures_corpus.document(doc_id).analysis,
+                    chunks=tuple(chunk.text for chunk in chunks if chunk.doc_id == doc_id),
+                )
+                for doc_id in dict.fromkeys(chunk.doc_id for chunk in chunks)
+            )
+            whole = AuditRequest(claim_text=claim.text, papers=papers)
+            batches = [whole]
+            if approx_token_count(build_audit_prompt(whole)) > budget:
+                batches = [AuditRequest(claim_text=claim.text, papers=(paper,)) for paper in papers]
+                splits += 1
+            assert record.failure is None
+            assert (record.tokens_in, record.tokens_out) == (
+                sum(approx_token_count(build_audit_prompt(batch)) for batch in batches),
+                sum(approx_token_count(render_audit_response(mock_audit(batch, 7))) for batch in batches),
+            )
+        assert 0 < splits < len(records)
 
 
 def _verdict_reply(labels, **extra):

@@ -57,11 +57,11 @@ class TestTokenUsage:
         usage.record("abcdefgh", LlmReply(text="abcd", prompt_tokens=3))
         assert (usage.tokens_in, usage.tokens_out, usage.approximate) == (3, 1, True)
 
-    def test_merge_accumulates_and_taints(self):
-        exact = TokenUsage(tokens_in=5, tokens_out=5, approximate=False)
-        rough = TokenUsage(tokens_in=1, tokens_out=1, approximate=True)
-        exact.merge(rough)
-        assert (exact.tokens_in, exact.tokens_out, exact.approximate) == (6, 6, True)
+    def test_records_accumulate_and_one_approximate_turn_taints(self):
+        usage = TokenUsage()
+        usage.record("abcd", LlmReply(text="abcd"))
+        usage.record("irrelevant", LlmReply(text="x", prompt_tokens=5, completion_tokens=5))
+        assert (usage.tokens_in, usage.tokens_out, usage.approximate) == (6, 6, True)
 
 
 class TestExtractJsonObject:

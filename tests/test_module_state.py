@@ -1,6 +1,6 @@
 """The package keeps no module-level state that its functions rebind,
 one place applies the retry policy, JSON from outside is read by type,
-and one place decides which audit checks count.
+one place decides which audit checks count, and one counts a cell's tokens.
 
 A `global` statement lets one call change what every later call in the
 process sees; per-run values belong to the objects a run creates (the
@@ -10,6 +10,8 @@ manifest and LLM reply readers go through `_files`' typed readers, so a
 wrong type fails by name instead of being checked by hand or coerced.
 Only `core.py` reads a check's applicability flag, in
 `AnalysisDocument.applicable_checks`; every other module reads that tuple.
+Only `evaluation._cell` makes a `TokenUsage`: every method records into
+the one its cell passes down, so a cell's tokens are counted in one place.
 """
 
 import ast
@@ -42,15 +44,23 @@ def test_no_global_statement(path):
     assert rebinds == []
 
 
-def _complete_callers(node, scope=""):
-    """The enclosing qualified name of every `.complete(...)` call under `node`."""
+def _enclosing(node, matches, scope=""):
+    """The enclosing qualified name of every node under `node` that `matches`."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _complete_callers(child, f"{scope}{child.name}.")
+            yield from _enclosing(child, matches, f"{scope}{child.name}.")
             continue
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "complete":
+        if matches(child):
             yield scope.rstrip(".")
-        yield from _complete_callers(child, scope)
+        yield from _enclosing(child, matches, scope)
+
+
+def _scopes_in_package(matches):
+    return [
+        f"{path.name}:{scope}"
+        for path in MODULES
+        for scope in _enclosing(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), matches)
+    ]
 
 
 def _module_containers():
@@ -77,12 +87,25 @@ def test_a_run_grows_no_module_level_container(tmp_path):
 
 
 def test_only_the_asker_calls_a_client():
-    callers = [
-        f"{path.name}:{caller}"
-        for path in MODULES
-        for caller in _complete_callers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    ]
-    assert callers == ["llm.py:Asker.ask"]
+    def is_complete_call(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "complete"
+
+    assert _scopes_in_package(is_complete_call) == ["llm.py:Asker.ask"]
+
+
+def _is_token_usage(node):
+    return (isinstance(node, ast.Name) and node.id == "TokenUsage") or (
+        isinstance(node, ast.Attribute) and node.attr == "TokenUsage"
+    )
+
+
+def test_only_the_cell_makes_a_token_usage():
+    def makes_usage(node):
+        if isinstance(node, ast.Call):
+            return _is_token_usage(node.func)
+        return isinstance(node, ast.keyword) and node.arg == "default_factory" and _is_token_usage(node.value)
+
+    assert _scopes_in_package(makes_usage) == ["evaluation.py:_cell"]
 
 
 # The readers of a manifest and of LLM replies, by module.

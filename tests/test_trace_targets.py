@@ -16,7 +16,7 @@ import pytest
 import claimaudit.audit as audit
 import claimaudit.baselines as baselines
 from claimaudit.audit import mock_audit, render_audit_response
-from claimaudit.llm import Asker, MockLlm
+from claimaudit.llm import Asker, MockLlm, TokenUsage
 
 from scripted_llm import ScriptedTranscript, prompt_fingerprint
 from test_audit import make_request
@@ -67,11 +67,11 @@ def test_run_audit_parses_through_the_module_attribute(monkeypatch):
     canned = render_audit_response(mock_audit(request, seed=1))
     client = ScriptedTranscript({prompt_fingerprint(audit.build_audit_prompt(request)): canned})
     calls = _spy(monkeypatch, audit, "parse_audit_response")
-    audit.run_audit(Asker(client, sleep=lambda _: None), request)
+    audit.run_audit(Asker(client, sleep=lambda _: None), request, TokenUsage())
     assert len(calls) == 1
 
 
 def test_baselines_load_templates_through_their_module_attribute(monkeypatch):
     calls = _spy(monkeypatch, baselines, "load_template")
-    baselines.run_cot(Asker(MockLlm(1), sleep=lambda _: None), make_claim(), SNIPPETS)
+    baselines.run_cot(Asker(MockLlm(1), sleep=lambda _: None), make_claim(), SNIPPETS, TokenUsage())
     assert [args[0] for args in calls] == ["cot_verdict"]
