@@ -28,7 +28,7 @@ from .core import (
     SCORE_LABELS,
     STANCE_LABELS,
 )
-from .llm import Asker, LlmError, LlmReply, TokenUsage, approx_token_count, extract_json_object
+from .llm import Asker, LlmReply, TokenUsage, approx_token_count, extract_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -41,10 +41,6 @@ _STANCE_NAMES = {value: name for name, value in STANCE_LABELS.items()}
 
 class AuditParseError(ValueError):
     """The audit response does not match the wire contract (retryable)."""
-
-
-class AuditFailureError(RuntimeError):
-    """The audit could not be completed for this claim."""
 
 
 class PromptBudgetError(ValueError):
@@ -285,14 +281,14 @@ def _audit_batches(
 
     `answer(batch, prompt, usage)` answers one batch and records its
     turn into `usage`, the cell's one count, so every sub-batch adds to
-    it. A single paper that alone exceeds the budget is a claim-level
-    failure. No budget (None) never splits.
+    it. A single paper that alone exceeds the budget raises
+    PromptBudgetError, a claim-level failure. No budget (None) never splits.
     """
     try:
         prompt = build_audit_prompt(req, token_budget=token_budget, templates=templates)
     except PromptBudgetError as exc:
         if len(req.papers) == 1:
-            raise AuditFailureError(f"single paper exceeds the audit token budget: {exc}") from exc
+            raise PromptBudgetError(f"single paper exceeds the audit token budget: {exc}") from exc
         logger.warning("splitting oversized audit batch into %d single-paper requests", len(req.papers))
         results = []
         for paper in req.papers:
@@ -321,16 +317,12 @@ def run_audit(
     """Audit every paper in the request, splitting batches over budget; every turn is recorded into `usage`.
 
     `asker` retries unparseable replies and retryable transport errors;
-    exhausting them (or a single paper that alone exceeds the budget) is
-    a claim-level failure.
+    its error when they run out (named `batch_audit_response`), a client
+    error it does not retry, or a PromptBudgetError for a single paper
+    that alone exceeds the budget propagates as a claim-level failure.
     """
 
     def answer(batch: AuditRequest, prompt: str, usage: TokenUsage) -> list[AuditResult]:
-        try:
-            return asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=batch), usage)
-        except LlmError as exc:
-            raise AuditFailureError(f"audit transport failed: {exc}") from exc
-        except ValueError as exc:
-            raise AuditFailureError(f"audit response {exc}") from exc
+        return asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=batch), usage)
 
     return _audit_batches(req, token_budget, asker.templates, usage, answer)

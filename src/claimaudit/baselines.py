@@ -4,9 +4,10 @@ Each driver runs a fixed chain of turns through the run's `Asker` (its
 client, retry policy, reply memo and template directory), records every
 turn into the `TokenUsage` it is given, and validates every structured
 reply. A required turn that fails (a client error, or a reply
-unparseable after the retries) raises out of the driver; a failed
-optional turn falls back: a CIBER probe adds vacuous mass, a FLARE full
-review keeps the first verdict.
+unparseable after the retries) raises the Asker's own error out of the
+driver, named by the turn's schema title; a failed optional turn falls
+back: a CIBER probe adds vacuous mass, a FLARE full review keeps the
+first verdict.
 
 COT     one pass: verdict + justification.
 SELFRAG two turns: per-passage critiques feed a synthesis verdict,
@@ -33,12 +34,6 @@ from .llm import Asker, LlmError, TokenUsage, extract_json_object
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
-
-# Method slugs; "audit" (the primary pipeline) lives in evaluation.
-METHOD_COT = "cot"
-METHOD_SELFRAG = "selfrag"
-METHOD_FLARE = "flare"
-METHOD_CIBER = "ciber"
 
 RELEVANT = "Relevant"
 IRRELEVANT = "Irrelevant"
@@ -267,9 +262,8 @@ def _read_flare_initial(payload: Any) -> tuple[Verdict, str, float, str]:
 
 @dataclass
 class _Chain:
-    """One driver run: its method (for error texts), its asker, and the cell's usage every turn records into."""
+    """One driver run: its asker, and the cell's usage every turn records into."""
 
-    method: str
     asker: Asker
     usage: TokenUsage
 
@@ -278,15 +272,12 @@ class _Chain:
         return render_template(load_template(name, self.asker.templates), mapping)
 
     def ask(self, prompt: str, schema: Mapping[str, Any], read: Callable[[Any], T]) -> T:
-        """One structured turn; `read` validates the reply's JSON object."""
+        """One structured turn; `read` validates the reply's JSON object, and a failure is the Asker's."""
 
         def parse(text: str) -> T:
             return read(extract_json_object(text))
 
-        try:
-            return self.asker.ask(prompt, schema, parse, self.usage)
-        except ValueError as exc:
-            raise ValueError(f"{self.method} {schema['title']} reply {exc}") from exc
+        return self.asker.ask(prompt, schema, parse, self.usage)
 
 
 def enforce_synthesis_rules(model_verdict: Verdict, critiques: Sequence[Critique]) -> Verdict:
@@ -321,7 +312,7 @@ def _cot_turn(chain: _Chain, claim: Claim, snippets: Sequence[EvidenceLike]) -> 
 def run_cot(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage) -> BaselineVerdict:
     """Single-pass verdict with justification."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_COT, asker, usage)
+    chain = _Chain(asker, usage)
     verdict, justification, _ = _cot_turn(chain, claim, snippets)
     return BaselineVerdict(verdict, justification)
 
@@ -329,7 +320,7 @@ def run_cot(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage:
 def run_selfrag(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage) -> BaselineVerdict:
     """Critique turn feeding a synthesis turn, with rules re-enforced."""
     _require_snippets(snippets)
-    chain = _Chain(METHOD_SELFRAG, asker, usage)
+    chain = _Chain(asker, usage)
     rendered = render_snippets(snippets)
     critique_prompt = chain.prompt(
         "selfrag_critique", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered}
@@ -359,7 +350,7 @@ def run_flare(
     keeps the first verdict.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_FLARE, asker, usage)
+    chain = _Chain(asker, usage)
     rendered = render_snippets(snippets)
     paper_ids = snippet_paper_ids(snippets)
     initial_prompt = chain.prompt(
@@ -421,7 +412,7 @@ def run_ciber(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usag
     Refutes / Neutral outcome maps to Valid / Invalid / Unverifiable.
     """
     _require_snippets(snippets)
-    chain = _Chain(METHOD_CIBER, asker, usage)
+    chain = _Chain(asker, usage)
     rendered = render_snippets(snippets)
     cot_verdict, _, cot_confidence = _cot_turn(chain, claim, snippets)
     pairs: list[tuple[Verdict, float]] = [(cot_verdict, cot_confidence)]

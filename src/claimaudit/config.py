@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Container
 
 from ._files import json_array, json_optional, json_value
 from .audit import DEFAULT_TOKEN_BUDGET
@@ -129,9 +129,11 @@ class _Section:
         value = self.values.get(key)
         return json_optional(self._key(key), value, str, ConfigError)
 
-    def array(self, key: str, default: tuple[Any, ...], kind: type) -> tuple[Any, ...]:
-        """A list whose every item has the JSON type `kind`."""
-        return json_array(self._key(key), self.values.get(key, list(default)), kind, ConfigError)
+    def array(
+        self, key: str, default: tuple[Any, ...], kind: type, among: Container[Any] | None = None
+    ) -> tuple[Any, ...]:
+        """A list whose every item has the JSON type `kind` (and, with `among`, is in it)."""
+        return json_array(self._key(key), self.values.get(key, list(default)), kind, ConfigError, among)
 
     def path(self, key: str, base: Path, default: Path | None = None) -> Path | None:
         """A nonempty string taken relative to `base`; `default` when absent or null."""
@@ -190,16 +192,8 @@ def load_config(config_path: str | Path) -> RunConfig:
     llm = root.object("llm", {"base_url", "model", "api_key", "max_in_flight", "retries", "timeout"})
     embedding = root.object("embedding", {"dim", "seed"})
     run = root.object("run", {"retrieval_k", "token_budget", "methods", "scenarios"})
-    methods = run.array("methods", ALL_METHODS, str)
-    unknown_methods = [method for method in methods if method not in ALL_METHODS]
-    if unknown_methods:
-        raise ConfigError(f"run.methods: unknown methods {unknown_methods}; allowed: {list(ALL_METHODS)}")
-    scenarios = run.array("scenarios", SCENARIO_LABELS, str)
-    unknown_scenarios = [label for label in scenarios if label not in SCENARIO_LABELS]
-    if unknown_scenarios:
-        raise ConfigError(
-            f"run.scenarios: unknown scenarios {unknown_scenarios}; allowed: {list(SCENARIO_LABELS)}"
-        )
+    methods = run.array("methods", ALL_METHODS, str, among=ALL_METHODS)
+    scenarios = run.array("scenarios", SCENARIO_LABELS, str, among=SCENARIO_LABELS)
     flags = root.object("ablations", {"use_hv_score", "use_dynamic_threshold", "use_redundancy_penalty"})
 
     return RunConfig(

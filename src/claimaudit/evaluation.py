@@ -18,24 +18,8 @@ from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from ._files import JsonRecord, read_json_lines
-from .audit import (
-    AuditFailureError,
-    AuditRequest,
-    DEFAULT_TOKEN_BUDGET,
-    PaperToAudit,
-    mock_audit_with_usage,
-    run_audit,
-)
-from .baselines import (
-    METHOD_CIBER,
-    METHOD_COT,
-    METHOD_FLARE,
-    METHOD_SELFRAG,
-    run_ciber,
-    run_cot,
-    run_flare,
-    run_selfrag,
-)
+from .audit import AuditRequest, DEFAULT_TOKEN_BUDGET, PaperToAudit, mock_audit_with_usage, run_audit
+from .baselines import run_ciber, run_cot, run_flare, run_selfrag
 from .core import Claim, STANCE_REFUTES, STANCE_SUPPORTS, Verdict, map_verdict
 from .corpus import (
     Corpus,
@@ -54,7 +38,12 @@ from .threshold import verdict as hv_verdict
 
 logger = logging.getLogger(__name__)
 
+# Method slugs: the audit pipeline and the four baselines.
 METHOD_AUDIT = "audit"
+METHOD_COT = "cot"
+METHOD_SELFRAG = "selfrag"
+METHOD_FLARE = "flare"
+METHOD_CIBER = "ciber"
 
 # Threshold used when the dynamic-threshold ablation is switched off:
 # the neutral cut of a sigmoid score.
@@ -349,7 +338,7 @@ def _cell(ctx: RunContext, method: str, claim: Claim, chunks: Sequence[EvidenceC
     usage = TokenUsage()
     try:
         fields = _CELLS[method](ctx, claim, chunks, usage)
-    except (AuditFailureError, LlmError, ValueError) as exc:
+    except (LlmError, ValueError) as exc:
         return {"n_evidence_docs": n_docs, "failure": str(exc)}
     return {
         "n_evidence_docs": n_docs,

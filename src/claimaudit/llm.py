@@ -137,9 +137,12 @@ class Asker:
         The one retry loop: a retryable transport error or a ValueError (a
         reply `parse` rejects) asks again, up to `retries` more times,
         after 1, 2, 4 s, ... or the server's Retry-After; a Retry-After over
-        MAX_RETRY_AFTER_S fails the turn at once. When the attempts run
-        out, the last error is re-raised naming how many were made. Any
-        other client error (LlmError) propagates at once.
+        MAX_RETRY_AFTER_S fails the turn at once. This is the one place
+        that names a failed turn: every error it raises and every retry
+        warning it logs starts with the schema's title ("LLM" without
+        one), e.g. `cot_verdict request failed after 4 attempts: ...` or
+        `batch_audit_response reply unparseable after 4 attempts: ...`.
+        Any other client error (LlmError) propagates at once, unchanged.
 
         With a `memo`, a (schema title, prompt) pair reaches the client at
         most once: a reply that parsed is stored, and a later turn with the
@@ -148,7 +151,8 @@ class Asker:
         stored, so the next turn with that pair asks the client anew.
         """
         memo = self.memo
-        key = (str(schema.get("title")), prompt)
+        title = str(schema.get("title", "LLM"))
+        key = (title, prompt)
         if memo is not None and key in memo:
             reply = memo[key]
             usage.record(prompt, reply)
@@ -167,19 +171,19 @@ class Asker:
                 if not exc.retryable:
                     raise
                 if attempts > self.retries:
-                    raise LlmTransportError(f"LLM request failed after {made}: {exc}") from exc
+                    raise LlmTransportError(f"{title} request failed after {made}: {exc}") from exc
                 if exc.retry_after is not None:
                     if exc.retry_after > MAX_RETRY_AFTER_S:
                         raise LlmTransportError(
-                            f"server asked to retry after {exc.retry_after:g} s, over the "
-                            f"{MAX_RETRY_AFTER_S:g} s cap: {exc}"
+                            f"{title} request failed: server asked to retry after {exc.retry_after:g} s, "
+                            f"over the {MAX_RETRY_AFTER_S:g} s cap: {exc}"
                         ) from exc
                     wait = exc.retry_after
-                logger.warning("LLM request failed (%s); asking again in %.0f s", exc, wait)
+                logger.warning("%s request failed (%s); asking again in %.0f s", title, exc, wait)
             except ValueError as exc:
                 if attempts > self.retries:
-                    raise ValueError(f"unparseable after {made}: {exc}") from exc
-                logger.warning("reply unparseable (%s); asking again in %.0f s", exc, wait)
+                    raise ValueError(f"{title} reply unparseable after {made}: {exc}") from exc
+                logger.warning("%s reply unparseable (%s); asking again in %.0f s", title, exc, wait)
             else:
                 if memo is not None:
                     memo[key] = reply
@@ -259,13 +263,15 @@ class HttpChatClient(LlmClient):
 def _read_reply(payload: Any) -> LlmReply:
     """Decode a chat-completions body in one checked step.
 
-    The text is `choices[0].message.content`, a string, and each usage
-    count is a non-negative integer or absent. Any other shape raises a
-    retryable "malformed payload" LlmTransportError.
+    The text is `choices[0].message.content`, a string; `usage` is an
+    object, null or absent (no counts), and each of its counts a
+    non-negative integer or absent. Any other shape raises a retryable
+    "malformed payload" LlmTransportError.
     """
     try:
         text = payload["choices"][0]["message"]["content"]
-        usage = payload.get("usage", {})
+        usage = payload.get("usage")
+        usage = {} if usage is None else usage
         counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise LlmTransportError(f"malformed payload: {exc!r}", retryable=True) from exc

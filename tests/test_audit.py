@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimaudit.audit import (
-    AuditFailureError,
     AuditParseError,
     AuditRequest,
     BATCH_AUDIT_SCHEMA,
@@ -432,16 +431,17 @@ class TestRunAudit:
     def test_exhausted_parse_retries_fail_the_claim(self):
         client = _QueueClient(["junk"] * 4)
         sleeps = []
-        with pytest.raises(AuditFailureError, match="after 4 attempts"):
+        with pytest.raises(ValueError, match="^batch_audit_response reply unparseable after 4 attempts: "):
             run_audit(Asker(client, sleep=sleeps.append), make_request(), TokenUsage())
         assert sleeps == [1.0, 2.0, 4.0]
 
     def test_transport_failure_fails_the_claim_immediately(self):
         from claimaudit.llm import LlmTransportError
 
-        client = _QueueClient([LlmTransportError("down")])
-        with pytest.raises(AuditFailureError, match="transport"):
-            run_audit(Asker(client, sleep=lambda _: None), make_request(), TokenUsage())
+        error = LlmTransportError("down")
+        with pytest.raises(LlmTransportError) as info:
+            run_audit(Asker(_QueueClient([error]), sleep=lambda _: None), make_request(), TokenUsage())
+        assert info.value is error
 
     def test_oversized_batch_splits_by_paper(self):
         papers = [make_paper("D01"), make_paper("D02")]
@@ -469,5 +469,5 @@ class TestRunAudit:
         assert usage.approximate is True
 
     def test_single_oversized_paper_is_a_claim_failure(self):
-        with pytest.raises(AuditFailureError, match="budget"):
+        with pytest.raises(PromptBudgetError, match="^single paper exceeds the audit token budget: "):
             run_audit(Asker(_QueueClient([]), sleep=lambda _: None), make_request(), TokenUsage(), token_budget=10)

@@ -72,6 +72,14 @@ SCENARIOS = ("TY0", "TY1", "TY3", "TY5")
 CFG = ThresholdConfig()
 RIDGE = constant_boldness_model()
 PARAMS = HvParams()
+# The schema title of each method's first required turn.
+FIRST_TURNS = {
+    "audit": "batch_audit_response",
+    "cot": "cot_verdict",
+    "selfrag": "selfrag_critiques",
+    "flare": "flare_initial_verdict",
+    "ciber": "cot_verdict",
+}
 
 
 def run(corpus, methods=("audit",), scenarios=("TY0", "TY5"), flags=AblationFlags(), seed=7, **kwargs):
@@ -239,8 +247,12 @@ class _CountingClient(LlmClient):
 
 
 class _OutageClient(_CountingClient):
+    def __init__(self, retryable=False):
+        super().__init__()
+        self.retryable = retryable
+
     def answer(self, prompt, schema):
-        raise LlmTransportError("endpoint down")
+        raise LlmTransportError("endpoint down", retryable=self.retryable)
 
 
 class _WordSaladClient(_CountingClient):
@@ -388,20 +400,27 @@ class TestRunMatrix:
         assert all("evidence lookup failed" in record.failure for record in by_claim["K02"])
         assert len(by_claim["K02"]) == 4
 
-    # The script-miss case keeps the bare method id.
+    # The script-miss case keeps the bare method id. A final client error
+    # fails with the client's own text; a turn that runs out of attempts
+    # names the method's first required turn by its schema title.
     @pytest.mark.parametrize(
-        ("method", "client", "failure_text"),
+        ("method", "client", "failure_start"),
         [
-            pytest.param(method, client, text, id=method + suffix)
-            for suffix, client, text in (
+            pytest.param(method, client, start, id=method + suffix)
+            for method in ALL_METHODS
+            for suffix, client, start in (
                 ("", ScriptedTranscript({}), "no scripted response"),
                 ("-outage", _OutageClient(), "endpoint down"),
-                ("-unparseable", _WordSaladClient(), "unparseable after 4 attempts"),
+                (
+                    "-retryable-outage",
+                    _OutageClient(retryable=True),
+                    f"{FIRST_TURNS[method]} request failed after 4 attempts: endpoint down",
+                ),
+                ("-unparseable", _WordSaladClient(), f"{FIRST_TURNS[method]} reply unparseable after 4 attempts: "),
             )
-            for method in ALL_METHODS
         ],
     )
-    def test_client_errors_become_failure_records_for_every_method(self, corpus, method, client, failure_text):
+    def test_client_errors_become_failure_records_for_every_method(self, corpus, method, client, failure_start):
         answered = run(corpus, methods=(method,))
         unanswered = run_matrix(
             corpus, (method,), ("TY0", "TY5"), AblationFlags(), PARAMS, RIDGE, CFG,
@@ -410,7 +429,7 @@ class TestRunMatrix:
         assert len(unanswered.records) == len(answered.records) == 4
         for record, reference in zip(unanswered.records, answered.records):
             assert reference.failure is None
-            assert failure_text in record.failure
+            assert record.failure.startswith(failure_start)
             assert record.verdict is None
             assert (record.tokens_in, record.tokens_out) == (0, 0)
             assert record.retrieval_mode == reference.retrieval_mode

@@ -94,8 +94,8 @@ class TestAsker:
     def test_last_parse_error_names_the_attempts_made(self):
         transcript = ScriptedTranscript({prompt_fingerprint("p"): "word salad"})
         usage, sleeps = TokenUsage(), []
-        with pytest.raises(ValueError, match=r"^unparseable after 2 attempts: .*JSON") as info:
-            Asker(transcript, retries=1, sleep=sleeps.append).ask("p", {}, extract_json_object, usage)
+        with pytest.raises(ValueError, match=r"^t reply unparseable after 2 attempts: .*JSON") as info:
+            Asker(transcript, retries=1, sleep=sleeps.append).ask("p", {"title": "t"}, extract_json_object, usage)
         assert isinstance(info.value.__cause__, ValueError)
         assert (sleeps, usage.tokens_out) == ([1.0], 2 * approx_token_count("word salad"))
 
@@ -229,6 +229,16 @@ class TestHttpChatClient:
         assert call["headers"]["Authorization"] == "Bearer k"
         assert "response_format" not in call["json"]
 
+    @pytest.mark.parametrize(
+        "payload", [_chat_payload("hi"), {**_chat_payload("hi"), "usage": None}], ids=["absent-usage", "null-usage"]
+    )
+    def test_reply_without_usage_counts_approximately(self, payload):
+        usage = TokenUsage()
+        assert Asker(_client(_FakeSession([_FakeResponse(payload)])), retries=0).ask("hello", {}, str, usage) == "hi"
+        assert (usage.tokens_in, usage.tokens_out, usage.approximate) == (
+            approx_token_count("hello"), approx_token_count("hi"), True
+        )
+
     def test_schema_requests_structured_output(self):
         session = _FakeSession([_FakeResponse(_chat_payload("{}"))])
         _client(session).complete("p", schema={"title": "cot_verdict", "type": "object"})
@@ -263,11 +273,11 @@ class TestHttpChatClient:
         [
             {"weird": True},
             [],
-            {"choices": [{"message": {"content": "x"}}], "usage": None},
+            {"choices": [{"message": {"content": "x"}}], "usage": []},
             {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "12"}},
             {"choices": "x"},
         ],
-        ids=["no-choices", "not-an-object", "null-usage", "string-count", "string-choices"],
+        ids=["no-choices", "not-an-object", "list-usage", "string-count", "string-choices"],
     )
     def test_malformed_payload_counts_as_failure(self, payload):
         session = _FakeSession([_FakeResponse(payload)] * 4)
@@ -337,8 +347,8 @@ class TestHttpChatClient:
         session = _FakeSession(([_FakeResponse({}, status=503)] * 3 + [_FakeResponse(_chat_payload("prose"))]) * 4)
         sleeps = []
         asker = Asker(_client(session), sleep=sleeps.append)
-        with pytest.raises(ValueError, match="^unparseable after 4 attempts: "):
-            asker.ask("p", {}, extract_json_object, TokenUsage())
+        with pytest.raises(ValueError, match="^t reply unparseable after 4 attempts: "):
+            asker.ask("p", {"title": "t"}, extract_json_object, TokenUsage())
         assert (len(session.calls), sleeps) == (4, [1.0, 2.0, 4.0])
 
     def test_backoff_leaves_the_in_flight_slot_free(self):
