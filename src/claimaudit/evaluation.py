@@ -14,6 +14,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
@@ -349,6 +350,44 @@ def _cell(ctx: RunContext, method: str, claim: Claim, chunks: Sequence[EvidenceC
     }
 
 
+def _claim_records(
+    ctx: RunContext, claim: Claim, methods: Sequence[str], scenario_labels: Sequence[str], retrieval_k: int
+) -> list[VerdictRecord]:
+    """One claim's records, in method-then-scenario order; no other code holds a claim's state.
+
+    A failed evidence lookup fails all the claim's cells. A cell never
+    reads its scenario label, so scenarios that leave the claim the same
+    evidence share one computed cell, a failure included. The cells
+    share one reply memo, so a prompt reaches the client at most once
+    per claim. The memo is per claim by design, even where two claims
+    send the same prompt (a CIBER probe holds no claim text), so one
+    worker can run all of a claim's cells without a lock.
+    """
+    record = partial(VerdictRecord, claim_id=claim.id, ground_truth=claim.ground_truth.value)
+    cells = [(method, label) for method in methods for label in scenario_labels]
+    try:
+        evidence, mode = evidence_for_claim(ctx.corpus, claim, retrieval_k)
+    except (EmbeddingError, ValueError) as exc:
+        logger.warning("evidence lookup failed for claim %s: %s", claim.id, exc)
+        failure = f"evidence lookup failed: {exc}"
+        return [record(method=method, scenario=label, failure=failure) for method, label in cells]
+    chunks_by_scenario = {label: filter_scenario(evidence, ctx.corpus.scenario(label)) for label in scenario_labels}
+    computed: dict[tuple[str, tuple[str, ...]], CellFields] = {}
+    claim_ctx = replace(ctx, asker=replace(ctx.asker, memo={}))
+
+    def fields(method: str, label: str) -> CellFields:
+        if not (chunks := chunks_by_scenario[label]):
+            return {"failure": f"no evidence chunks survive scenario {label}"}
+        key = (method, tuple(chunk.id for chunk in chunks))
+        if key not in computed:
+            computed[key] = _cell(claim_ctx, method, claim, chunks)
+        return computed[key]
+
+    return [
+        record(method=method, scenario=label, retrieval_mode=mode, **fields(method, label)) for method, label in cells
+    ]
+
+
 def run_matrix(
     corpus: Corpus,
     methods: Sequence[str],
@@ -367,21 +406,18 @@ def run_matrix(
     sleep: Callable[[float], None] = time.sleep,
     templates: Path | None = None,
 ) -> "RunReport":
-    """Produce one VerdictRecord per (claim, method, scenario) cell.
+    """Produce one VerdictRecord per (claim, method, scenario) cell: each claim's `_claim_records`, in claim order.
 
     Claim-level failures become records with the failure field set;
-    the matrix itself never aborts. Record order is claim-major, then
-    method, then scenario, so assembly is deterministic. A cell reads
-    its method and ordered evidence, never the scenario label, so the
-    scenarios that leave a claim the same evidence share one computed
-    result, a failure included. A claim's cells share one reply memo, so
-    a prompt reaches the client at most once per claim; every prompt
-    holds the claim text, so no memo outlives its claim. `templates` is
+    the matrix itself never aborts. An unknown or duplicated method, or a
+    duplicated scenario, is rejected before any cell runs. `templates` is
     the directory whose prompt templates shadow the packaged ones.
     """
-    unknown = [method for method in methods if method not in _CELLS]
-    if unknown:
+    if unknown := [method for method in methods if method not in _CELLS]:
         raise ValueError(f"unknown methods: {unknown}")
+    for kind, names in (("methods", methods), ("scenarios", scenario_labels)):
+        if duplicated := [name for name, count in Counter(names).items() if count > 1]:
+            raise ValueError(f"duplicated {kind}: {duplicated}")
     if not mock and client is None:
         raise ValueError("a live run needs an LLM client; pass client= or use mock=True")
     ctx = RunContext(
@@ -395,44 +431,8 @@ def run_matrix(
         asker=Asker(MockLlm(seed) if mock else client, retries, sleep, templates),  # type: ignore[arg-type]
         token_budget=token_budget,
     )
-
-    records: list[VerdictRecord] = []
-    for claim in corpus.claims.values():
-        try:
-            evidence, mode = evidence_for_claim(corpus, claim, retrieval_k)
-        except (EmbeddingError, ValueError) as exc:
-            logger.warning("evidence lookup failed for claim %s: %s", claim.id, exc)
-            lookup_failure: CellFields | None = {"failure": f"evidence lookup failed: {exc}"}
-            mode = None
-        else:
-            lookup_failure = None
-            chunks_by_scenario = {
-                label: filter_scenario(evidence, corpus.scenario(label)) for label in scenario_labels
-            }
-        computed: dict[tuple[str, tuple[str, ...]], CellFields] = {}
-        claim_ctx = replace(ctx, asker=replace(ctx.asker, memo={}))
-        for method in methods:
-            for label in scenario_labels:
-                if lookup_failure is not None:
-                    fields = lookup_failure
-                elif not (chunks := chunks_by_scenario[label]):
-                    fields = {"failure": f"no evidence chunks survive scenario {label}"}
-                else:
-                    key = (method, tuple(chunk.id for chunk in chunks))
-                    if key not in computed:
-                        computed[key] = _cell(claim_ctx, method, claim, chunks)
-                    fields = computed[key]
-                records.append(
-                    VerdictRecord(
-                        claim_id=claim.id,
-                        method=method,
-                        scenario=label,
-                        ground_truth=claim.ground_truth.value,
-                        retrieval_mode=mode,
-                        **fields,
-                    )
-                )
-    return build_report(records)
+    blocks = (_claim_records(ctx, claim, methods, scenario_labels, retrieval_k) for claim in corpus.claims.values())
+    return build_report([record for block in blocks for record in block])
 
 
 @dataclass(frozen=True)

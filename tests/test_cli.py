@@ -519,6 +519,24 @@ class TestVerify:
         assert main(["--config", str(config_path), "embed"]) == 0
         assert embeddings.read_bytes() == good
 
+    # Each would write every one of its cells twice.
+    @pytest.mark.parametrize(
+        ("flags", "run_section", "named"),
+        [
+            (["--method", "cot", "--method", "cot", "--scenario", "TY0"], None, "duplicated methods: ['cot']"),
+            (["--scenario", "TY1", "--scenario", "TY1"], None, "duplicated scenarios: ['TY1']"),
+            ([], {"methods": ["cot", "cot"]}, "duplicated methods: ['cot']"),
+            ([], {"scenarios": ["TY0", "TY5", "TY0"]}, "duplicated scenarios: ['TY0']"),
+        ],
+        ids=["method-flag", "scenario-flag", "run-methods", "run-scenarios"],
+    )
+    def test_duplicated_method_or_scenario_exits_1_before_any_record(self, tmp_path, capsys, flags, run_section, named):
+        config_path = setup_workspace(tmp_path, run_section and {"run": run_section})
+        assert main(["--config", str(config_path), "embed"]) == 0
+        assert main(["--config", str(config_path), "verify", "--mock", *flags]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
     def test_unknown_claim_id_exits_1(self, tmp_path, capsys):
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "verify", "--mock", "--claim-id", "K99"]) == 1

@@ -30,6 +30,7 @@ from claimaudit.audit import (
 from claimaudit.baselines import run_ciber
 from claimaudit.core import AnalysisDocument, CheckId, Verdict
 from claimaudit.corpus import (
+    DEFAULT_RETRIEVAL_K,
     EVIDENCE_FROM_MAP,
     EVIDENCE_FROM_RETRIEVAL,
     HashEmbedder,
@@ -369,9 +370,20 @@ class TestRunMatrix:
     def test_seed_changes_outcomes(self, corpus):
         assert dump_records(run(corpus, seed=7).records) != dump_records(run(corpus, seed=8).records)
 
-    def test_unknown_method_rejected(self, corpus):
-        with pytest.raises(ValueError, match="decider"):
-            run(corpus, methods=("decider",))
+    # A duplicated method or scenario would write every one of its cells twice.
+    @pytest.mark.parametrize(
+        ("methods", "scenarios", "message"),
+        [
+            (("decider",), ("TY0", "TY5"), r"unknown methods: \['decider'\]"),
+            (("cot", "audit", "cot"), ("TY0",), r"duplicated methods: \['cot'\]"),
+            (("audit",), ("TY0", "TY5", "TY0", "TY5"), r"duplicated scenarios: \['TY0', 'TY5'\]"),
+        ],
+        ids=["unknown", "duplicated-method", "duplicated-scenarios"],
+    )
+    def test_unknown_method_rejected(self, corpus, monkeypatch, methods, scenarios, message):
+        monkeypatch.setattr(evaluation, "evidence_for_claim", None)  # no claim is looked up
+        with pytest.raises(ValueError, match=message):
+            run(corpus, methods=methods, scenarios=scenarios)
 
     def test_live_mode_requires_client(self, corpus):
         with pytest.raises(ValueError, match="client"):
@@ -600,6 +612,20 @@ class TestSharedCells:
         )
         assert all(record.verdict is None and "unparseable after 4 attempts" in record.failure for record in records)
 
+    def test_the_memo_never_serves_another_claim(self, tmp_path):
+        # A CIBER probe prompt holds the probe question and the evidence,
+        # not the claim text: K01 and K02 send the same three probe prompts.
+        payload = make_manifest()
+        payload["evidence_map"]["K02"] = payload["evidence_map"]["K01"]
+        corpus = make_corpus(tmp_path, payload)
+        assert corpus.claim("K01").probe_questions == corpus.claim("K02").probe_questions
+        client = _LiveDouble(7)
+        records = _run_fixtures(corpus, ("TY1",), mock=False, client=client, methods=("ciber",))
+        assert [record.failure for record in records] == [None, None]
+        probes = [prompt for title, prompt in client.sent if title == "ciber_probe_verdict"]
+        assert len(probes) == 6 and probes[:3] == probes[3:]
+        assert len(set(probes)) == 3
+
     def test_each_empty_scenario_names_its_own_label(self, tmp_path):
         payload = make_manifest()
         payload["evidence_map"]["K01"] = ["D03-c0"]  # D03 is in neither TY0 nor TY1
@@ -609,6 +635,46 @@ class TestSharedCells:
         assert [record.failure for record in k01] == [
             f"no evidence chunks survive scenario {label}" for _ in ALL_METHODS for label in ("TY0", "TY1")
         ]
+
+
+class TestClaimRecords:
+    """`run_matrix` joins one `_claim_records` block per claim, and a block reads no other claim."""
+
+    @staticmethod
+    def _corpus(tmp_path, variant):
+        payload = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+        if variant == "failures":
+            del payload["evidence_map"]["K03"]  # no pins and no embedder: the lookup fails
+            payload["evidence_map"]["K04"] = ["D13-c0", "D14-c0"]  # neither document is in TY0 or TY1
+        return make_corpus(tmp_path, payload)
+
+    @staticmethod
+    def _blocks(corpus, claims, mock):
+        asker = Asker(MockLlm(7) if mock else _LiveDouble(7), sleep=lambda _: None)
+        ctx = evaluation.RunContext(corpus, AblationFlags(), PARAMS, RIDGE, CFG, 7, mock, asker, DEFAULT_TOKEN_BUDGET)
+        return {
+            claim.id: dump_records(evaluation._claim_records(ctx, claim, ALL_METHODS, SCENARIOS, DEFAULT_RETRIEVAL_K))
+            for claim in claims
+        }
+
+    @pytest.mark.parametrize("variant", ["fixtures", "failures"])
+    @pytest.mark.parametrize("mock", [True, False], ids=["mock", "live"])
+    def test_run_matrix_is_the_claim_order_join_of_independent_blocks(self, tmp_path, variant, mock):
+        corpus = self._corpus(tmp_path, variant)
+        records = _run_fixtures(corpus, SCENARIOS, mock=mock, client=None if mock else _LiveDouble(7))
+        failures = Counter(record.failure.split(":")[0] for record in records if record.failure)
+        if variant == "failures":
+            assert failures == {
+                "evidence lookup failed": len(ALL_METHODS) * len(SCENARIOS),
+                "no evidence chunks survive scenario TY0": len(ALL_METHODS),
+                "no evidence chunks survive scenario TY1": len(ALL_METHODS),
+            }
+        else:
+            assert not failures
+        claims = list(corpus.claims.values())
+        forward = self._blocks(corpus, claims, mock)
+        assert dump_records(records) == "".join(forward[claim.id] for claim in claims)
+        assert self._blocks(corpus, reversed(claims), mock) == forward
 
 
 _BATCH_AUDIT_CLAIM = re.compile(r'### CLAIM TO VERIFY ###\n"(.*?)"\n\n### PAPERS TO AUDIT ###\n', re.DOTALL)

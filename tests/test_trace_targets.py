@@ -8,6 +8,7 @@ tests fail instead.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import pytest
 
 import claimaudit.audit as audit
 import claimaudit.baselines as baselines
+import claimaudit.cli as cli
+import claimaudit.evaluation as evaluation
 from claimaudit.audit import mock_audit, render_audit_response
 from claimaudit.llm import Asker, MockLlm, TokenUsage
 
@@ -24,6 +27,7 @@ from test_baselines import SNIPPETS
 from test_core import make_claim
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _load_tracing():
@@ -75,3 +79,15 @@ def test_baselines_load_templates_through_their_module_attribute(monkeypatch):
     calls = _spy(monkeypatch, baselines, "load_template")
     baselines.run_cot(Asker(MockLlm(1), sleep=lambda _: None), make_claim(), SNIPPETS, TokenUsage())
     assert [args[0] for args in calls] == ["cot_verdict"]
+
+
+def test_verify_runs_the_matrix_and_each_lookup_through_the_traced_attributes(monkeypatch, tmp_path):
+    runs = _spy(monkeypatch, cli, "run_matrix")
+    lookups = _spy(monkeypatch, evaluation, "evidence_for_claim")
+    config_path = tmp_path / "config.json"
+    paths = {"manifest": str(FIXTURES / "manifest.json"), "output": str(tmp_path / "out")}
+    config_path.write_text(json.dumps({"paths": paths}), encoding="utf-8")
+    assert cli.main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 0
+    assert len(runs) == 1
+    claims = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))["claims"]
+    assert [args[1].id for args in lookups] == [claim["id"] for claim in claims]
