@@ -22,24 +22,25 @@ _EXPORTS = {
     ),
     "baselines": ("BaselineVerdict", "MassFunction", "run_ciber", "run_cot", "run_flare", "run_selfrag", "wbu_fuse"),
     "calibration": (
-        "CalibrationRecord", "Grid", "default_grid", "fit_boldness_model", "grid_search", "load_calibration_records",
-        "load_params", "ridge_fit", "save_params", "simulate_flawed_audit",
+        "CalibrationRecord", "fit_boldness_model", "grid_search", "load_calibration_records", "load_params",
+        "ridge_fit", "save_params", "simulate_flawed_audit",
     ),
-    "config": ("LlmSettings", "RunConfig", "load_config"),
+    "config": (
+        "ALL_METHODS", "AblationFlags", "Grid", "LlmSettings", "RunConfig", "SCENARIO_LABELS", "default_grid",
+        "load_config",
+    ),
     "core": (
         "ALL_CHECKS", "AnalysisDocument", "AuditResult", "AuditVector", "CheckId", "Claim", "ClaimType",
         "RequiredStandard", "STANCE_NEUTRAL", "STANCE_REFUTES", "STANCE_SUPPORTS", "SchemaError", "Verdict",
         "map_verdict",
     ),
     "corpus": (
-        "Corpus", "CorpusIntegrityError", "Document", "EmbeddingError", "EvidenceChunk", "HashEmbedder",
-        "SCENARIO_LABELS", "Scenario", "embed_chunks", "evidence_for_claim", "filter_scenario", "ingest",
-        "load_corpus", "retrieve", "save_corpus",
+        "Corpus", "CorpusIntegrityError", "Document", "EmbeddingError", "EvidenceChunk", "HashEmbedder", "Scenario",
+        "embed_chunks", "evidence_for_claim", "filter_scenario", "ingest", "load_corpus", "retrieve", "save_corpus",
     ),
     "evaluation": (
-        "ALL_METHODS", "AblationFlags", "CellMetrics", "ConfusionMatrix", "RunReport", "VerdictRecord", "build_report",
-        "cohen_kappa", "csv_rows", "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "render_table",
-        "run_matrix",
+        "CellMetrics", "ConfusionMatrix", "RunReport", "VerdictRecord", "build_report", "cohen_kappa", "csv_rows",
+        "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "render_table", "run_matrix",
     ),
     "llm": ("Asker", "HttpChatClient", "LlmClient", "LlmConfigError", "LlmError", "MockLlm", "TokenUsage"),
     "redundancy": (

@@ -20,6 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ._files import json_array, json_optional, json_value
 from ._rng import DeterministicStream
+from .config import DEFAULT_TOKEN_BUDGET
 from .core import (
     AnalysisDocument,
     AuditResult,
@@ -31,8 +32,6 @@ from .core import (
 from .llm import Asker, LlmReply, TokenUsage, approx_token_count, extract_json_object
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_TOKEN_BUDGET = 100_000
 
 _PLACEHOLDER = re.compile(r"\{\{([A-Z_]+)\}\}")
 _SCORE_NAMES = {value: name for name, value in SCORE_LABELS.items()}

@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._files import JsonRecord, read_json_lines, write_atomic
 from ._rng import DeterministicStream
+# `default_grid` is kept here for the callers that import it from this module.
+from .config import Grid, default_grid  # noqa: F401
 from .core import CheckId, AuditVector, RequiredStandard
 from .scoring import HvParams, Tallies, sigmoid
 from .threshold import RidgeModel, ThresholdConfig, encode_features, threshold_for_claim
@@ -50,31 +52,6 @@ class CalibrationRecord(JsonRecord):
 
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
     return read_json_lines(path, "calibration record", CalibrationRecord.from_json)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """The brute-force search space; both axes strictly increasing."""
-
-    alpha_values: tuple[float, ...]
-    lambda_values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.alpha_values or not self.lambda_values:
-            raise ValueError("grid axes must be nonempty")
-        for name, axis in (("alpha", self.alpha_values), ("lambda", self.lambda_values)):
-            if any(b <= a for a, b in zip(axis, axis[1:])):
-                raise ValueError(f"{name} values must be strictly increasing")
-        if self.lambda_values[0] <= 0:
-            raise ValueError("all lambda values must be > 0")
-
-
-def default_grid() -> Grid:
-    # 41 x 40 cells; cheap to sweep exhaustively and brackets the defaults.
-    return Grid(
-        alpha_values=tuple(round(i * 0.05, 2) for i in range(0, 41)),
-        lambda_values=tuple(round(i * 0.05, 2) for i in range(1, 41)),
-    )
 
 
 def ridge_fit(X: np.ndarray, y: np.ndarray, gamma: float) -> RidgeModel:

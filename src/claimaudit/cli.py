@@ -8,41 +8,52 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
 import logging
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._files import write_atomic
-from .calibration import fit_boldness_model, grid_search, load_calibration_records, load_params, save_params
-from .config import RunConfig, load_config
-from .corpus import (
-    SCENARIO_LABELS,
-    Corpus,
-    HashEmbedder,
-    embed_chunks,
-    ingest,
-    load_corpus,
-    load_embeddings,
-    save_corpus,
-    save_embeddings,
-)
-# `cmd_verify` streams records through `record_line`; `dump_records` stays a
-# module attribute because the benchmark tracer's target list names it here.
-from .evaluation import (  # noqa: F401
-    ALL_METHODS,
-    build_report,
-    csv_rows,
-    dump_records,
-    load_records,
-    record_line,
-    render_table,
-    run_matrix,
-)
-from .llm import HttpChatClient, LlmClient
+from .config import ALL_METHODS, SCENARIO_LABELS, RunConfig, load_config
 from .scoring import HvParams
 from .threshold import RidgeModel, constant_boldness_model
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
+    from .llm import LlmClient
+
+# Each runner name a command calls, under the module that defines it. A
+# name is imported on first use, so a command loads only the runners it
+# calls, and every command calls it through `_cli`, so a wrapper set on
+# `cli.<name>` (the benchmark's tracer, a test's spy) is what runs.
+# `dump_records` is listed because the tracer's target list names it here.
+_RUNNERS = {
+    "calibration": ("fit_boldness_model", "grid_search", "load_calibration_records", "load_params", "save_params"),
+    "corpus": (
+        "HashEmbedder", "embed_chunks", "ingest", "load_corpus", "load_embeddings", "save_corpus", "save_embeddings",
+    ),
+    "evaluation": (
+        "build_report", "csv_rows", "dump_records", "load_records", "record_line", "render_table", "run_matrix",
+    ),
+    "llm": ("HttpChatClient",),
+}
+
+
+def __getattr__(name: str) -> object:
+    for module, names in _RUNNERS.items():
+        if name in names:
+            # The function as the runner defines it: a `functools.wraps`
+            # wrapper set on the runner's module (the tracer wraps both
+            # names) does not run a second time under one set on `cli.<name>`.
+            return inspect.unwrap(getattr(importlib.import_module(f".{module}", __package__), name))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# This module, also when `python -m claimaudit.cli` runs it as `__main__`.
+_cli = sys.modules[__name__]
 
 logger = logging.getLogger(__name__)
 
@@ -80,30 +91,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_corpus(cfg: RunConfig) -> Corpus:
     """The store's corpus without its vectors, or the manifest's if there is no store yet."""
     if not (cfg.store / "manifest.json").exists():
-        return ingest(cfg.manifest)
-    return load_corpus(cfg.store, embeddings=False)
+        return _cli.ingest(cfg.manifest)
+    return _cli.load_corpus(cfg.store, embeddings=False)
 
 
 def _with_embeddings(cfg: RunConfig, corpus: Corpus) -> Corpus:
     """`corpus` ready to retrieve: the store's vectors, if there is a store, and the embedder that made them."""
     if (cfg.store / "manifest.json").exists():
-        corpus = load_embeddings(corpus, cfg.store)
+        corpus = _cli.load_embeddings(corpus, cfg.store)
     if corpus.vectors:
         # The store keeps the vectors, not the embedder that made them.
-        corpus = replace(corpus, embedder=HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
+        corpus = replace(corpus, embedder=_cli.HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
     return corpus
 
 
 def _load_or_default_params(cfg: RunConfig) -> tuple[HvParams, RidgeModel]:
     if cfg.params.exists():
-        return load_params(cfg.params)
+        return _cli.load_params(cfg.params)
     logger.info("no calibrated params at %s; using configured defaults", cfg.params)
     return cfg.hv, constant_boldness_model()
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    corpus = ingest(cfg.manifest)
-    save_corpus(corpus, cfg.store)
+    corpus = _cli.ingest(cfg.manifest)
+    _cli.save_corpus(corpus, cfg.store)
     print(
         f"ingested {len(corpus.documents)} documents ({len(corpus.all_chunks())} chunks), "
         f"{len(corpus.claims)} claims into {cfg.store}"
@@ -113,9 +124,9 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> int:
     corpus = _load_corpus(cfg)
-    embedded = embed_chunks(corpus, HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
+    embedded = _cli.embed_chunks(corpus, _cli.HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed))
     # Embedding changes no byte of a stored manifest, so only a new store gets one.
-    (save_embeddings if (cfg.store / "manifest.json").exists() else save_corpus)(embedded, cfg.store)
+    (_cli.save_embeddings if (cfg.store / "manifest.json").exists() else _cli.save_corpus)(embedded, cfg.store)
     print(f"embedded {len(embedded.all_chunks())} chunks at dimension {cfg.embed_dim} into {cfg.store}")
     return 0
 
@@ -124,10 +135,10 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.calibration is None:
         print("error: paths.calibration must be set for the calibrate command", file=sys.stderr)
         return 1
-    records = load_calibration_records(cfg.calibration)
-    ridge = fit_boldness_model(records, cfg.gamma)
-    alpha, lambda_ = grid_search(records, cfg.grid, cfg.threshold, ridge)
-    save_params(cfg.params, HvParams(alpha=alpha, lambda_=lambda_), ridge)
+    records = _cli.load_calibration_records(cfg.calibration)
+    ridge = _cli.fit_boldness_model(records, cfg.gamma)
+    alpha, lambda_ = _cli.grid_search(records, cfg.grid, cfg.threshold, ridge)
+    _cli.save_params(cfg.params, HvParams(alpha=alpha, lambda_=lambda_), ridge)
     print(f"calibrated alpha={alpha} lambda={lambda_} from {len(records)} records; wrote {cfg.params}")
     return 0
 
@@ -148,7 +159,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     client: LlmClient | None = None
     if not mock:
         # Raises before any request leaves the machine if the key is absent.
-        client = HttpChatClient(
+        client = _cli.HttpChatClient(
             base_url=cfg.llm.base_url,
             model=cfg.llm.model,
             api_key=cfg.llm.api_key,
@@ -156,7 +167,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             timeout=cfg.llm.timeout,
         )
 
-    report = run_matrix(
+    report = _cli.run_matrix(
         corpus,
         methods,
         scenarios,
@@ -173,7 +184,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         templates=cfg.templates,
     )
     records_path = cfg.output / "records.jsonl"
-    write_atomic(records_path, map(record_line, report.records))
+    write_atomic(records_path, map(_cli.record_line, report.records))
     failures = sum(1 for record in report.records if record.failure is not None)
     print(f"wrote {len(report.records)} verdict records ({failures} failures) to {records_path}")
     return 0
@@ -184,16 +195,16 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not records_path.exists():
         print(f"error: no records at {records_path}; run verify first", file=sys.stderr)
         return 1
-    records = load_records(records_path)
+    records = _cli.load_records(records_path)
     if not records:
         print(f"error: {records_path} holds no records", file=sys.stderr)
         return 1
-    report = build_report(records)
+    report = _cli.build_report(records)
     write_atomic(cfg.output / "report.json", (json.dumps(report.to_json(), indent=2, sort_keys=True), "\n"))
     if getattr(args, "csv", False):
-        print("\n".join(csv_rows(report)))
+        print("\n".join(_cli.csv_rows(report)))
     else:
-        print(render_table(report), end="")
+        print(_cli.render_table(report), end="")
     return 0
 
 

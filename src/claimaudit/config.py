@@ -6,6 +6,10 @@ out-of-range value by its `section.key`, input paths must exist, and
 ${ENV_VAR} interpolation resolves secrets without writing them into the
 file. Relative paths are taken relative to the config file's own
 directory so a config travels with its fixtures.
+
+This module also owns the settings records and defaults a config fills;
+the runners read them from here, and it imports no runner, so a command
+loads only the runners it calls.
 """
 
 from __future__ import annotations
@@ -15,19 +19,60 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Container
+from typing import Any, Callable, Container
 
 from ._files import json_array, json_optional, json_value
-from .audit import DEFAULT_TOKEN_BUDGET
-from .calibration import Grid, default_grid
 from .core import RequiredStandard
-from .corpus import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
-from .evaluation import ALL_METHODS, AblationFlags
-from .llm import DEFAULT_MAX_IN_FLIGHT, DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
 from .scoring import HvParams
 from .threshold import CLAMP_HI_DEFAULT, CLAMP_LO_DEFAULT, DEFAULT_PRIORS, ConfigError, ThresholdConfig
 
 _ENV_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+# The methods of the verify matrix, in report order: the audit pipeline and
+# the four baselines. `evaluation._CELLS` maps each to the code that runs it.
+ALL_METHODS = ("audit", "cot", "selfrag", "flare", "ciber")
+SCENARIO_LABELS = ("TY0", "TY1", "TY3", "TY5")
+DEFAULT_RETRIEVAL_K = 10
+DEFAULT_EMBED_DIM = 64
+# The approximate size cap of one audit prompt, in tokens.
+DEFAULT_TOKEN_BUDGET = 100_000
+DEFAULT_RETRIES = 3
+# Concurrent requests one HttpChatClient sends at most.
+DEFAULT_MAX_IN_FLIGHT = 4
+# Seconds one HTTP request may take.
+DEFAULT_TIMEOUT_S = 60.0
+
+
+@dataclass(frozen=True)
+class AblationFlags:
+    use_hv_score: bool = True
+    use_dynamic_threshold: bool = True
+    use_redundancy_penalty: bool = True
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The brute-force search space; both axes strictly increasing."""
+
+    alpha_values: tuple[float, ...]
+    lambda_values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.alpha_values or not self.lambda_values:
+            raise ValueError("grid axes must be nonempty")
+        for name, axis in (("alpha", self.alpha_values), ("lambda", self.lambda_values)):
+            if any(b <= a for a, b in zip(axis, axis[1:])):
+                raise ValueError(f"{name} values must be strictly increasing")
+        if self.lambda_values[0] <= 0:
+            raise ValueError("all lambda values must be > 0")
+
+
+def default_grid() -> Grid:
+    # 41 x 40 cells; cheap to sweep exhaustively and brackets the defaults.
+    return Grid(
+        alpha_values=tuple(round(i * 0.05, 2) for i in range(0, 41)),
+        lambda_values=tuple(round(i * 0.05, 2) for i in range(1, 41)),
+    )
 
 
 @dataclass(frozen=True)
@@ -142,6 +187,13 @@ class _Section:
             raise ConfigError(f"{self._key(key)}: expected a path, got ''")
         return default if value is None else base / value
 
+    def make(self, kind: Callable[..., Any], **values: Any) -> Any:
+        """`kind(**values)`, with a ValueError its own checks raise named by this section."""
+        try:
+            return kind(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
+
 
 def load_config(config_path: str | Path) -> RunConfig:
     """Parse, interpolate, and validate a run configuration file."""
@@ -183,12 +235,11 @@ def load_config(config_path: str | Path) -> RunConfig:
         raise ConfigError(f"threshold.clamp: expected [lo, hi], got {list(clamp)!r}")
     grid = root.object("grid", {"alpha_values", "lambda_values", "gamma"})
     default = default_grid()
-    alphas = grid.array("alpha_values", default.alpha_values, float)
-    lambdas = grid.array("lambda_values", default.lambda_values, float)
-    try:
-        search_grid = Grid(alpha_values=alphas, lambda_values=lambdas)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+    search_grid = grid.make(
+        Grid,
+        alpha_values=grid.array("alpha_values", default.alpha_values, float),
+        lambda_values=grid.array("lambda_values", default.lambda_values, float),
+    )
     llm = root.object("llm", {"base_url", "model", "api_key", "max_in_flight", "retries", "timeout"})
     embedding = root.object("embedding", {"dim", "seed"})
     run = root.object("run", {"retrieval_k", "token_budget", "methods", "scenarios"})
@@ -203,8 +254,9 @@ def load_config(config_path: str | Path) -> RunConfig:
         params=paths.path("params", base, output / "params.json"),
         calibration=calibration,
         templates=templates,
-        hv=HvParams(alpha=hv.number("alpha", HvParams.alpha), lambda_=hv.number("lambda", HvParams.lambda_)),
-        threshold=ThresholdConfig(
+        hv=hv.make(HvParams, alpha=hv.number("alpha", HvParams.alpha), lambda_=hv.number("lambda", HvParams.lambda_)),
+        threshold=threshold.make(
+            ThresholdConfig,
             # A partial priors object stays partial, so ThresholdConfig names the missing prior.
             priors={RequiredStandard(label): priors.number(label, 0.0) for label in priors.values}
             if "priors" in threshold.values
@@ -215,7 +267,7 @@ def load_config(config_path: str | Path) -> RunConfig:
             clamp_hi=clamp[1],
         ),
         grid=search_grid,
-        gamma=grid.number("gamma", 1.0),
+        gamma=grid.number("gamma", 1.0, above=0),
         llm=LlmSettings(
             base_url=llm.string("base_url"),
             model=llm.string("model"),

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Se
 
 from ._files import json_array, json_object, json_value, read_json_lines, write_atomic
 from ._rng import fnv1a64
+from .config import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
 from .core import AnalysisDocument, Claim, SchemaError
 from .redundancy import tokenize
 
@@ -30,10 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 logger = logging.getLogger(__name__)
-
-SCENARIO_LABELS = ("TY0", "TY1", "TY3", "TY5")
-DEFAULT_RETRIEVAL_K = 10
-DEFAULT_EMBED_DIM = 64
 
 EVIDENCE_FROM_MAP = "evidence_map"
 EVIDENCE_FROM_RETRIEVAL = "retrieval"

@@ -19,32 +19,26 @@ from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from ._files import JsonRecord, read_json_lines
-from .audit import AuditRequest, DEFAULT_TOKEN_BUDGET, PaperToAudit, mock_audit_with_usage, run_audit
+from .audit import AuditRequest, PaperToAudit, mock_audit_with_usage, run_audit
 from .baselines import run_ciber, run_cot, run_flare, run_selfrag
+# `ALL_METHODS` is kept here for the callers that import it from this module.
+from .config import ALL_METHODS, DEFAULT_RETRIES, DEFAULT_RETRIEVAL_K, DEFAULT_TOKEN_BUDGET, AblationFlags  # noqa: F401
 from .core import Claim, STANCE_REFUTES, STANCE_SUPPORTS, Verdict, map_verdict
 from .corpus import (
     Corpus,
-    DEFAULT_RETRIEVAL_K,
     EmbeddingError,
     EvidenceChunk,
     evidence_for_claim,
     filter_scenario,
     n_evidence_docs,
 )
-from .llm import DEFAULT_RETRIES, Asker, LlmClient, LlmError, MockLlm, TokenUsage
+from .llm import Asker, LlmClient, LlmError, MockLlm, TokenUsage
 from .redundancy import NoVocabularyError, document_weight, redundancy_for_texts
 from .scoring import DocumentContribution, HvParams, Tallies, aggregate, hv, intrinsic_quality, make_contribution
 from .threshold import RidgeModel, ThresholdConfig, threshold_for_claim
 from .threshold import verdict as hv_verdict
 
 logger = logging.getLogger(__name__)
-
-# Method slugs: the audit pipeline and the four baselines.
-METHOD_AUDIT = "audit"
-METHOD_COT = "cot"
-METHOD_SELFRAG = "selfrag"
-METHOD_FLARE = "flare"
-METHOD_CIBER = "ciber"
 
 # Threshold used when the dynamic-threshold ablation is switched off:
 # the neutral cut of a sigmoid score.
@@ -156,13 +150,6 @@ def gwet_ac1(labels_a: Sequence[Hashable], labels_b: Sequence[Hashable]) -> floa
         (pi_k := (count_a[k] / n + count_b[k] / n) / 2) * (1.0 - pi_k) for k in categories
     ) / (len(categories) - 1)
     return (p_observed - p_expected) / (1.0 - p_expected)
-
-
-@dataclass(frozen=True)
-class AblationFlags:
-    use_hv_score: bool = True
-    use_dynamic_threshold: bool = True
-    use_redundancy_penalty: bool = True
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -305,28 +292,27 @@ def _full_texts(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> dict[str, st
     }
 
 
-# One entry per method, in report order. Each entry records every turn
-# it asks into the cell's `TokenUsage` and names the function it runs
-# (`_audit`'s are `mock_audit_with_usage` and `run_audit`) inside a
-# function body, so that name is looked up on this module when the cell
+# One entry per method of `ALL_METHODS`, in its order. Each entry records
+# every turn it asks into the cell's `TokenUsage` and names the function
+# it runs (`_audit`'s are `mock_audit_with_usage` and `run_audit`) inside
+# a function body, so that name is looked up on this module when the cell
 # runs and a wrapper installed there (a tracer, a test spy) sees every
 # call.
 _CELLS: dict[str, Callable[[RunContext, Claim, Sequence[EvidenceChunk], TokenUsage], CellFields]] = {
-    METHOD_AUDIT: _audit,
-    METHOD_COT: lambda ctx, claim, chunks, usage: {
+    "audit": _audit,
+    "cot": lambda ctx, claim, chunks, usage: {
         "verdict": run_cot(ctx.asker, claim, chunks, usage).verdict.value
     },
-    METHOD_SELFRAG: lambda ctx, claim, chunks, usage: {
+    "selfrag": lambda ctx, claim, chunks, usage: {
         "verdict": run_selfrag(ctx.asker, claim, chunks, usage).verdict.value
     },
-    METHOD_FLARE: lambda ctx, claim, chunks, usage: {
+    "flare": lambda ctx, claim, chunks, usage: {
         "verdict": run_flare(ctx.asker, claim, chunks, _full_texts(ctx.corpus, chunks), usage).verdict.value
     },
-    METHOD_CIBER: lambda ctx, claim, chunks, usage: {
+    "ciber": lambda ctx, claim, chunks, usage: {
         "verdict": run_ciber(ctx.asker, claim, chunks, usage).verdict.value
     },
 }
-ALL_METHODS = tuple(_CELLS)
 
 
 def _cell(ctx: RunContext, method: str, claim: Claim, chunks: Sequence[EvidenceChunk]) -> CellFields:

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from ._rng import DeterministicStream
+from .config import DEFAULT_MAX_IN_FLIGHT, DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
 
 if TYPE_CHECKING:
     import requests
@@ -104,11 +105,6 @@ def extract_json_object(raw: str) -> Any:
         raise ValueError("reply does not contain a JSON object") from None
 
 
-DEFAULT_RETRIES = 3
-# Concurrent requests one HttpChatClient sends at most.
-DEFAULT_MAX_IN_FLIGHT = 4
-# Seconds one HTTP request may take.
-DEFAULT_TIMEOUT_S = 60.0
 # The longest Retry-After a turn waits; a server asking for more fails the turn at once.
 MAX_RETRY_AFTER_S = 60.0
 

@@ -115,6 +115,14 @@ class TestLoadConfig:
             ({"paths": "x"}, "^paths: expected an object"),
             ({"ablations": []}, "^ablations: expected an object"),
             ({"threshold": {"priors": [1]}}, "threshold.priors: expected an object"),
+            ({"grid": {"gamma": 0}}, "^grid.gamma: must be greater than 0, got 0.0$"),
+            ({"grid": {"gamma": -2.5}}, "^grid.gamma: must be greater than 0, got -2.5$"),
+            ({"hv": {"alpha": -1}}, "^hv: alpha must be >= 0, got -1.0$"),
+            ({"hv": {"lambda": 0}}, "^hv: lambda must be > 0, got 0.0$"),
+            ({"threshold": {"C": -1}}, "^threshold: scaling factor C must be >= 0, got -1.0$"),
+            ({"threshold": {"clamp": [0.9, 0.5]}}, r"^threshold: clamp bounds must satisfy lo < hi, got \[0.9, 0.5\]$"),
+            ({"threshold": {"priors": {"RobustStudy": 0.75}}}, "^threshold: missing prior for "),
+            ({"grid": {"lambda_values": [0.2, 0.1]}}, "^grid: lambda values must be strictly increasing$"),
         ],
     )
     def test_unknown_keys_and_bad_values_rejected(self, tmp_path, mutation, needle):
@@ -124,6 +132,13 @@ class TestLoadConfig:
         config_path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ConfigError, match=needle):
             load_config(config_path)
+
+    @pytest.mark.parametrize("command", ["ingest", "embed", "calibrate", "verify --mock", "report"])
+    def test_a_range_error_fails_every_command_at_load_time(self, tmp_path, capsys, command):
+        config_path = setup_workspace(tmp_path, {"grid": {"gamma": 0}})
+        assert main(["--config", str(config_path), *command.split()]) == 1
+        assert capsys.readouterr().err == "error: grid.gamma: must be greater than 0, got 0.0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_fixture_config_loads_unchanged(self, monkeypatch):
         for name in ("LLM_API_KEY", "LLM_BASE_URL", "LLM_MODEL"):
@@ -663,6 +678,32 @@ class TestStartup:
         assert run("ingest", "embed") == "[0, 0] False"
         assert run("calibrate", "verify --mock --seed 7") == "[0, 0] True"
         assert run("report") == "[0] False"
+
+    def test_setup_commands_load_no_runner_they_do_not_call(self, tmp_path):
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+        probe = (
+            "import sys, claimaudit.config\n"
+            "if sys.argv[1:]:\n"
+            "    import claimaudit.cli\n"
+            "    assert claimaudit.cli.main(['--config', 'config.json', *sys.argv[1:]]) == 0\n"
+            "print(*sorted(name for name in sys.modules if name.startswith('claimaudit.')))\n"
+        )
+
+        def loaded(*argv):
+            """The `claimaudit` submodules a fresh interpreter has loaded after the command `argv`."""
+            result = subprocess.run(
+                [sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            return {name.removeprefix("claimaudit.") for name in result.stdout.splitlines()[-1].split()}
+
+        config, ingest, embed, calibrate = loaded(), loaded("ingest"), loaded("embed"), loaded("calibrate")
+        for modules in (config, ingest, embed, calibrate):
+            assert not modules & {"evaluation", "audit", "baselines", "llm"}
+        assert config == {"config", "_files", "core", "scoring", "threshold"}
+        assert ingest == embed == config | {"cli", "corpus", "redundancy", "_rng"}
+        assert calibrate == config | {"cli", "calibration", "_rng"}
 
 
 class TestAcrossInterpreters:

@@ -1,4 +1,8 @@
-"""The package's public names: each listed once, each loaded on first use."""
+"""The package's public names: each listed once, each loaded on first use.
+
+A setting that `config` owns is one object under every module that
+imports it.
+"""
 
 import importlib
 import os
@@ -9,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import claimaudit
+import claimaudit.config as config
+import claimaudit.evaluation as evaluation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXPORTS = [(module, name) for module, names in claimaudit._EXPORTS.items() for name in names]
@@ -39,6 +45,32 @@ def test_submodules_still_import_by_from():
 
     assert cli.__name__ == "claimaudit.cli"
     assert _rng.__name__ == "claimaudit._rng"
+
+
+# Settings records and defaults that `config` owns, under the runner modules
+# they are still imported from.
+MOVED = [
+    ("audit", "DEFAULT_TOKEN_BUDGET"),
+    ("calibration", "Grid"),
+    ("calibration", "default_grid"),
+    ("corpus", "DEFAULT_EMBED_DIM"),
+    ("corpus", "DEFAULT_RETRIEVAL_K"),
+    ("corpus", "SCENARIO_LABELS"),
+    ("evaluation", "ALL_METHODS"),
+    ("evaluation", "AblationFlags"),
+    ("llm", "DEFAULT_MAX_IN_FLIGHT"),
+    ("llm", "DEFAULT_RETRIES"),
+    ("llm", "DEFAULT_TIMEOUT_S"),
+]
+
+
+@pytest.mark.parametrize(("module", "name"), MOVED, ids=[f"{module}.{name}" for module, name in MOVED])
+def test_a_moved_name_is_the_object_config_defines(module, name):
+    assert getattr(importlib.import_module(f"claimaudit.{module}"), name) is getattr(config, name)
+
+
+def test_all_methods_names_the_method_table_in_order():
+    assert config.ALL_METHODS == tuple(evaluation._CELLS)
 
 
 def test_package_import_loads_no_submodule():

@@ -9,6 +9,7 @@ tests fail instead.
 import importlib
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -91,3 +92,28 @@ def test_verify_runs_the_matrix_and_each_lookup_through_the_traced_attributes(mo
     assert len(runs) == 1
     claims = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))["claims"]
     assert [args[1].id for args in lookups] == [claim["id"] for claim in claims]
+
+
+PIPELINE = ("ingest", "embed", "calibrate", "verify --mock --seed 7", "report")
+
+
+@pytest.mark.parametrize(
+    ("command", "traced"),
+    [
+        ("ingest", ("ingest", "save_corpus")),
+        ("embed", ("load_corpus", "embed_chunks")),
+        ("calibrate", ("fit_boldness_model", "grid_search")),
+        ("report", ("build_report",)),
+    ],
+    ids=["ingest", "embed", "calibrate", "report"],
+)
+def test_each_command_calls_its_traced_names_through_the_cli_module(monkeypatch, tmp_path, command, traced):
+    # `cli` resolves these names on first use; a command that imported one
+    # directly would bypass a wrapper set on `cli.<name>` without an error.
+    shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+    config = ["--config", str(tmp_path / "config.json")]
+    for earlier in PIPELINE[: PIPELINE.index(command)]:
+        assert cli.main([*config, *earlier.split()]) == 0
+    calls = {name: _spy(monkeypatch, cli, name) for name in traced}
+    assert cli.main([*config, command]) == 0
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(traced, 1)
