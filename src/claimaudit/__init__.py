@@ -36,11 +36,12 @@ _EXPORTS = {
     ),
     "corpus": (
         "Corpus", "CorpusIntegrityError", "Document", "EmbeddingError", "EvidenceChunk", "HashEmbedder", "Scenario",
-        "embed_chunks", "evidence_for_claim", "filter_scenario", "ingest", "load_corpus", "retrieve", "save_corpus",
+        "embed_chunks", "evidence_for_claim", "filter_scenario", "ingest", "load_corpus", "load_embeddings", "retrieve",
+        "save_corpus", "save_embeddings",
     ),
     "evaluation": (
         "CellMetrics", "ConfusionMatrix", "RunReport", "VerdictRecord", "build_report", "cohen_kappa", "csv_rows",
-        "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "render_table", "run_matrix",
+        "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "record_line", "render_table", "run_matrix",
     ),
     "llm": ("Asker", "HttpChatClient", "LlmClient", "LlmConfigError", "LlmError", "MockLlm", "TokenUsage"),
     "redundancy": (

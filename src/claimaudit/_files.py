@@ -8,8 +8,8 @@ import enum
 import json
 import operator
 import os
+import stat
 import sys
-import tempfile
 import types
 import typing
 from pathlib import Path
@@ -28,13 +28,18 @@ def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
 
     Parts are written as they are produced, so a generator streams the
     file. Readers never observe a half-written file, also when producing
-    a part raises; reruns overwrite in place.
+    a part raises; reruns overwrite in place. A new file gets the mode
+    `open(path, "w")` gives it, and a replaced one keeps its mode.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    tmp_name = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
+    # Created as `open` creates a file, so the umask applies (mkstemp's is 0600).
+    fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            if target.exists():
+                os.chmod(tmp_name, stat.S_IMODE(target.stat().st_mode))
             handle.writelines(parts)
         os.replace(tmp_name, target)
     except BaseException:

@@ -1,20 +1,20 @@
 """Command-line surface: ingest, embed, calibrate, verify, report.
 
-One declarative JSON config drives every command; flags narrow a run
-(--method, --scenario, --claim-id) or switch modes (--mock, --csv).
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+One declarative JSON config drives every command; each flag belongs to
+the command that reads it: `verify` narrows a run (--method, --scenario,
+--claim-id) or switches it (--seed, --mock), and `report` emits CSV
+(--csv). Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import inspect
 import json
 import logging
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._files import write_atomic
 from .config import ALL_METHODS, SCENARIO_LABELS, RunConfig, load_config
@@ -25,31 +25,20 @@ if TYPE_CHECKING:
     from .corpus import Corpus
     from .llm import LlmClient
 
-# Each runner name a command calls, under the module that defines it. A
-# name is imported on first use, so a command loads only the runners it
-# calls, and every command calls it through `_cli`, so a wrapper set on
-# `cli.<name>` (the benchmark's tracer, a test's spy) is what runs.
-# `dump_records` is listed because the tracer's target list names it here.
-_RUNNERS = {
-    "calibration": ("fit_boldness_model", "grid_search", "load_calibration_records", "load_params", "save_params"),
-    "corpus": (
-        "HashEmbedder", "embed_chunks", "ingest", "load_corpus", "load_embeddings", "save_corpus", "save_embeddings",
-    ),
-    "evaluation": (
-        "build_report", "csv_rows", "dump_records", "load_records", "record_line", "render_table", "run_matrix",
-    ),
-    "llm": ("HttpChatClient",),
-}
+_package = sys.modules[__package__]
 
 
 def __getattr__(name: str) -> object:
-    for module, names in _RUNNERS.items():
-        if name in names:
-            # The function as the runner defines it: a `functools.wraps`
-            # wrapper set on the runner's module (the tracer wraps both
-            # names) does not run a second time under one set on `cli.<name>`.
-            return inspect.unwrap(getattr(importlib.import_module(f".{module}", __package__), name))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # A public name of the package, imported on first use, so a command
+    # loads only the runners it calls. Every command calls it through
+    # `_cli`, so a wrapper set on `cli.<name>` (the benchmark's tracer, a
+    # test's spy) is what runs. Any other name is absent: passing on
+    # `__path__` would make this module look like a package.
+    if name not in _package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The function as its module defines it, so a `functools.wraps` wrapper
+    # set there (the tracer wraps both names) does not run twice.
+    return inspect.unwrap(getattr(_package, name))
 
 
 # This module, also when `python -m claimaudit.cli` runs it as `__main__`.
@@ -59,32 +48,35 @@ logger = logging.getLogger(__name__)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS, help="path to the run configuration JSON")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the configured seed")
-    common.add_argument(
-        "--mock", action="store_true", default=argparse.SUPPRESS, help="run offline with the seeded mock auditor"
-    )
-    common.add_argument(
-        "--csv", action="store_true", default=argparse.SUPPRESS, help="emit machine-readable rows instead of a table"
-    )
+    # Accepted before or after the command.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=argparse.SUPPRESS, help="path to the run configuration JSON")
 
     parser = argparse.ArgumentParser(
         prog="claimaudit",
-        parents=[common],
+        parents=[config],
         description="Audit scientific evidence and decide claims against a calibrated threshold.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ingest", parents=[common], help="load and integrity-check the corpus manifest")
-    sub.add_parser("embed", parents=[common], help="embed every chunk with the deterministic local embedder")
-    sub.add_parser("calibrate", parents=[common], help="fit the boldness model and grid-search (alpha, lambda)")
-    verify = sub.add_parser("verify", parents=[common], help="run the verdict matrix and write records")
+
+    def command(name: str, run: Callable[..., int], summary: str) -> argparse.ArgumentParser:
+        command_parser = sub.add_parser(name, parents=[config], help=summary)
+        command_parser.set_defaults(run=run)
+        return command_parser
+
+    command("ingest", cmd_ingest, "load and integrity-check the corpus manifest")
+    command("embed", cmd_embed, "embed every chunk with the deterministic local embedder")
+    command("calibrate", cmd_calibrate, "fit the boldness model and grid-search (alpha, lambda)")
+    verify = command("verify", cmd_verify, "run the verdict matrix and write records")
     verify.add_argument("--method", action="append", choices=ALL_METHODS, help="restrict to a method (repeatable)")
     verify.add_argument(
         "--scenario", action="append", choices=SCENARIO_LABELS, help="restrict to a scenario (repeatable)"
     )
     verify.add_argument("--claim-id", help="restrict to a single claim")
-    sub.add_parser("report", parents=[common], help="aggregate stored records into the metrics report")
+    verify.add_argument("--seed", type=int, help="override the configured seed")
+    verify.add_argument("--mock", action="store_true", help="run offline with the seeded mock auditor")
+    report = command("report", cmd_report, "aggregate stored records into the metrics report")
+    report.add_argument("--csv", action="store_true", help="emit machine-readable rows instead of a table")
     return parser
 
 
@@ -144,11 +136,9 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    mock = getattr(args, "mock", False)
     corpus = _load_corpus(cfg)
-    claim_id = getattr(args, "claim_id", None)
-    if claim_id is not None:
-        corpus = replace(corpus, claims={claim_id: corpus.claim(claim_id)})
+    if args.claim_id is not None:
+        corpus = replace(corpus, claims={args.claim_id: corpus.claim(args.claim_id)})
     # Only a claim without pinned evidence retrieves, so only then are the vectors read.
     if not corpus.claims.keys() <= corpus.evidence_map.keys():
         corpus = _with_embeddings(cfg, corpus)
@@ -157,7 +147,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     scenarios = tuple(args.scenario) if args.scenario else cfg.scenarios
 
     client: LlmClient | None = None
-    if not mock:
+    if not args.mock:
         # Raises before any request leaves the machine if the key is absent.
         client = _cli.HttpChatClient(
             base_url=cfg.llm.base_url,
@@ -175,8 +165,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         hv_params,
         ridge,
         cfg.threshold,
-        seed=cfg.seed,
-        mock=mock,
+        seed=cfg.seed if args.seed is None else args.seed,
+        mock=args.mock,
         client=client,
         retrieval_k=cfg.retrieval_k,
         token_budget=cfg.token_budget,
@@ -201,20 +191,11 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 1
     report = _cli.build_report(records)
     write_atomic(cfg.output / "report.json", (json.dumps(report.to_json(), indent=2, sort_keys=True), "\n"))
-    if getattr(args, "csv", False):
+    if args.csv:
         print("\n".join(_cli.csv_rows(report)))
     else:
         print(_cli.render_table(report), end="")
     return 0
-
-
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "embed": cmd_embed,
-    "calibrate": cmd_calibrate,
-    "verify": cmd_verify,
-    "report": cmd_report,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -226,11 +207,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if config_path is None:
         parser.error("--config is required")
     try:
-        cfg = load_config(config_path)
-        seed = getattr(args, "seed", None)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        return _COMMANDS[args.command](cfg, args)
+        return args.run(load_config(config_path), args)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

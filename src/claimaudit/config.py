@@ -177,8 +177,11 @@ class _Section:
     def array(
         self, key: str, default: tuple[Any, ...], kind: type, among: Container[Any] | None = None
     ) -> tuple[Any, ...]:
-        """A list whose every item has the JSON type `kind` (and, with `among`, is in it)."""
-        return json_array(self._key(key), self.values.get(key, list(default)), kind, ConfigError, among)
+        """A nonempty list whose every item has the JSON type `kind` (and, with `among`, is in it)."""
+        items = json_array(self._key(key), self.values.get(key, list(default)), kind, ConfigError, among)
+        if not items:
+            raise ConfigError(f"{self._key(key)}: must hold at least one item, got []")
+        return items
 
     def path(self, key: str, base: Path, default: Path | None = None) -> Path | None:
         """A nonempty string taken relative to `base`; `default` when absent or null."""

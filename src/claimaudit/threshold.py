@@ -54,6 +54,8 @@ class ThresholdConfig:
     def __post_init__(self) -> None:
         if self.clamp_lo >= self.clamp_hi:
             raise ConfigError(f"clamp bounds must satisfy lo < hi, got [{self.clamp_lo}, {self.clamp_hi}]")
+        if self.clamp_lo < 0 or self.clamp_hi > 1:
+            raise ConfigError(f"clamp bounds must lie in [0, 1], got [{self.clamp_lo}, {self.clamp_hi}]")
         if self.scaling_c < 0:
             raise ConfigError(f"scaling factor C must be >= 0, got {self.scaling_c!r}")
         if self.n_base <= 0:

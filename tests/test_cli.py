@@ -121,6 +121,10 @@ class TestLoadConfig:
             ({"hv": {"lambda": 0}}, "^hv: lambda must be > 0, got 0.0$"),
             ({"threshold": {"C": -1}}, "^threshold: scaling factor C must be >= 0, got -1.0$"),
             ({"threshold": {"clamp": [0.9, 0.5]}}, r"^threshold: clamp bounds must satisfy lo < hi, got \[0.9, 0.5\]$"),
+            ({"threshold": {"clamp": [1.2, 1.5]}}, r"^threshold: clamp bounds must lie in \[0, 1\], got \[1.2, 1.5\]"),
+            ({"threshold": {"clamp": [-0.1, 0.5]}}, r"^threshold: clamp bounds must lie in \[0, 1\], got \[-0.1, 0"),
+            ({"run": {"methods": []}}, r"^run.methods: must hold at least one item, got \[\]$"),
+            ({"run": {"scenarios": []}}, r"^run.scenarios: must hold at least one item, got \[\]$"),
             ({"threshold": {"priors": {"RobustStudy": 0.75}}}, "^threshold: missing prior for "),
             ({"grid": {"lambda_values": [0.2, 0.1]}}, "^grid: lambda values must be strictly increasing$"),
         ],
@@ -328,6 +332,35 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(config_path), "verify", "--method", "verirag-turbo"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            ("ingest --mock", "unrecognized arguments: --mock"),
+            ("embed --seed 3", "unrecognized arguments: --seed 3"),
+            ("calibrate --csv", "unrecognized arguments: --csv"),
+            # Before the command, the flag's value is read as the command.
+            ("--seed 7 verify --mock", "invalid choice: '7'"),
+        ],
+    )
+    def test_a_flag_off_the_command_that_reads_it_exits_2(self, tmp_path, capsys, argv, named):
+        config_path = setup_workspace(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(config_path), *argv.split()])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_help_lists_a_flag_only_under_its_command(self, capsys):
+        def help_text(command):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        verify, ingest, report = help_text("verify"), help_text("ingest"), help_text("report")
+        assert "--seed" in verify and "--mock" in verify and "--csv" not in verify
+        assert "--seed" not in ingest and "--mock" not in ingest and "--csv" not in ingest
+        assert "--csv" in report and "--seed" not in report
 
 
 class TestIngestAndEmbed:
@@ -679,8 +712,9 @@ class TestStartup:
         assert run("calibrate", "verify --mock --seed 7") == "[0, 0] True"
         assert run("report") == "[0] False"
 
-    def test_setup_commands_load_no_runner_they_do_not_call(self, tmp_path):
-        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+    @staticmethod
+    def _loaded(directory, *argv):
+        """The `claimaudit` submodules a fresh interpreter has loaded after the command `argv` in `directory`."""
         env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
         probe = (
             "import sys, claimaudit.config\n"
@@ -689,21 +723,33 @@ class TestStartup:
             "    assert claimaudit.cli.main(['--config', 'config.json', *sys.argv[1:]]) == 0\n"
             "print(*sorted(name for name in sys.modules if name.startswith('claimaudit.')))\n"
         )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], cwd=directory, env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        return {name.removeprefix("claimaudit.") for name in result.stdout.splitlines()[-1].split()}
 
-        def loaded(*argv):
-            """The `claimaudit` submodules a fresh interpreter has loaded after the command `argv`."""
-            result = subprocess.run(
-                [sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
-            )
-            assert result.returncode == 0, result.stderr
-            return {name.removeprefix("claimaudit.") for name in result.stdout.splitlines()[-1].split()}
-
-        config, ingest, embed, calibrate = loaded(), loaded("ingest"), loaded("embed"), loaded("calibrate")
+    def test_setup_commands_load_no_runner_they_do_not_call(self, tmp_path):
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        config, ingest, embed, calibrate = (
+            self._loaded(tmp_path, *argv.split()) for argv in ("", "ingest", "embed", "calibrate")
+        )
         for modules in (config, ingest, embed, calibrate):
             assert not modules & {"evaluation", "audit", "baselines", "llm"}
         assert config == {"config", "_files", "core", "scoring", "threshold"}
         assert ingest == embed == config | {"cli", "corpus", "redundancy", "_rng"}
         assert calibrate == config | {"cli", "calibration", "_rng"}
+
+    def test_report_and_verify_load_the_modules_the_readme_lists(self, tmp_path):
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        verify = ("verify", "--mock", "--seed", "7")
+        uncalibrated, report = self._loaded(tmp_path, *verify), self._loaded(tmp_path, "report")
+        self._loaded(tmp_path, "calibrate")
+        calibrated = self._loaded(tmp_path, *verify)
+        ingest = {"cli", "config", "_files", "core", "scoring", "threshold", "corpus", "redundancy", "_rng"}
+        assert report == ingest | {"evaluation", "audit", "baselines", "llm"}
+        assert uncalibrated == report
+        assert calibrated == report | {"calibration"}
 
 
 class TestAcrossInterpreters:

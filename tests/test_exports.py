@@ -4,6 +4,7 @@ A setting that `config` owns is one object under every module that
 imports it.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import claimaudit
+import claimaudit.cli as cli
 import claimaudit.config as config
 import claimaudit.evaluation as evaluation
 
@@ -84,3 +86,23 @@ def test_package_import_loads_no_submodule():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "True False"]
+
+
+def test_every_name_the_cli_calls_is_a_cli_function_or_public():
+    # `cli` resolves `_cli.<name>` only through `claimaudit.__all__`, so a
+    # name missing there fails only when its command runs.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_cli"
+    }
+    assert called
+    assert called - own - set(claimaudit.__all__) == set()
+
+
+@pytest.mark.parametrize("name", ["__path__", "nonexistent"])
+def test_cli_has_no_attribute_outside_the_public_names(name):
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(cli, name)

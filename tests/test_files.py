@@ -2,6 +2,7 @@
 
 import json
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,20 @@ class TestWriteAtomic:
             write_atomic(target, parts())
         assert target.read_bytes() == b"old bytes\n"
         assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_new_file_gets_the_mode_a_plain_open_gives(self, tmp_path):
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
+            handle.write("plain\n")
+        write_atomic(tmp_path / "atomic.txt", ["atomic\n"])
+        assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n", encoding="utf-8")
+        target.chmod(0o640)
+        write_atomic(target, ["new\n"])
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text(encoding="utf-8") == "new\n"
 
 
 class TestReadJsonLines:
