@@ -39,11 +39,12 @@ _EXPORTS = {
         "embed_chunks", "evidence_for_claim", "filter_scenario", "ingest", "load_corpus", "load_embeddings", "retrieve",
         "save_corpus", "save_embeddings",
     ),
-    "evaluation": (
-        "CellMetrics", "ConfusionMatrix", "RunReport", "VerdictRecord", "build_report", "cohen_kappa", "csv_rows",
-        "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "record_line", "render_table", "run_matrix",
-    ),
+    "evaluation": ("run_matrix",),
     "llm": ("Asker", "HttpChatClient", "LlmClient", "LlmConfigError", "LlmError", "MockLlm", "TokenUsage"),
+    "records": (
+        "CellMetrics", "ConfusionMatrix", "RunReport", "VerdictRecord", "build_report", "cohen_kappa", "csv_rows",
+        "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "record_line", "render_table",
+    ),
     "redundancy": (
         "NoVocabularyError", "chunk_redundancy", "cosine", "document_weight", "redundancy_for_texts", "tfidf_fit",
     ),

@@ -13,7 +13,7 @@ import sys
 import types
 import typing
 from pathlib import Path
-from typing import Any, Callable, Container, Iterable, TypeVar
+from typing import AbstractSet, Any, Callable, Container, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -87,16 +87,21 @@ def json_value(
         raise error(f"{name}: expected a number, got an integer too large for one") from None
 
 
-def json_object(name: str, value: Any, keys: set[str], error: type[ValueError] = ValueError) -> Any:
+def json_object(name: str, value: Any, keys: AbstractSet[str], error: type[ValueError] = ValueError) -> Any:
     """`value` if it is an object with exactly the keys `keys`; else `error` naming `name`."""
     json_value(name, value, dict, error)
     missing = keys - value.keys()
     if missing:
         raise error(f"{name} missing fields: {sorted(missing)}")
+    _reject_unknown(name, value, keys, error)
+    return value
+
+
+def _reject_unknown(name: str, value: dict[str, Any], keys: AbstractSet[str], error: type[ValueError]) -> None:
+    """`error` naming `name` and the keys of the object `value` outside `keys`, if it has any."""
     unknown = value.keys() - keys
     if unknown:
         raise error(f"{name} has unknown fields: {sorted(unknown)}")
-    return value
 
 
 def json_optional(
@@ -117,8 +122,7 @@ def json_array(
 class JsonRecord:
     """Base of the frozen dataclasses stored as JSON, whose fields give both directions.
 
-    A field is stored under its name, or under `_json_keys[name]`; a key
-    of None leaves it out, and reading leaves it at its default. Its
+    A field is stored under its name, or under `_json_keys[name]`. Its
     annotation sets its JSON form:
 
     - `str`, `int`, `float`, `bool`: as is, read through `json_value`
@@ -129,11 +133,13 @@ class JsonRecord:
     - `Mapping[E, R]` over an enum E and a record R: an object keyed by member name, in member order
 
     A field in `_json_as_is` is read unchecked, for `__post_init__` to
-    check. A bad value raises `_json_error` naming the field. Each class's
-    plan is built on first use and kept on the class.
+    check. A bad value or a missing key raises `_json_error` naming the
+    field; so does a key that no field (or, in a mapping, no enum member)
+    has, naming the object and the key. Each class's plan is built on
+    first use and kept on the class.
     """
 
-    _json_keys: typing.Mapping[str, str | None] = {}
+    _json_keys: typing.Mapping[str, str] = {}
     _json_as_is: frozenset[str] = frozenset()
     _json_error: type[ValueError] = ValueError
 
@@ -147,23 +153,26 @@ class JsonRecord:
     @classmethod
     def _decode(cls: type[T], payload: Any, prefix: str) -> T:
         """`from_json`, naming each field `prefix` + its key."""
-        return _plan(cls).decode(cls.__name__, payload, cls._json_error, prefix)
+        return _plan(cls).decode(prefix + cls.__name__, payload, cls._json_error, prefix)
 
 
 class _Plan:
-    """A record class's encoder, and its stored fields as (attribute, key, decoder or None)."""
+    """A record class's encoder, its stored fields as (attribute, key, decoder or None), and their keys."""
 
     def __init__(self, cls: type[JsonRecord]) -> None:
         # Each stored field's annotation, a string in every record module
         # (`from __future__ import annotations`), is evaluated once in that module.
         module = vars(sys.modules[cls.__module__])
         coders = {
-            field.name: (key, *((None, None) if field.name in cls._json_as_is else _coders(eval(field.type, module))))
+            field.name: (
+                cls._json_keys.get(field.name, field.name),
+                *((None, None) if field.name in cls._json_as_is else _coders(eval(field.type, module))),
+            )
             for field in dataclasses.fields(cls)
-            if (key := cls._json_keys.get(field.name, field.name)) is not None
         }
         self.cls = cls
         self.fields = [(attr, key, decode) for attr, (key, _, decode) in coders.items()]
+        self.keys = frozenset(key for _, key, _ in self.fields)
         # Generated as the dataclass methods are: a dict display of
         # attribute reads costs what a hand-written `to_json` does.
         namespace = {f"encode_{attr}": encode for attr, (_, encode, _) in coders.items()}
@@ -183,6 +192,9 @@ class _Plan:
             except KeyError:
                 raise error(f"{prefix}{key}: missing") from None
             values[attr] = value if decode is None else decode(prefix + key, value, error, prefix)
+        # Every field's key is present, so any further key is unknown.
+        if len(payload) > len(values):
+            _reject_unknown(name, payload, self.keys, error)
         return self.cls(**values)
 
 
@@ -218,15 +230,19 @@ def _coders(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[..., Any]]
         )
     if origin is collections.abc.Mapping and issubclass(args[0], enum.Enum):
         names = [(member, member.name) for member in args[0]]
+        keys = frozenset(key for _, key in names)
         encode, decode = _coders(args[1])
 
         def decode_mapping(name: str, value: Any, error: type[ValueError], prefix: str) -> dict[Any, Any]:
             json_value(name, value, dict, error)
-            return {
+            decoded = {
                 member: decode(prefix + key, value[key], error, f"{prefix}{key}: ")
                 for member, key in names
                 if key in value
             }
+            if len(value) > len(decoded):
+                _reject_unknown(name, value, keys, error)
+            return decoded
 
         return (lambda value: {key: encode(value[member]) for member, key in names if member in value}), decode_mapping
     if issubclass(hint, enum.Enum):

@@ -186,6 +186,8 @@ def save_params(path: str | Path, params: HvParams, ridge: RidgeModel) -> None:
 def load_params(path: str | Path) -> tuple[HvParams, RidgeModel]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return HvParams.from_json(payload), RidgeModel.from_json(payload["ridge"])
+        # `ridge` sits beside the scoring params' own keys.
+        ridge = RidgeModel.from_json(payload.pop("ridge"))
+        return HvParams.from_json(payload), ridge
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: bad params: {exc}") from exc

@@ -223,9 +223,17 @@ def _build_document(payload: Any) -> Document:
         title=json_value(f"document {doc_id!r}: title", payload["title"], str, CorpusIntegrityError),
         source_uri=json_value(f"document {doc_id!r}: source_uri", payload["source_uri"], str, CorpusIntegrityError),
         retracted=payload["retracted"],
-        analysis=AnalysisDocument.from_json(payload["analysis"]),
+        analysis=_build_analysis(doc_id, payload["analysis"]),
         chunks=tuple(chunks),
     )
+
+
+def _build_analysis(doc_id: str, payload: Any) -> AnalysisDocument:
+    try:
+        return AnalysisDocument.from_json(payload)
+    except SchemaError as exc:
+        # Its own checks do not know the document, so its errors are named here.
+        raise SchemaError(f"document {doc_id!r}: analysis: {exc}") from None
 
 
 def _check_scenarios(scenarios: Mapping[str, Scenario], documents: Mapping[str, Document]) -> None:

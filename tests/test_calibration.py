@@ -289,6 +289,13 @@ class TestRecordIo:
         with pytest.raises(ValueError, match=f"params.json: bad params: {re.escape(message)}"):
             load_params(path)
 
+    def test_an_unknown_params_key_is_named(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(path, HvParams(alpha=0.65, lambda_=0.3), constant_boldness_model(0.45))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "beta": 1.0}), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("params.json: bad params: HvParams has unknown fields: ['beta']")):
+            load_params(path)
+
     def test_malformed_params_file_is_named(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text("[]", encoding="utf-8")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from claimaudit.audit import load_template
-from claimaudit import cli
+from claimaudit import cli, records
 from claimaudit.cli import main
 from claimaudit.calibration import default_grid
 from claimaudit.config import LlmSettings, RunConfig, load_config
@@ -648,6 +648,17 @@ class TestReport:
         assert main(["--config", str(config_path), "report"]) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
+    def test_verify_computes_no_metrics_and_report_computes_them_once(self, tmp_path, monkeypatch):
+        config = ["--config", str(setup_workspace(tmp_path))]
+        computed = []
+        cell_metrics = records._cell_metrics
+        monkeypatch.setattr(records, "_cell_metrics", lambda rows: computed.append(len(rows)) or cell_metrics(rows))
+        assert main([*config, "embed"]) == 0
+        assert main([*config, "verify", "--mock", "--seed", "7"]) == 0
+        assert computed == []
+        assert main([*config, "report"]) == 0
+        assert computed == [2 * len(ALL_METHODS) * len(SCENARIO_LABELS)]
+
     def test_report_without_records_exits_1(self, tmp_path, capsys):
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "report"]) == 1
@@ -746,10 +757,10 @@ class TestStartup:
         uncalibrated, report = self._loaded(tmp_path, *verify), self._loaded(tmp_path, "report")
         self._loaded(tmp_path, "calibrate")
         calibrated = self._loaded(tmp_path, *verify)
-        ingest = {"cli", "config", "_files", "core", "scoring", "threshold", "corpus", "redundancy", "_rng"}
-        assert report == ingest | {"evaluation", "audit", "baselines", "llm"}
-        assert uncalibrated == report
-        assert calibrated == report | {"calibration"}
+        assert report == {"cli", "config", "_files", "core", "scoring", "threshold", "records"}
+        runner = {"evaluation", "audit", "baselines", "llm", "corpus", "redundancy", "_rng"}
+        assert uncalibrated == report | runner
+        assert calibrated == report | runner | {"calibration"}
 
 
 class TestAcrossInterpreters:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -221,6 +222,24 @@ class TestIngest:
         payload = make_manifest()
         spoil(payload)
         with pytest.raises(ValueError, match=needle):
+            make_corpus(tmp_path, payload)
+
+    # In a store of many documents, an error inside one's analysis is found only by its id.
+    @pytest.mark.parametrize(
+        ("spoil", "message"),
+        [
+            (lambda a: a["global_integrity_signals"].pop("data_availability"), "data_availability: missing"),
+            (lambda a: a["veritable_check_signals"]["C2"].update(is_applicable="yes"),
+             "is_applicable must be true or false, got 'yes'"),
+            (lambda a: a.update(extra=1), "AnalysisDocument has unknown fields: ['extra']"),
+        ],
+        ids=["missing-field", "string-applicability", "unknown-key"],
+    )
+    def test_an_analysis_error_names_its_document(self, tmp_path, spoil, message):
+        payload = make_manifest()
+        document = next(document for document in payload["documents"] if document["id"] == "D04")
+        spoil(document["analysis"])
+        with pytest.raises(ValueError, match="^" + re.escape("document 'D04': analysis: " + message) + "$"):
             make_corpus(tmp_path, payload)
 
     def test_scenario_unknown_document(self, tmp_path):

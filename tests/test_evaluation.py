@@ -377,13 +377,18 @@ class TestRunMatrix:
             (("decider",), ("TY0", "TY5"), r"unknown methods: \['decider'\]"),
             (("cot", "audit", "cot"), ("TY0",), r"duplicated methods: \['cot'\]"),
             (("audit",), ("TY0", "TY5", "TY0", "TY5"), r"duplicated scenarios: \['TY0', 'TY5'\]"),
+            (("audit",), ("TY0", "TY9"), r"unknown scenarios: \['TY9'\]"),
         ],
-        ids=["unknown", "duplicated-method", "duplicated-scenarios"],
+        ids=["unknown", "duplicated-method", "duplicated-scenarios", "unknown-scenario"],
     )
     def test_unknown_method_rejected(self, corpus, monkeypatch, methods, scenarios, message):
         monkeypatch.setattr(evaluation, "evidence_for_claim", None)  # no claim is looked up
         with pytest.raises(ValueError, match=message):
             run(corpus, methods=methods, scenarios=scenarios)
+
+    def test_unknown_scenario_rejected_without_claims(self, corpus):
+        with pytest.raises(ValueError, match=r"^unknown scenarios: \['TY9'\]$"):
+            run(dataclasses.replace(corpus, claims={}), scenarios=("TY9",))
 
     def test_live_mode_requires_client(self, corpus):
         with pytest.raises(ValueError, match="client"):
@@ -1017,7 +1022,12 @@ class TestAblationSemantics:
 class TestReports:
     def test_metrics_recompute_from_records(self, corpus):
         report = run(corpus, methods=("audit", "ciber"))
-        assert build_report(report.records) == report
+        assert build_report(report.records).cells == report.cells
+
+    def test_run_matrix_leaves_the_cells_to_the_first_read_and_build_report_computes_them(self, corpus):
+        report = run(corpus)
+        assert "cells" not in vars(report)
+        assert "cells" in vars(build_report(report.records))
 
     def test_cell_metrics_match_hand_recount(self, corpus):
         report = run(corpus, scenarios=("TY5",))

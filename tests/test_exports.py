@@ -17,6 +17,7 @@ import claimaudit
 import claimaudit.cli as cli
 import claimaudit.config as config
 import claimaudit.evaluation as evaluation
+import claimaudit.records as records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXPORTS = [(module, name) for module, names in claimaudit._EXPORTS.items() for name in names]
@@ -69,6 +70,29 @@ MOVED = [
 @pytest.mark.parametrize(("module", "name"), MOVED, ids=[f"{module}.{name}" for module, name in MOVED])
 def test_a_moved_name_is_the_object_config_defines(module, name):
     assert getattr(importlib.import_module(f"claimaudit.{module}"), name) is getattr(config, name)
+
+
+# The record layer, under the runner module it is still imported from.
+RECORD_LAYER = claimaudit._EXPORTS["records"]
+
+
+@pytest.mark.parametrize("name", RECORD_LAYER)
+def test_a_record_layer_name_is_the_object_records_defines(name):
+    assert getattr(evaluation, name) is getattr(records, name)
+
+
+def test_the_record_layer_imports_no_runner():
+    # So `report` loads no `audit`, `baselines`, `llm`, `corpus`, `evaluation`,
+    # `calibration`, `redundancy` or `_rng`.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(records.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+            imported |= {name.removeprefix("claimaudit.") for name in names}
+    package = {path.stem for path in (SRC / "claimaudit").glob("*.py")}
+    assert imported & package == {"_files", "core", "scoring"}
 
 
 def test_all_methods_names_the_method_table_in_order():

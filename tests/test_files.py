@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimaudit._files import json_array, json_optional, json_value, read_json_lines, write_atomic
-from claimaudit.calibration import CalibrationRecord
+from claimaudit.calibration import CalibrationRecord, load_calibration_records
 from claimaudit.core import (
     ALL_CHECKS,
     AnalysisDocument,
@@ -20,7 +20,7 @@ from claimaudit.core import (
     RequiredStandard,
     Verdict,
 )
-from claimaudit.evaluation import CellMetrics, RunReport, VerdictRecord
+from claimaudit.records import CellMetrics, VerdictRecord, load_records
 from claimaudit.scoring import HvParams, Tallies, make_contribution
 from claimaudit.threshold import RidgeModel
 
@@ -150,7 +150,6 @@ RECORDS = {
     ),
     VerdictRecord: verdict_records(),
     CellMetrics: cell_metrics,
-    RunReport: st.builds(RunReport, cells=st.lists(cell_metrics, max_size=3).map(tuple)),
     HvParams: st.builds(HvParams, alpha=nonnegative, lambda_=positive),
     RidgeModel: st.builds(
         RidgeModel, weights=st.lists(numbers, max_size=5).map(tuple), intercept=numbers, gamma=positive
@@ -219,10 +218,58 @@ class TestRecordCodec:
             with pytest.raises(ValueError, match=re.escape(key)):
                 cls.from_json({other: value for other, value in payload.items() if other != key})
 
+    @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_an_unknown_key_is_named(self, cls, data):
+        payload = data.draw(RECORDS[cls]).to_json()
+        with pytest.raises(ValueError, match=re.escape("has unknown fields: ['extra']")):
+            cls.from_json({**payload, "extra": None})
+
+    @pytest.mark.parametrize(
+        ("spoil", "message"),
+        [
+            (lambda a: a["global_integrity_signals"].update(extra="x"),
+             "global_integrity_signals has unknown fields: ['extra']"),
+            (lambda a: a["veritable_check_signals"].update(C12=a["veritable_check_signals"]["C1"]),
+             "veritable_check_signals has unknown fields: ['C12']"),
+            (lambda a: a["veritable_check_signals"]["C3"].update(extra="x"), "C3 has unknown fields: ['extra']"),
+        ],
+        ids=["integrity-signals", "check-map", "check-signal"],
+    )
+    def test_an_unknown_nested_key_is_named_by_its_object(self, spoil, message):
+        payload = _through_json_text(
+            AnalysisDocument(
+                global_integrity_signals=GlobalIntegritySignals("a", "b", "c"),
+                veritable_check_signals={check: CheckSignal(True, "ok") for check in ALL_CHECKS},
+            ).to_json()
+        )
+        spoil(payload)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnalysisDocument.from_json(payload)
+
+    @pytest.mark.parametrize(
+        ("load", "record", "what"),
+        [
+            (load_records, VerdictRecord(claim_id="K", method="m", scenario="s", ground_truth="Valid", failure="down"),
+             "verdict record"),
+            (load_calibration_records, CalibrationRecord(
+                specificity=5, testability=5, required_standard=RequiredStandard.ROBUST_STUDY, boldness_target=0.5,
+                tallies=Tallies(1.0, 0.0, 0.0), human_verdict="Support", confidence=50,
+            ), "calibration record"),
+        ],
+        ids=["verdict-record", "calibration-record"],
+    )
+    def test_a_stored_line_with_an_unknown_key_is_named_by_path_and_line(self, tmp_path, load, record, what):
+        path = tmp_path / "lines.jsonl"
+        lines = [record.to_json(), {**record.to_json(), "note": 1}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        message = f"{path}:2: bad {what}: {type(record).__name__} has unknown fields: ['note']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load(path)
+
     def test_keys_follow_the_field_order_and_the_key_map(self):
         assert list(HvParams(alpha=0.25, lambda_=0.5).to_json()) == ["alpha", "lambda"]
-        record = VerdictRecord(claim_id="K", method="m", scenario="s", ground_truth="Valid", failure="none")
-        assert RunReport(records=(record,)).to_json() == {"cells": []}
 
     def test_a_nested_field_is_named_by_its_position(self):
         payload = _through_json_text(
