@@ -123,24 +123,26 @@ class JsonRecord:
     """Base of the frozen dataclasses stored as JSON, whose fields give both directions.
 
     A field is stored under its name, or under `_json_keys[name]`. Its
-    annotation sets its JSON form:
+    annotation sets its JSON form and how it is read:
 
     - `str`, `int`, `float`, `bool`: as is, read through `json_value`
     - `X | None`: null or the form of X
     - `tuple[T, ...]`: a list of T
     - a `str` enum: its value
-    - a `JsonRecord`: an object of its fields, named without a prefix
+    - a `JsonRecord`: an object of its fields
     - `Mapping[E, R]` over an enum E and a record R: an object keyed by member name, in member order
 
-    A field in `_json_as_is` is read unchecked, for `__post_init__` to
-    check. A bad value or a missing key raises `_json_error` naming the
-    field; so does a key that no field (or, in a mapping, no enum member)
-    has, naming the object and the key. Each class's plan is built on
-    first use and kept on the class.
+    Each value is named by its path: a field of the record at path P is
+    `P: <key>`, a mapping entry `P: <member>` and a tuple item `P[i]`; a
+    top-level record's path is "" (its fields are named by their keys)
+    or the one `_decode` is given. A bad value, a missing key and an
+    error of the record's own `__post_init__` raise `_json_error` named
+    so; a key that no field (or, in a mapping, no enum member) has names
+    the object and the key. Each class's plan is built on first use and
+    kept on the class.
     """
 
     _json_keys: typing.Mapping[str, str] = {}
-    _json_as_is: frozenset[str] = frozenset()
     _json_error: type[ValueError] = ValueError
 
     def to_json(self) -> dict[str, Any]:
@@ -151,23 +153,20 @@ class JsonRecord:
         return cls._decode(payload, "")
 
     @classmethod
-    def _decode(cls: type[T], payload: Any, prefix: str) -> T:
-        """`from_json`, naming each field `prefix` + its key."""
-        return _plan(cls).decode(prefix + cls.__name__, payload, cls._json_error, prefix)
+    def _decode(cls: type[T], payload: Any, path: str) -> T:
+        """`from_json` at `path`, the object itself named `<path>: <class name>`."""
+        return _plan(cls).decode(path, payload, cls._json_error, f"{path}: {cls.__name__}" if path else cls.__name__)
 
 
 class _Plan:
-    """A record class's encoder, its stored fields as (attribute, key, decoder or None), and their keys."""
+    """A record class's encoder, its stored fields as (attribute, key, decoder), and their keys."""
 
     def __init__(self, cls: type[JsonRecord]) -> None:
         # Each stored field's annotation, a string in every record module
         # (`from __future__ import annotations`), is evaluated once in that module.
         module = vars(sys.modules[cls.__module__])
         coders = {
-            field.name: (
-                cls._json_keys.get(field.name, field.name),
-                *((None, None) if field.name in cls._json_as_is else _coders(eval(field.type, module))),
-            )
+            field.name: (cls._json_keys.get(field.name, field.name), *_coders(eval(field.type, module)))
             for field in dataclasses.fields(cls)
         }
         self.cls = cls
@@ -183,19 +182,25 @@ class _Plan:
         exec(f"def encode(record):\n    return {{{items}}}\n", namespace)
         self.encode = namespace["encode"]
 
-    def decode(self, name: str, payload: Any, error: type[ValueError], prefix: str) -> Any:
+    def decode(self, path: str, payload: Any, error: type[ValueError], name: str | None = None) -> Any:
+        """The record at `path`; the object itself is named `name`, by default its path."""
+        name = name or path
         json_value(name, payload, dict, error)
+        prefix = f"{path}: " if path else ""
         values = {}
         for attr, key, decode in self.fields:
             try:
                 value = payload[key]
             except KeyError:
                 raise error(f"{prefix}{key}: missing") from None
-            values[attr] = value if decode is None else decode(prefix + key, value, error, prefix)
+            values[attr] = decode(prefix + key, value, error)
         # Every field's key is present, so any further key is unknown.
         if len(payload) > len(values):
             _reject_unknown(name, payload, self.keys, error)
-        return self.cls(**values)
+        try:
+            return self.cls(**values)
+        except ValueError as exc:
+            raise error(f"{prefix}{exc}") from None
 
 
 def _plan(cls: type[JsonRecord]) -> _Plan:
@@ -208,24 +213,24 @@ def _coders(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[..., Any]]
     """The encoder and decoder of a field annotated `hint`.
 
     The encoder maps a value to JSON, None meaning as it is. The decoder
-    takes (field name, JSON value, error class, prefix of nested names).
+    takes (the value's path, JSON value, error class).
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint in _JSON_TYPES:
-        return None, lambda name, value, error, prefix: json_value(name, value, hint, error)
+        # A value of exactly the type is one `json_value` returns unchanged.
+        return None, lambda path, value, error: value if type(value) is hint else json_value(path, value, hint, error)
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
         encode, decode = _coders(args[0])
         return (
             None if encode is None else lambda value: None if value is None else encode(value),
-            lambda name, value, error, prefix: None if value is None else decode(name, value, error, prefix),
+            lambda path, value, error: None if value is None else decode(path, value, error),
         )
     if origin is tuple:
         encode, decode = _coders(args[0])
         return (
             list if encode is None else lambda value: list(map(encode, value)),
-            lambda name, value, error, prefix: tuple(
-                decode(f"{name}[{i}]", item, error, f"{name}[{i}]: ")
-                for i, item in enumerate(json_value(name, value, list, error))
+            lambda path, value, error: tuple(
+                decode(f"{path}[{i}]", item, error) for i, item in enumerate(json_value(path, value, list, error))
             ),
         )
     if origin is collections.abc.Mapping and issubclass(args[0], enum.Enum):
@@ -233,24 +238,21 @@ def _coders(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[..., Any]]
         keys = frozenset(key for _, key in names)
         encode, decode = _coders(args[1])
 
-        def decode_mapping(name: str, value: Any, error: type[ValueError], prefix: str) -> dict[Any, Any]:
-            json_value(name, value, dict, error)
-            decoded = {
-                member: decode(prefix + key, value[key], error, f"{prefix}{key}: ")
-                for member, key in names
-                if key in value
-            }
+        def decode_mapping(path: str, value: Any, error: type[ValueError]) -> dict[Any, Any]:
+            json_value(path, value, dict, error)
+            prefix = f"{path}: "
+            decoded = {member: decode(prefix + key, value[key], error) for member, key in names if key in value}
             if len(value) > len(decoded):
-                _reject_unknown(name, value, keys, error)
+                _reject_unknown(path, value, keys, error)
             return decoded
 
         return (lambda value: {key: encode(value[member]) for member, key in names if member in value}), decode_mapping
     if issubclass(hint, enum.Enum):
         members = {member.value: member for member in hint}
 
-        def decode_member(name: str, value: Any, error: type[ValueError], prefix: str) -> enum.Enum:
-            if json_value(name, value, str, error) not in members:
-                raise error(f"{name}: expected one of {list(members)}, got {value!r}")
+        def decode_member(path: str, value: Any, error: type[ValueError]) -> enum.Enum:
+            if json_value(path, value, str, error) not in members:
+                raise error(f"{path}: expected one of {list(members)}, got {value!r}")
             return members[value]
 
         return operator.attrgetter("value"), decode_member

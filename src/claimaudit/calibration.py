@@ -127,10 +127,8 @@ def grid_search(
     if not usable:
         raise ValueError("every calibration record is Uncertain; no binary targets to fit")
 
-    # Both axes ascend, so the least values are the first; HvParams rejects
-    # a negative alpha. Each score is hv(tallies, HvParams(alpha, lam)),
-    # with the terms of lambda or the record alone computed once.
-    HvParams(alpha=grid.alpha_values[0], lambda_=grid.lambda_values[0])
+    # Each score is hv(tallies, HvParams(alpha, lam)), with the terms of
+    # lambda or the record alone computed once.
     dampers = [math.log1p(tallies.h_neutral) for tallies, _, _ in usable]
     ratios = {
         lam: [math.log((tallies.h_support + lam) / (tallies.h_refute + lam)) for tallies, _, _ in usable]

@@ -52,7 +52,7 @@ class AblationFlags:
 
 @dataclass(frozen=True)
 class Grid:
-    """The brute-force search space; both axes strictly increasing."""
+    """The brute-force search space; both axes strictly increasing, every alpha >= 0 and every lambda > 0."""
 
     alpha_values: tuple[float, ...]
     lambda_values: tuple[float, ...]
@@ -65,6 +65,8 @@ class Grid:
                 raise ValueError(f"{name} values must be strictly increasing")
         if self.lambda_values[0] <= 0:
             raise ValueError("all lambda values must be > 0")
+        if self.alpha_values[0] < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha_values[0]!r}")
 
 
 def default_grid() -> Grid:

@@ -90,7 +90,6 @@ class Verdict(str, enum.Enum):
 class Claim(JsonRecord):
     """A claim to verify, with its pre-computed features and ground truth."""
 
-    _json_as_is = frozenset({"specificity", "testability"})
     _json_error = SchemaError
 
     id: str
@@ -105,14 +104,14 @@ class Claim(JsonRecord):
 
     def __post_init__(self) -> None:
         if not self.text:
-            raise SchemaError(f"claim {self.id!r}: text must be nonempty")
+            raise SchemaError("text must be nonempty")
         for name, value in (("specificity", self.specificity), ("testability", self.testability)):
             if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 10:
-                raise SchemaError(f"claim {self.id!r}: {name} must be an integer in 1..10, got {value!r}")
+                raise SchemaError(f"{name} must be an integer in 1..10, got {value!r}")
         if len(self.probe_questions) != 3:
-            raise SchemaError(f"claim {self.id!r}: exactly 3 probe questions required, got {len(self.probe_questions)}")
+            raise SchemaError(f"exactly 3 probe questions required, got {len(self.probe_questions)}")
         if self.ground_truth not in (Verdict.VALID, Verdict.INVALID):
-            raise SchemaError(f"claim {self.id!r}: ground truth must be Valid or Invalid, got {self.ground_truth!r}")
+            raise SchemaError(f"ground truth must be Valid or Invalid, got {self.ground_truth!r}")
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "Claim":
@@ -120,7 +119,7 @@ class Claim(JsonRecord):
         claim_id = json_value("claim id", payload.get("id"), str, SchemaError)
         if payload.get("ground_truth") == "Uncertain":
             raise UncertainGroundTruthError(f"claim {claim_id!r}: Uncertain ground truth is excluded at ingestion")
-        return cls._decode(payload, f"claim {claim_id!r}: ")
+        return cls._decode(payload, f"claim {claim_id!r}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,6 @@ class GlobalIntegritySignals(JsonRecord):
 
 @dataclass(frozen=True)
 class CheckSignal(JsonRecord):
-    _json_as_is = frozenset({"is_applicable"})
-
     is_applicable: bool
     objective_analysis: str
 

@@ -223,17 +223,9 @@ def _build_document(payload: Any) -> Document:
         title=json_value(f"document {doc_id!r}: title", payload["title"], str, CorpusIntegrityError),
         source_uri=json_value(f"document {doc_id!r}: source_uri", payload["source_uri"], str, CorpusIntegrityError),
         retracted=payload["retracted"],
-        analysis=_build_analysis(doc_id, payload["analysis"]),
+        analysis=AnalysisDocument._decode(payload["analysis"], f"document {doc_id!r}: analysis"),
         chunks=tuple(chunks),
     )
-
-
-def _build_analysis(doc_id: str, payload: Any) -> AnalysisDocument:
-    try:
-        return AnalysisDocument.from_json(payload)
-    except SchemaError as exc:
-        # Its own checks do not know the document, so its errors are named here.
-        raise SchemaError(f"document {doc_id!r}: analysis: {exc}") from None
 
 
 def _check_scenarios(scenarios: Mapping[str, Scenario], documents: Mapping[str, Document]) -> None:
@@ -280,7 +272,10 @@ def _build_corpus(payload: Any) -> Corpus:
     evidence_map = {}
     for claim_id, chunk_ids in json_value("evidence_map", payload["evidence_map"], dict, error).items():
         json_value("evidence_map claim", claim_id, str, error, claims)
-        evidence_map[claim_id] = json_array(f"evidence_map.{claim_id}", chunk_ids, str, error, chunks)
+        pinned = evidence_map[claim_id] = json_array(f"evidence_map.{claim_id}", chunk_ids, str, error, chunks)
+        if len(set(pinned)) < len(pinned):
+            repeated = next(chunk_id for i, chunk_id in enumerate(pinned) if chunk_id in pinned[:i])
+            raise error(f"evidence_map.{claim_id}: chunk {repeated!r} is pinned twice")
     return Corpus(documents=documents, claims=claims, scenarios=scenarios, evidence_map=evidence_map)
 
 

@@ -162,8 +162,8 @@ class TestGridSearch:
 
     def test_negative_alpha_in_the_grid_raises(self):
         records = [random_record(np.random.default_rng(4)) for _ in range(10)]
-        grid = Grid(alpha_values=(-0.5, 0.5), lambda_values=(0.1,))
         with pytest.raises(ValueError, match="alpha must be >= 0"):
+            grid = Grid(alpha_values=(-0.5, 0.5), lambda_values=(0.1,))
             grid_search(records, grid, ThresholdConfig(), constant_boldness_model())
 
     def test_grid_validation(self):
@@ -245,7 +245,8 @@ class TestRecordIo:
             ("boldness_target", "0.5", "boldness_target: expected a number, got '0.5'"),
             ("human_verdict", 1, "human_verdict: expected a string, got 1"),
             ("required_standard", "Weak", "required_standard: expected one of"),
-            ("tallies", {"h_support": True, "h_refute": 0.2, "h_neutral": 0.1}, "h_support: expected a number"),
+            ("tallies", {"h_support": True, "h_refute": 0.2, "h_neutral": 0.1},
+             "tallies: h_support: expected a number, got True"),
         ],
     )
     def test_mistyped_field_is_named(self, tmp_path, field, value, message):

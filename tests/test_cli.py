@@ -127,6 +127,7 @@ class TestLoadConfig:
             ({"run": {"scenarios": []}}, r"^run.scenarios: must hold at least one item, got \[\]$"),
             ({"threshold": {"priors": {"RobustStudy": 0.75}}}, "^threshold: missing prior for "),
             ({"grid": {"lambda_values": [0.2, 0.1]}}, "^grid: lambda values must be strictly increasing$"),
+            ({"grid": {"alpha_values": [-1.0, 0.0, 0.5]}}, "^grid: alpha must be >= 0, got -1.0$"),
         ],
     )
     def test_unknown_keys_and_bad_values_rejected(self, tmp_path, mutation, needle):

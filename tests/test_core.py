@@ -130,7 +130,7 @@ class TestClaim:
     def test_probe_question_count_enforced_on_load(self):
         payload = make_claim().to_json()
         payload["probe_questions"] = ["q1", "q2"]
-        with pytest.raises(SchemaError, match="claim 'K1': exactly 3 probe questions"):
+        with pytest.raises(SchemaError, match="^claim 'K1': exactly 3 probe questions required, got 2$"):
             Claim.from_json(payload)
 
     @pytest.mark.parametrize("field,value", [("specificity", 0), ("specificity", 11), ("testability", -3)])

@@ -175,12 +175,12 @@ class TestIngest:
         "spoil,needle",
         [
             (lambda m: m["documents"][0]["analysis"]["veritable_check_signals"]["C1"].update(is_applicable="false"),
-             "is_applicable must be true or false, got 'false'"),
+             "veritable_check_signals: C1: is_applicable: expected true or false, got 'false'"),
             (lambda m: m["documents"][0].update(retracted="false"), "'D01': retracted must be true or false"),
             (lambda m: m["documents"][0]["chunks"][0].update(ordinal=0.0), "'D01-c0': ordinal must be a nonnegative"),
             (lambda m: m["documents"][0]["chunks"][0].update(ordinal=False), "'D01-c0': ordinal must be a nonnegative"),
-            (lambda m: m["claims"][0].update(specificity=7.9), "specificity must be an integer in 1..10, got 7.9"),
-            (lambda m: m["claims"][0].update(testability=True), "testability must be an integer in 1..10, got True"),
+            (lambda m: m["claims"][0].update(specificity=7.9), "claim 'K01': specificity: expected an integer, got 7.9"),
+            (lambda m: m["claims"][0].update(testability=True), "claim 'K01': testability: expected an integer, got True"),
             (lambda m: m["documents"][0].update(id=7), "document id: expected a string, got 7"),
             (lambda m: m["documents"][0].update(title=None), "'D01': title: expected a string, got None"),
             (lambda m: m["documents"][0].update(source_uri=5), "'D01': source_uri: expected a string, got 5"),
@@ -228,12 +228,15 @@ class TestIngest:
     @pytest.mark.parametrize(
         ("spoil", "message"),
         [
-            (lambda a: a["global_integrity_signals"].pop("data_availability"), "data_availability: missing"),
+            (lambda a: a["global_integrity_signals"].pop("data_availability"),
+             "global_integrity_signals: data_availability: missing"),
             (lambda a: a["veritable_check_signals"]["C2"].update(is_applicable="yes"),
-             "is_applicable must be true or false, got 'yes'"),
+             "veritable_check_signals: C2: is_applicable: expected true or false, got 'yes'"),
             (lambda a: a.update(extra=1), "AnalysisDocument has unknown fields: ['extra']"),
+            (lambda a: a["veritable_check_signals"]["C5"].update(is_applicable=False, objective_analysis="weak"),
+             "veritable_check_signals: C5: inapplicable checks must carry objective_analysis \"N/A\", got 'weak'"),
         ],
-        ids=["missing-field", "string-applicability", "unknown-key"],
+        ids=["missing-field", "string-applicability", "unknown-key", "own-check"],
     )
     def test_an_analysis_error_names_its_document(self, tmp_path, spoil, message):
         payload = make_manifest()
@@ -289,6 +292,12 @@ class TestIngest:
         payload = make_manifest()
         payload["evidence_map"]["K01"] = ["D01-c7"]
         with pytest.raises(CorpusIntegrityError, match="D01-c7"):
+            make_corpus(tmp_path, payload)
+
+    def test_evidence_map_chunk_pinned_twice(self, tmp_path):
+        payload = make_manifest()
+        payload["evidence_map"]["K01"].append("D01-c0")
+        with pytest.raises(CorpusIntegrityError, match="^evidence_map.K01: chunk 'D01-c0' is pinned twice$"):
             make_corpus(tmp_path, payload)
 
 

@@ -1,6 +1,8 @@
 """File helper tests: atomic writes, the typed JSON readers and the JSON codec of the stored record types."""
 
+import importlib
 import json
+import pkgutil
 import re
 import stat
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimaudit._files import json_array, json_optional, json_value, read_json_lines, write_atomic
+import claimaudit
+from claimaudit._files import JsonRecord, json_array, json_optional, json_value, read_json_lines, write_atomic
 from claimaudit.calibration import CalibrationRecord, load_calibration_records
 from claimaudit.core import (
     ALL_CHECKS,
@@ -21,7 +24,7 @@ from claimaudit.core import (
     Verdict,
 )
 from claimaudit.records import CellMetrics, VerdictRecord, load_records
-from claimaudit.scoring import HvParams, Tallies, make_contribution
+from claimaudit.scoring import DocumentContribution, HvParams, Tallies, make_contribution
 from claimaudit.threshold import RidgeModel
 
 
@@ -119,7 +122,7 @@ cell_metrics = st.builds(
     tokens_approximate=st.booleans(),
 )
 
-# One strategy per stored record type, keyed by the class it builds.
+# One strategy per record type, keyed by the class it builds.
 RECORDS = {
     CalibrationRecord: st.builds(
         CalibrationRecord,
@@ -148,18 +151,50 @@ RECORDS = {
         global_integrity_signals=st.builds(GlobalIntegritySignals, texts, texts, texts),
         veritable_check_signals=st.fixed_dictionaries({check: check_signals for check in ALL_CHECKS}),
     ),
+    GlobalIntegritySignals: st.builds(GlobalIntegritySignals, texts, texts, texts),
+    CheckSignal: check_signals,
     VerdictRecord: verdict_records(),
+    Tallies: tallies,
+    DocumentContribution: contributions,
     CellMetrics: cell_metrics,
     HvParams: st.builds(HvParams, alpha=nonnegative, lambda_=positive),
     RidgeModel: st.builds(
         RidgeModel, weights=st.lists(numbers, max_size=5).map(tuple), intercept=numbers, gamma=positive
     ),
 }
-RECORD_IDS = [cls.__name__ for cls in RECORDS]
+
+
+def _record_types():
+    """Every `JsonRecord` subclass the package defines, found after importing each of its modules."""
+    for module in pkgutil.iter_modules(claimaudit.__path__):
+        importlib.import_module(f"claimaudit.{module.name}")
+    found, pending = [], JsonRecord.__subclasses__()
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        if cls.__module__.startswith("claimaudit."):
+            found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# Each codec test runs on every record type; one without a strategy in RECORDS fails.
+RECORD_TYPES = _record_types()
+RECORD_IDS = [cls.__name__ for cls in RECORD_TYPES]
 
 
 def _through_json_text(payload):
     return json.loads(json.dumps(payload))
+
+
+def _leaves(value, path):
+    """(path, container, key or index) of every scalar inside the JSON value `value` at `path`."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        item_path = f"{path}[{key}]" if isinstance(value, list) else f"{path}: {key}" if path else key
+        if isinstance(item, (dict, list)):
+            yield from _leaves(item, item_path)
+        else:
+            yield item_path, value, key
 
 
 class TestTypedReaders:
@@ -190,14 +225,14 @@ class TestTypedReaders:
 
 
 class TestRecordCodec:
-    @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+    @pytest.mark.parametrize("cls", RECORD_TYPES, ids=RECORD_IDS)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_round_trip(self, cls, data):
         record = data.draw(RECORDS[cls])
         assert cls.from_json(_through_json_text(record.to_json())) == record
 
-    @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+    @pytest.mark.parametrize("cls", RECORD_TYPES, ids=RECORD_IDS)
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_a_mistyped_field_is_named(self, cls, data):
@@ -209,7 +244,7 @@ class TestRecordCodec:
             with pytest.raises(ValueError, match=re.escape(key)):
                 cls.from_json(spoiled)
 
-    @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+    @pytest.mark.parametrize("cls", RECORD_TYPES, ids=RECORD_IDS)
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_a_missing_field_is_named(self, cls, data):
@@ -218,13 +253,36 @@ class TestRecordCodec:
             with pytest.raises(ValueError, match=re.escape(key)):
                 cls.from_json({other: value for other, value in payload.items() if other != key})
 
-    @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_IDS)
+    @pytest.mark.parametrize("cls", RECORD_TYPES, ids=RECORD_IDS)
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_an_unknown_key_is_named(self, cls, data):
         payload = data.draw(RECORDS[cls]).to_json()
         with pytest.raises(ValueError, match=re.escape("has unknown fields: ['extra']")):
             cls.from_json({**payload, "extra": None})
+
+    @pytest.mark.parametrize("cls", RECORD_TYPES, ids=RECORD_IDS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_every_nested_leaf_is_named_by_its_path(self, cls, data):
+        # A leaf is a JSON scalar; its path joins object keys with ": " and
+        # appends list positions as "[i]". A list is the wrong type for
+        # every leaf, and a leaf of an object can also be removed.
+        payload = _through_json_text(data.draw(RECORDS[cls]).to_json())
+
+        def assert_named(path):
+            with pytest.raises(ValueError) as raised:
+                cls.from_json(payload)
+            assert re.search(f"(^| ){re.escape(path)}: ", str(raised.value)), (path, str(raised.value))
+
+        for path, parent, key in list(_leaves(payload, "")):
+            original = parent[key]
+            parent[key] = []
+            assert_named(path)
+            if isinstance(parent, dict):
+                del parent[key]
+                assert_named(path)
+            parent[key] = original
 
     @pytest.mark.parametrize(
         ("spoil", "message"),
@@ -233,7 +291,8 @@ class TestRecordCodec:
              "global_integrity_signals has unknown fields: ['extra']"),
             (lambda a: a["veritable_check_signals"].update(C12=a["veritable_check_signals"]["C1"]),
              "veritable_check_signals has unknown fields: ['C12']"),
-            (lambda a: a["veritable_check_signals"]["C3"].update(extra="x"), "C3 has unknown fields: ['extra']"),
+            (lambda a: a["veritable_check_signals"]["C3"].update(extra="x"),
+             "veritable_check_signals: C3 has unknown fields: ['extra']"),
         ],
         ids=["integrity-signals", "check-map", "check-signal"],
     )
