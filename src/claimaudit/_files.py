@@ -119,11 +119,18 @@ def json_array(
     return tuple(json_value(f"{name}[{i}]", item, kind, error, among) for i, item in enumerate(items))
 
 
+def json_id_path(what: str, payload: Any, error: type[ValueError]) -> str:
+    """`<what> '<id>'`, the path naming the object `payload` by its string `id`; else `error`."""
+    json_value(f"{what} payload", payload, dict, error)
+    return f"{what} {json_value(f'{what} id', payload.get('id'), str, error)!r}"
+
+
 class JsonRecord:
     """Base of the frozen dataclasses stored as JSON, whose fields give both directions.
 
-    A field is stored under its name, or under `_json_keys[name]`. Its
-    annotation sets its JSON form and how it is read:
+    A field is stored under its name, or under `_json_keys[name]`, unless
+    `__init__` does not take it (`field(init=False)`). Its annotation sets
+    its JSON form and how it is read:
 
     - `str`, `int`, `float`, `bool`: as is, read through `json_value`
     - `X | None`: null or the form of X
@@ -168,6 +175,7 @@ class _Plan:
         coders = {
             field.name: (cls._json_keys.get(field.name, field.name), *_coders(eval(field.type, module)))
             for field in dataclasses.fields(cls)
+            if field.init
         }
         self.cls = cls
         self.fields = [(attr, key, decode) for attr, (key, _, decode) in coders.items()]

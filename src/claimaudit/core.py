@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
 
-from ._files import JsonRecord, json_value
+from ._files import JsonRecord, json_id_path
 
 
 class SchemaError(ValueError):
@@ -106,7 +106,7 @@ class Claim(JsonRecord):
         if not self.text:
             raise SchemaError("text must be nonempty")
         for name, value in (("specificity", self.specificity), ("testability", self.testability)):
-            if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 10:
+            if not 1 <= value <= 10:
                 raise SchemaError(f"{name} must be an integer in 1..10, got {value!r}")
         if len(self.probe_questions) != 3:
             raise SchemaError(f"exactly 3 probe questions required, got {len(self.probe_questions)}")
@@ -114,12 +114,11 @@ class Claim(JsonRecord):
             raise SchemaError(f"ground truth must be Valid or Invalid, got {self.ground_truth!r}")
 
     @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "Claim":
-        json_value("claim payload", payload, dict, SchemaError)
-        claim_id = json_value("claim id", payload.get("id"), str, SchemaError)
+    def from_json(cls, payload: Any) -> "Claim":
+        path = json_id_path("claim", payload, SchemaError)
         if payload.get("ground_truth") == "Uncertain":
-            raise UncertainGroundTruthError(f"claim {claim_id!r}: Uncertain ground truth is excluded at ingestion")
-        return cls._decode(payload, f"claim {claim_id!r}")
+            raise UncertainGroundTruthError(f"{path}: Uncertain ground truth is excluded at ingestion")
+        return cls._decode(payload, path)
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,6 @@ class CheckSignal(JsonRecord):
     objective_analysis: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.is_applicable, bool):
-            raise SchemaError(f"is_applicable must be true or false, got {self.is_applicable!r}")
         if not self.is_applicable and self.objective_analysis != "N/A":
             raise SchemaError(
                 'inapplicable checks must carry objective_analysis "N/A", '

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ._files import json_array, json_object, json_value, read_json_lines, write_atomic
+from ._files import JsonRecord, json_array, json_id_path, json_object, json_value, read_json_lines, write_atomic
 from ._rng import fnv1a64
 from .config import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
 from .core import AnalysisDocument, Claim, SchemaError
@@ -60,19 +60,27 @@ def _packed(values: Iterable[float]) -> memoryview:
 
 
 @dataclass(frozen=True)
-class EvidenceChunk:
+class EvidenceChunk(JsonRecord):
+    """A passage of a document; `doc_id` is not stored, the document that holds the chunk sets it."""
+
+    _json_error = CorpusIntegrityError
+
     id: str
-    doc_id: str
+    doc_id: str = field(init=False, default="")
     ordinal: int
     text: str
 
     def __post_init__(self) -> None:
-        if isinstance(self.ordinal, bool) or not isinstance(self.ordinal, int) or self.ordinal < 0:
-            raise SchemaError(f"chunk {self.id!r}: ordinal must be a nonnegative integer, got {self.ordinal!r}")
+        if self.ordinal < 0:
+            raise CorpusIntegrityError(f"ordinal must be nonnegative, got {self.ordinal}")
 
 
 @dataclass(frozen=True)
-class Document:
+class Document(JsonRecord):
+    """A source document as the manifest holds it: its analysis and its chunks inline."""
+
+    _json_error = CorpusIntegrityError
+
     id: str
     title: str
     source_uri: str
@@ -81,16 +89,15 @@ class Document:
     chunks: tuple[EvidenceChunk, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.retracted, bool):
-            raise CorpusIntegrityError(f"document {self.id!r}: retracted must be true or false, got {self.retracted!r}")
         ordinals = [chunk.ordinal for chunk in self.chunks]
         if sorted(ordinals) != list(range(len(self.chunks))):
-            raise CorpusIntegrityError(f"document {self.id!r}: chunk ordinals must be dense 0..n-1, got {ordinals}")
+            raise CorpusIntegrityError(f"chunk ordinals must be dense 0..n-1, got {ordinals}")
         for chunk in self.chunks:
-            if chunk.doc_id != self.id:
-                raise CorpusIntegrityError(
-                    f"chunk {chunk.id!r} belongs to {chunk.doc_id!r}, not document {self.id!r}"
-                )
+            object.__setattr__(chunk, "doc_id", self.id)
+
+    @classmethod
+    def from_json(cls, payload: Any) -> Document:
+        return cls._decode(payload, json_id_path("document", payload, cls._json_error))
 
 
 @dataclass(frozen=True)
@@ -207,27 +214,6 @@ class _ChunkMatrix:
         return scores
 
 
-def _build_document(payload: Any) -> Document:
-    keys = {"id", "title", "source_uri", "retracted", "analysis", "chunks"}
-    json_object("document", payload, keys, CorpusIntegrityError)
-    doc_id = json_value("document id", payload["id"], str, CorpusIntegrityError)
-    chunks = []
-    for raw in json_value(f"document {doc_id!r}: chunks", payload["chunks"], list, CorpusIntegrityError):
-        what = f"chunk of document {doc_id!r}"
-        json_object(what, raw, {"id", "ordinal", "text"}, CorpusIntegrityError)
-        chunk_id = json_value(f"{what}: id", raw["id"], str, CorpusIntegrityError)
-        text = json_value(f"chunk {chunk_id!r}: text", raw["text"], str, CorpusIntegrityError)
-        chunks.append(EvidenceChunk(id=chunk_id, doc_id=doc_id, ordinal=raw["ordinal"], text=text))
-    return Document(
-        id=doc_id,
-        title=json_value(f"document {doc_id!r}: title", payload["title"], str, CorpusIntegrityError),
-        source_uri=json_value(f"document {doc_id!r}: source_uri", payload["source_uri"], str, CorpusIntegrityError),
-        retracted=payload["retracted"],
-        analysis=AnalysisDocument._decode(payload["analysis"], f"document {doc_id!r}: analysis"),
-        chunks=tuple(chunks),
-    )
-
-
 def _check_scenarios(scenarios: Mapping[str, Scenario], documents: Mapping[str, Document]) -> None:
     ty0 = scenarios["TY0"].member_doc_ids
     ty1 = scenarios["TY1"].member_doc_ids
@@ -255,7 +241,7 @@ def _by_id(what: str, items: Iterable[Any]) -> dict[str, Any]:
 def _build_corpus(payload: Any) -> Corpus:
     error = CorpusIntegrityError
     json_object("manifest", payload, {"documents", "claims", "scenarios", "evidence_map"}, error)
-    documents = _by_id("document", map(_build_document, json_value("documents", payload["documents"], list, error)))
+    documents = _by_id("document", map(Document.from_json, json_value("documents", payload["documents"], list, error)))
     chunks = _by_id("chunk", (chunk for document in documents.values() for chunk in document.chunks))
     claims = _by_id("claim", map(Claim.from_json, json_value("claims", payload["claims"], list, error)))
 
@@ -413,17 +399,7 @@ def _manifest_parts(corpus: Corpus) -> Iterator[str]:
     yield '{"claims":'
     yield from _compact_array(claim.to_json() for claim in corpus.claims.values())
     yield ',"documents":'
-    yield from _compact_array(
-        {
-            "id": doc.id,
-            "title": doc.title,
-            "source_uri": doc.source_uri,
-            "retracted": doc.retracted,
-            "analysis": doc.analysis.to_json(),
-            "chunks": [{"id": chunk.id, "ordinal": chunk.ordinal, "text": chunk.text} for chunk in doc.chunks],
-        }
-        for doc in corpus.documents.values()
-    )
+    yield from _compact_array(doc.to_json() for doc in corpus.documents.values())
     yield ',"evidence_map":'
     yield _compact({claim_id: list(chunk_ids) for claim_id, chunk_ids in corpus.evidence_map.items()})
     yield ',"scenarios":'
@@ -472,8 +448,8 @@ def load_corpus(directory: str | Path, *, embeddings: bool = True) -> Corpus:
     root = Path(directory)
     try:
         corpus = ingest(root / "manifest.json")
-    except CorpusIntegrityError as exc:
-        raise CorpusIntegrityError(f"store {root}: {exc}; run `claimaudit ingest` again to rebuild it") from None
+    except (CorpusIntegrityError, SchemaError) as exc:
+        raise type(exc)(f"store {root}: {exc}; run `claimaudit ingest` again to rebuild it") from None
     return load_embeddings(corpus, root) if embeddings else corpus
 
 

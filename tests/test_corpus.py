@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from claimaudit._rng import fnv1a64
-from claimaudit.core import CheckId, Verdict
+from claimaudit.core import CheckId, SchemaError, UncertainGroundTruthError, Verdict
 from claimaudit.corpus import (
     Corpus,
     CorpusIntegrityError,
@@ -176,16 +176,22 @@ class TestIngest:
         [
             (lambda m: m["documents"][0]["analysis"]["veritable_check_signals"]["C1"].update(is_applicable="false"),
              "veritable_check_signals: C1: is_applicable: expected true or false, got 'false'"),
-            (lambda m: m["documents"][0].update(retracted="false"), "'D01': retracted must be true or false"),
-            (lambda m: m["documents"][0]["chunks"][0].update(ordinal=0.0), "'D01-c0': ordinal must be a nonnegative"),
-            (lambda m: m["documents"][0]["chunks"][0].update(ordinal=False), "'D01-c0': ordinal must be a nonnegative"),
+            (lambda m: m["documents"][0].update(retracted="false"),
+             "document 'D01': retracted: expected true or false, got 'false'"),
+            (lambda m: m["documents"][0]["chunks"][0].update(ordinal=0.0),
+             r"document 'D01': chunks\[0\]: ordinal: expected an integer, got 0.0"),
+            (lambda m: m["documents"][0]["chunks"][0].update(ordinal=False),
+             r"document 'D01': chunks\[0\]: ordinal: expected an integer, got False"),
+            (lambda m: m["documents"][0]["chunks"][0].update(ordinal=-1),
+             r"document 'D01': chunks\[0\]: ordinal must be nonnegative, got -1"),
             (lambda m: m["claims"][0].update(specificity=7.9), "claim 'K01': specificity: expected an integer, got 7.9"),
             (lambda m: m["claims"][0].update(testability=True), "claim 'K01': testability: expected an integer, got True"),
             (lambda m: m["documents"][0].update(id=7), "document id: expected a string, got 7"),
             (lambda m: m["documents"][0].update(title=None), "'D01': title: expected a string, got None"),
             (lambda m: m["documents"][0].update(source_uri=5), "'D01': source_uri: expected a string, got 5"),
-            (lambda m: m["documents"][0]["chunks"][0].update(id=3), "'D01': id: expected a string, got 3"),
-            (lambda m: m["documents"][0]["chunks"][0].update(text=123), "'D01-c0': text: expected a string, got 123"),
+            (lambda m: m["documents"][0]["chunks"][0].update(id=3), r"'D01': chunks\[0\]: id: expected a string, got 3"),
+            (lambda m: m["documents"][0]["chunks"][0].update(text=123),
+             r"'D01': chunks\[0\]: text: expected a string, got 123"),
             (lambda m: m["claims"][0].update(id=9), "claim id: expected a string, got 9"),
             (lambda m: m["claims"][0].update(text=5), "'K01': text: expected a string, got 5"),
             (lambda m: m["claims"][0].update(topic=None), "'K01': topic: expected a string, got None"),
@@ -198,9 +204,9 @@ class TestIngest:
              "data_availability: expected a string, got 7"),
             (lambda m: m["claims"].__setitem__(0, ["not", "an", "object"]),
              r"claim payload: expected an object, got \['not', 'an', 'object'\]"),
-            (lambda m: m["documents"].__setitem__(0, ["D01"]), r"document: expected an object, got \['D01'\]"),
+            (lambda m: m["documents"].__setitem__(0, ["D01"]), r"document payload: expected an object, got \['D01'\]"),
             (lambda m: m["documents"][0]["chunks"].__setitem__(0, "D01-c0"),
-             "chunk of document 'D01': expected an object, got 'D01-c0'"),
+             r"document 'D01': chunks\[0\]: expected an object, got 'D01-c0'"),
             (lambda m: m.update(scenarios=list(SCENARIO_LABELS)), "scenarios: expected an object, got"),
             (lambda m: m.update(evidence_map=[]), r"evidence_map: expected an object, got \[\]"),
             (lambda m: m["scenarios"].update(TY0=5), "scenarios.TY0: expected a list, got 5"),
@@ -210,7 +216,8 @@ class TestIngest:
             (lambda m: m["scenarios"]["TY3"].append(1), r"scenarios.TY3\[\d+\]: expected a string, got 1"),
         ],
         ids=[
-            "is_applicable", "retracted", "float-ordinal", "bool-ordinal", "float-specificity", "bool-testability",
+            "is_applicable", "retracted", "float-ordinal", "bool-ordinal", "negative-ordinal", "float-specificity",
+            "bool-testability",
             "int-document-id", "null-title", "int-source-uri", "int-chunk-id", "int-chunk-text", "int-claim-id",
             "int-claim-text", "null-topic", "int-claim-type", "unknown-standard", "unknown-ground-truth",
             "null-objective-analysis", "int-data-availability", "list-claim", "list-document", "string-chunk",
@@ -229,12 +236,12 @@ class TestIngest:
         ("spoil", "message"),
         [
             (lambda a: a["global_integrity_signals"].pop("data_availability"),
-             "global_integrity_signals: data_availability: missing"),
+             ": global_integrity_signals: data_availability: missing"),
             (lambda a: a["veritable_check_signals"]["C2"].update(is_applicable="yes"),
-             "veritable_check_signals: C2: is_applicable: expected true or false, got 'yes'"),
-            (lambda a: a.update(extra=1), "AnalysisDocument has unknown fields: ['extra']"),
+             ": veritable_check_signals: C2: is_applicable: expected true or false, got 'yes'"),
+            (lambda a: a.update(extra=1), " has unknown fields: ['extra']"),
             (lambda a: a["veritable_check_signals"]["C5"].update(is_applicable=False, objective_analysis="weak"),
-             "veritable_check_signals: C5: inapplicable checks must carry objective_analysis \"N/A\", got 'weak'"),
+             ": veritable_check_signals: C5: inapplicable checks must carry objective_analysis \"N/A\", got 'weak'"),
         ],
         ids=["missing-field", "string-applicability", "unknown-key", "own-check"],
     )
@@ -242,7 +249,7 @@ class TestIngest:
         payload = make_manifest()
         document = next(document for document in payload["documents"] if document["id"] == "D04")
         spoil(document["analysis"])
-        with pytest.raises(ValueError, match="^" + re.escape("document 'D04': analysis: " + message) + "$"):
+        with pytest.raises(CorpusIntegrityError, match="^" + re.escape("document 'D04': analysis" + message) + "$"):
             make_corpus(tmp_path, payload)
 
     def test_scenario_unknown_document(self, tmp_path):
@@ -703,6 +710,27 @@ class TestSaveLoad:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(CorpusIntegrityError, match="D04"):
             load_corpus(tmp_path / "store")
+
+    @pytest.mark.parametrize(
+        ("spoil", "error", "message"),
+        [
+            (lambda m: m["claims"][0].update(topic=None), SchemaError, "claim 'K01': topic: expected a string, got None"),
+            (lambda m: m["claims"][0].update(ground_truth="Uncertain"), UncertainGroundTruthError,
+             "claim 'K01': Uncertain ground truth is excluded at ingestion"),
+            (lambda m: m["documents"][0]["analysis"]["global_integrity_signals"].pop("data_availability"),
+             CorpusIntegrityError, "document 'D01': analysis: global_integrity_signals: data_availability: missing"),
+        ],
+        ids=["claim-field", "uncertain-claim", "analysis-field"],
+    )
+    def test_a_stored_manifest_error_names_the_store(self, tmp_path, spoil, error, message):
+        store = tmp_path / "store"
+        save_corpus(make_corpus(tmp_path), store)
+        manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
+        spoil(manifest)
+        (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        expected = f"store {store}: {message}; run `claimaudit ingest` again to rebuild it"
+        with pytest.raises(error, match=f"^{re.escape(expected)}$"):
+            load_corpus(store)
 
     def test_old_layout_store_asks_for_a_new_ingest(self, tmp_path):
         store = tmp_path / "store"

@@ -23,6 +23,7 @@ from claimaudit.core import (
     RequiredStandard,
     Verdict,
 )
+from claimaudit.corpus import Document, EvidenceChunk
 from claimaudit.records import CellMetrics, VerdictRecord, load_records
 from claimaudit.scoring import DocumentContribution, HvParams, Tallies, make_contribution
 from claimaudit.threshold import RidgeModel
@@ -85,6 +86,23 @@ check_signals = st.one_of(
     st.builds(CheckSignal, is_applicable=st.just(True), objective_analysis=texts),
     st.just(CheckSignal(is_applicable=False, objective_analysis="N/A")),
 )
+analyses = st.builds(
+    AnalysisDocument,
+    global_integrity_signals=st.builds(GlobalIntegritySignals, texts, texts, texts),
+    veritable_check_signals=st.fixed_dictionaries({check: check_signals for check in ALL_CHECKS}),
+)
+# A document's chunks carry the ordinals 0..n-1 in order.
+documents = st.builds(
+    Document,
+    id=texts,
+    title=texts,
+    source_uri=texts,
+    retracted=st.booleans(),
+    analysis=analyses,
+    chunks=st.lists(st.tuples(texts, texts), max_size=3).map(
+        lambda chunks: tuple(EvidenceChunk(id=id_, ordinal=i, text=text) for i, (id_, text) in enumerate(chunks))
+    ),
+)
 
 
 @st.composite
@@ -146,11 +164,9 @@ RECORDS = {
         probe_questions=st.tuples(texts, texts, texts),
         ground_truth=st.sampled_from((Verdict.VALID, Verdict.INVALID)),
     ),
-    AnalysisDocument: st.builds(
-        AnalysisDocument,
-        global_integrity_signals=st.builds(GlobalIntegritySignals, texts, texts, texts),
-        veritable_check_signals=st.fixed_dictionaries({check: check_signals for check in ALL_CHECKS}),
-    ),
+    AnalysisDocument: analyses,
+    Document: documents,
+    EvidenceChunk: st.builds(EvidenceChunk, id=texts, ordinal=st.integers(0, 10**6), text=texts),
     GlobalIntegritySignals: st.builds(GlobalIntegritySignals, texts, texts, texts),
     CheckSignal: check_signals,
     VerdictRecord: verdict_records(),

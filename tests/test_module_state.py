@@ -7,7 +7,9 @@ process sees; per-run values belong to the objects a run creates (the
 `Asker` carries the template directory, for one). Every LLM call goes
 through `Asker.ask`, so no second retry loop can wrap a client call. The
 manifest and LLM reply readers go through `_files`' typed readers, so a
-wrong type fails by name instead of being checked by hand or coerced.
+wrong type fails by name instead of being checked by hand or coerced; a
+stored record's field types are read by the codec alone, so its
+`__post_init__` checks only values the types admit.
 Only `core.py` reads a check's applicability flag, in
 `AnalysisDocument.applicable_checks`; every other module reads that tuple.
 Only `evaluation._cell` makes a `TokenUsage`: every method records into
@@ -16,6 +18,8 @@ the one its cell passes down, so a cell's tokens are counted in one place.
 
 import ast
 import importlib
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,7 @@ from claimaudit.scoring import HvParams
 from claimaudit.threshold import ThresholdConfig, constant_boldness_model
 
 from test_corpus import make_corpus
+from test_files import RECORD_IDS, RECORD_TYPES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "claimaudit"
 MODULES = sorted(SRC.rglob("*.py"))
@@ -110,7 +115,7 @@ def test_only_the_cell_makes_a_token_usage():
 
 # The readers of a manifest and of LLM replies, by module.
 _TYPED_READERS = {
-    "corpus.py": ("_build_document", "_build_corpus"),
+    "corpus.py": ("_build_corpus",),
     "baselines.py": ("_read_confidence", "_read_verdict", "_read_probe", "_read_critiques", "_read_flare_initial"),
     "audit.py": ("parse_audit_response",),
 }
@@ -130,6 +135,31 @@ def test_outside_json_is_read_by_the_typed_readers(module, reader):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "str")
     ]
     assert by_hand == []
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=RECORD_IDS)
+def test_a_stored_record_leaves_its_field_types_to_the_codec(cls):
+    source = textwrap.dedent(inspect.getsource(cls.__post_init__)) if "__post_init__" in vars(cls) else ""
+    type_checks = [
+        f"line {node.lineno}: isinstance(...)"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+    ]
+    assert type_checks == []
+
+
+# Hand readers of stored records that the codec replaced.
+_RETIRED_READERS = {"_build_analysis", "_build_document"}
+
+
+def test_no_module_reads_a_stored_record_by_hand():
+    defined = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in _RETIRED_READERS
+    ]
+    assert defined == []
 
 
 # Names of the second statement of applicability this package once kept.
