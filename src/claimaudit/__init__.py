@@ -45,9 +45,7 @@ _EXPORTS = {
         "CellMetrics", "ConfusionMatrix", "RunReport", "VerdictRecord", "build_report", "cohen_kappa", "csv_rows",
         "dump_records", "gwet_ac1", "load_records", "macro_f1", "mcc", "record_line", "render_table",
     ),
-    "redundancy": (
-        "NoVocabularyError", "chunk_redundancy", "cosine", "document_weight", "redundancy_for_texts", "tfidf_fit",
-    ),
+    "redundancy": ("chunk_redundancy", "cosine", "document_weight", "redundancy_for_texts", "tfidf_fit"),
     "scoring": (
         "DocumentContribution", "HvParams", "Tallies", "aggregate", "effective_contribution", "hv",
         "intrinsic_quality", "log_odds", "make_contribution",

@@ -153,24 +153,12 @@ def _paper_json(paper: PaperToAudit) -> str:
     )
 
 
-def build_audit_prompt(req: AuditRequest, *, token_budget: int | None = None, templates: Path | None = None) -> str:
+def build_audit_prompt(req: AuditRequest, *, templates: Path | None = None) -> str:
     papers_json = _array_json([_paper_json(paper) for paper in req.papers])
-    prompt = render_template(
+    return render_template(
         load_template("batch_audit", templates),
         {"CLAIM_TEXT": req.claim_text, "PAPERS_TO_AUDIT_JSON": papers_json},
     )
-    if token_budget is not None:
-        total = approx_token_count(prompt)
-        if total > token_budget:
-            sizes = ", ".join(
-                f"{paper.paper_id}: ~{approx_token_count(_paper_json(paper))} tokens"
-                for paper in req.papers
-            )
-            raise PromptBudgetError(
-                f"audit prompt is ~{total} tokens, over the budget of {token_budget}; "
-                f"per-paper sizes: {sizes}"
-            )
-    return prompt
 
 
 def _extract_json(raw: str) -> Any:
@@ -271,43 +259,50 @@ def mock_audit(req: AuditRequest, seed: int) -> list[AuditResult]:
 
 def _audit_batches(
     req: AuditRequest,
-    token_budget: int | None,
+    token_budget: int,
     templates: Path | None,
-    usage: TokenUsage,
-    answer: Callable[[AuditRequest, str, TokenUsage], list[AuditResult]],
+    answer: Callable[[AuditRequest, str], list[AuditResult]],
 ) -> list[AuditResult]:
     """Audit `req` in one batch, or one batch per paper when its prompt is over `token_budget`.
 
-    `answer(batch, prompt, usage)` answers one batch and records its
-    turn into `usage`, the cell's one count, so every sub-batch adds to
-    it. A single paper that alone exceeds the budget raises
-    PromptBudgetError, a claim-level failure. No budget (None) never splits.
+    `answer(batch, prompt)` answers one batch and records the turn in the
+    caller's `usage`, so every sub-batch adds to it. A paper alone over
+    the budget raises PromptBudgetError, a claim-level failure.
     """
-    try:
-        prompt = build_audit_prompt(req, token_budget=token_budget, templates=templates)
-    except PromptBudgetError as exc:
-        if len(req.papers) == 1:
-            raise PromptBudgetError(f"single paper exceeds the audit token budget: {exc}") from exc
-        logger.warning("splitting oversized audit batch into %d single-paper requests", len(req.papers))
-        results = []
-        for paper in req.papers:
-            single = AuditRequest(claim_text=req.claim_text, papers=(paper,))
-            results.extend(_audit_batches(single, token_budget, templates, usage, answer))
-        return results
-    return answer(req, prompt, usage)
+    prompt = build_audit_prompt(req, templates=templates)
+    total = approx_token_count(prompt)
+    if total <= token_budget:
+        return answer(req, prompt)
+    if len(req.papers) == 1:
+        paper = req.papers[0]
+        raise PromptBudgetError(
+            f"single paper exceeds the audit token budget: audit prompt is ~{total} tokens, over the budget of "
+            f"{token_budget}; per-paper sizes: {paper.paper_id}: ~{approx_token_count(_paper_json(paper))} tokens"
+        )
+    logger.warning("splitting oversized audit batch into %d single-paper requests", len(req.papers))
+    results = []
+    for paper in req.papers:
+        single = AuditRequest(claim_text=req.claim_text, papers=(paper,))
+        results.extend(_audit_batches(single, token_budget, templates, answer))
+    return results
 
 
 def mock_audit_with_usage(
-    req: AuditRequest, seed: int, usage: TokenUsage, *, templates: Path | None = None, token_budget: int | None = None
+    req: AuditRequest,
+    seed: int,
+    usage: TokenUsage,
+    *,
+    templates: Path | None = None,
+    token_budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> list[AuditResult]:
     """Mock audit recording the approximate tokens of the skipped calls into `usage`, batched as `run_audit` batches."""
 
-    def answer(batch: AuditRequest, prompt: str, usage: TokenUsage) -> list[AuditResult]:
+    def answer(batch: AuditRequest, prompt: str) -> list[AuditResult]:
         results = mock_audit(batch, seed)
         usage.record(prompt, LlmReply(text=render_audit_response(results)))
         return results
 
-    return _audit_batches(req, token_budget, templates, usage, answer)
+    return _audit_batches(req, token_budget, templates, answer)
 
 
 def run_audit(
@@ -321,7 +316,7 @@ def run_audit(
     that alone exceeds the budget propagates as a claim-level failure.
     """
 
-    def answer(batch: AuditRequest, prompt: str, usage: TokenUsage) -> list[AuditResult]:
+    def answer(batch: AuditRequest, prompt: str) -> list[AuditResult]:
         return asker.ask(prompt, BATCH_AUDIT_SCHEMA, functools.partial(parse_audit_response, req=batch), usage)
 
-    return _audit_batches(req, token_budget, asker.templates, usage, answer)
+    return _audit_batches(req, token_budget, asker.templates, answer)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._files import JsonRecord, read_json_lines, write_atomic
+from ._files import JsonRecord, json_value, read_json_lines, write_atomic
 from ._rng import DeterministicStream
 # `default_grid` is kept here for the callers that import it from this module.
 from .config import Grid, default_grid  # noqa: F401
@@ -183,7 +183,7 @@ def save_params(path: str | Path, params: HvParams, ridge: RidgeModel) -> None:
 
 def load_params(path: str | Path) -> tuple[HvParams, RidgeModel]:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json_value("params", json.loads(Path(path).read_text(encoding="utf-8")), dict)
         # `ridge` sits beside the scoring params' own keys.
         ridge = RidgeModel.from_json(payload.pop("ridge"))
         return HvParams.from_json(payload), ridge

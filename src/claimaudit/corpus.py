@@ -454,13 +454,13 @@ def load_corpus(directory: str | Path, *, embeddings: bool = True) -> Corpus:
 
 
 def _vector_line(line: Mapping[str, Any]) -> tuple[str, memoryview]:
-    """One `embeddings.jsonl` line as (chunk id, packed vector); every entry must be a JSON number."""
+    """One `embeddings.jsonl` line as (chunk id, packed vector); the id must be a string, every entry a number."""
     entries = json_value("embedding", line["embedding"], list)
     # One pass over the entry types; `array` would take a bool as a number.
     if not set(map(type, entries)) <= {int, float}:
         bad = next(entry for entry in entries if type(entry) not in (int, float))
         raise ValueError(f"embedding: expected numbers, got {bad!r}")
-    return line["chunk_id"], _packed(entries)
+    return json_value("chunk_id", line["chunk_id"], str), _packed(entries)
 
 
 def load_embeddings(corpus: Corpus, directory: str | Path) -> Corpus:

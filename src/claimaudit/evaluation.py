@@ -33,7 +33,7 @@ from .records import (  # noqa: F401
     CellMetrics, ConfusionMatrix, RunReport, VerdictRecord, build_report, cohen_kappa, csv_rows, dump_records,
     gwet_ac1, load_records, macro_f1, mcc, record_line, render_table,
 )
-from .redundancy import NoVocabularyError, document_weight, redundancy_for_texts
+from .redundancy import document_weight, redundancy_for_texts
 from .scoring import DocumentContribution, HvParams, aggregate, hv, intrinsic_quality, make_contribution
 from .threshold import RidgeModel, ThresholdConfig, threshold_for_claim
 from .threshold import verdict as hv_verdict
@@ -60,12 +60,7 @@ def _document_weights(
 ) -> dict[str, float]:
     if not use_penalty:
         return {paper.paper_id: 1.0 for paper in papers}
-    try:
-        rhos = redundancy_for_texts([chunk.text for chunk in chunks])
-    except NoVocabularyError:
-        # Nothing to compare against; every chunk counts as novel.
-        logger.warning("evidence chunks yield no vocabulary; redundancy penalty disabled for this claim")
-        rhos = [0.0] * len(chunks)
+    rhos = redundancy_for_texts([chunk.text for chunk in chunks])
     rhos_by_doc: dict[str, list[float]] = {}
     for chunk, rho in zip(chunks, rhos):
         rhos_by_doc.setdefault(chunk.doc_id, []).append(rho)

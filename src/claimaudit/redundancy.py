@@ -12,7 +12,7 @@ so that results are reproducible from this code alone:
   * vectors L2-normalized
 
 The model is fit per claim over that claim's retrieved chunks only,
-never over the whole corpus.
+never over the whole corpus. A chunk without tokens scores 0.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ SparseVector = dict[int, float]
 
 _TOKEN_RUNS = re.compile(r"[0-9a-z]+")
 MIN_TOKEN_LENGTH = 2
-
-
-class NoVocabularyError(ValueError):
-    """The corpus produced no tokens; there is nothing to vectorize."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -63,10 +59,7 @@ class TfIdfModel:
 
 
 def tfidf_fit(chunks: Sequence[str]) -> TfIdfModel:
-    """Fit the vectorizer over an ordered chunk list.
-
-    Raises NoVocabularyError when no chunk yields any token.
-    """
+    """Fit the vectorizer over an ordered chunk list; chunks without tokens fit an empty vocabulary."""
     if not chunks:
         raise ValueError("chunk list must be nonempty")
     document_frequency: dict[str, int] = {}
@@ -77,8 +70,6 @@ def tfidf_fit(chunks: Sequence[str]) -> TfIdfModel:
             document_frequency[token] = document_frequency.get(token, 0) + 1
             if token not in vocabulary:
                 vocabulary[token] = len(vocabulary)
-    if not vocabulary:
-        raise NoVocabularyError("no vocabulary")
     return TfIdfModel(vocabulary=vocabulary, document_frequency=document_frequency, corpus_size=len(chunks))
 
 

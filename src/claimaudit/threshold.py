@@ -4,21 +4,21 @@
     tau_auto = clamp(tau_base + C * max(0, n_evidence / n_base - 1), 0.5, 0.95)
 
 where boldness = clip(ridge(features), 0, 1) over the feature encoding
-[specificity/10, testability/10, onehot(standard)]. A claim is accepted
+(specificity/10, testability/10, onehot(standard)). A claim is accepted
 iff hv >= tau (ties accept); the calibration objective uses the same
 comparison so training and inference cannot skew.
+
+The prediction is plain float arithmetic, its weighted sum taken left to
+right, so tau needs no numpy; only fitting (`calibration.ridge_fit`) does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from ._files import JsonRecord
 from .core import RequiredStandard, Verdict
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CLAMP_LO_DEFAULT = 0.5
 CLAMP_HI_DEFAULT = 0.95
@@ -95,23 +95,20 @@ class HasClaimFeatures(Protocol):
     required_standard: RequiredStandard
 
 
-def encode_features(claim: HasClaimFeatures) -> np.ndarray:
-    """[specificity/10, testability/10, onehot(required_standard)]."""
-    import numpy as np
-
-    onehot = [1.0 if claim.required_standard is standard else 0.0 for standard in STANDARD_ORDER]
-    return np.array([claim.specificity / 10.0, claim.testability / 10.0, *onehot], dtype=float)
+def encode_features(claim: HasClaimFeatures) -> tuple[float, ...]:
+    """(specificity/10, testability/10, *onehot(required_standard))."""
+    onehot = (1.0 if claim.required_standard is standard else 0.0 for standard in STANDARD_ORDER)
+    return (claim.specificity / 10.0, claim.testability / 10.0, *onehot)
 
 
-def ridge_predict(model: RidgeModel, features: Sequence[float] | np.ndarray) -> float:
-    """Boldness prediction clipped to [0, 1]."""
-    import numpy as np
-
-    vector = np.asarray(features, dtype=float)
-    if vector.shape != (len(model.weights),):
-        raise ValueError(f"feature dimension {vector.shape} does not match model ({len(model.weights)},)")
-    raw = float(np.dot(np.asarray(model.weights), vector) + model.intercept)
-    return min(1.0, max(0.0, raw))
+def ridge_predict(model: RidgeModel, features: Sequence[float]) -> float:
+    """Boldness prediction clipped to [0, 1]: weights times features summed left to right, plus the intercept."""
+    if len(features) != len(model.weights):
+        raise ValueError(f"feature dimension ({len(features)},) does not match model ({len(model.weights)},)")
+    raw = 0.0
+    for weight, feature in zip(model.weights, features):
+        raw += weight * feature
+    return min(1.0, max(0.0, raw + model.intercept))
 
 
 def base_threshold(prior: float, boldness: float) -> float:

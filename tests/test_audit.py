@@ -23,6 +23,7 @@ from claimaudit.audit import (
     render_template,
     run_audit,
 )
+from claimaudit.config import DEFAULT_TOKEN_BUDGET
 from claimaudit.core import (
     ALL_CHECKS,
     AuditResult,
@@ -138,19 +139,6 @@ class TestBuildAuditPrompt:
         assert build_audit_prompt(request) == expected
         # A second prompt over the same documents reuses their rendering and reads the same.
         assert build_audit_prompt(request) == expected
-
-    def test_over_budget_lists_per_paper_sizes(self):
-        request = make_request(papers=[make_paper("D01"), make_paper("D02")])
-        with pytest.raises(PromptBudgetError) as excinfo:
-            build_audit_prompt(request, token_budget=10)
-        message = str(excinfo.value)
-        assert "D01" in message and "D02" in message
-        assert "per-paper sizes" in message
-
-    def test_within_budget_is_silent(self):
-        request = make_request()
-        budget = approx_token_count(build_audit_prompt(request))
-        assert build_audit_prompt(request, token_budget=budget)
 
 
 class TestRenderAuditResponse:
@@ -469,5 +457,34 @@ class TestRunAudit:
         assert usage.approximate is True
 
     def test_single_oversized_paper_is_a_claim_failure(self):
-        with pytest.raises(PromptBudgetError, match="^single paper exceeds the audit token budget: "):
+        size = approx_token_count(build_audit_prompt(make_request()))
+        expected = (
+            f"^single paper exceeds the audit token budget: audit prompt is ~{size} tokens, over the budget of 10; "
+            r"per-paper sizes: D01: ~\d+ tokens$"
+        )
+        with pytest.raises(PromptBudgetError, match=expected):
             run_audit(Asker(_QueueClient([]), sleep=lambda _: None), make_request(), TokenUsage(), token_budget=10)
+
+    @pytest.mark.parametrize("slack,split", [(0, False), (-1, True)], ids=["at-prompt-size", "one-token-less"])
+    def test_a_batch_splits_only_when_its_prompt_is_over_budget(self, slack, split):
+        request = make_request(papers=[make_paper("D01"), make_paper("D02")])
+        budget = approx_token_count(build_audit_prompt(request)) + slack
+        batches = [make_request(papers=[paper]) for paper in request.papers] if split else [request]
+        client = _QueueClient([render_audit_response(mock_audit(batch, 4)) for batch in batches])
+        usage = TokenUsage()
+        results = run_audit(Asker(client, sleep=lambda _: None), request, usage, token_budget=budget)
+        assert results == mock_audit(request, seed=4)
+        assert client.prompts == [build_audit_prompt(batch) for batch in batches]
+        # The mock batches as the live audit does and records the same usage.
+        mock_usage = TokenUsage()
+        assert mock_audit_with_usage(request, 4, mock_usage, token_budget=budget) == results
+        assert mock_usage == usage
+
+    @pytest.mark.parametrize("audit", ["live", "mock"])
+    def test_the_default_budget_applies_to_both_audits(self, audit):
+        request = make_request(papers=[make_paper(chunks=("x" * 4 * DEFAULT_TOKEN_BUDGET,))])
+        with pytest.raises(PromptBudgetError, match=f"over the budget of {DEFAULT_TOKEN_BUDGET};"):
+            if audit == "live":
+                run_audit(Asker(_QueueClient([]), sleep=lambda _: None), request, TokenUsage())
+            else:
+                mock_audit_with_usage(request, 4, TokenUsage())

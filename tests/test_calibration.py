@@ -297,6 +297,14 @@ class TestRecordIo:
         with pytest.raises(ValueError, match=re.escape("params.json: bad params: HvParams has unknown fields: ['beta']")):
             load_params(path)
 
+    @pytest.mark.parametrize("payload", ["x", 5, None, [1]], ids=["string", "number", "null", "list"])
+    def test_a_params_file_that_is_not_an_object_is_named(self, tmp_path, payload):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = f"params.json: bad params: params: expected an object, got {payload!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_params(path)
+
     def test_malformed_params_file_is_named(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text("[]", encoding="utf-8")

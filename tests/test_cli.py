@@ -586,6 +586,27 @@ class TestVerify:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out" / "records.jsonl").exists()
 
+    @pytest.mark.parametrize("chunk_id", [["D01-c1"], 7], ids=["list-id", "int-id"])
+    def test_a_mistyped_embedding_chunk_id_exits_1(self, tmp_path, capsys, chunk_id):
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "embed"]) == 0
+        embeddings = tmp_path / "out" / "store" / "embeddings.jsonl"
+        lines = embeddings.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({"chunk_id": chunk_id, "embedding": [0.0] * 64})
+        embeddings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert f"embeddings.jsonl:2: bad embedding: chunk_id: expected a string, got {chunk_id!r}" in err
+
+    @pytest.mark.parametrize("payload", ["x", 5, None, [1]], ids=["string", "number", "null", "list"])
+    def test_a_params_file_that_is_not_an_object_exits_1(self, tmp_path, capsys, payload):
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "embed"]) == 0
+        (tmp_path / "out" / "params.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 1
+        assert f"params.json: bad params: params: expected an object, got {payload!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
     def test_unknown_claim_id_exits_1(self, tmp_path, capsys):
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "verify", "--mock", "--claim-id", "K99"]) == 1
@@ -722,6 +743,8 @@ class TestStartup:
         assert run() == "[] False"
         assert run("ingest", "embed") == "[0, 0] False"
         assert run("calibrate", "verify --mock --seed 7") == "[0, 0] True"
+        # An audit-only run loads no numpy: tau is plain float arithmetic.
+        assert run("verify --mock --seed 7 --method audit") == "[0] False"
         assert run("report") == "[0] False"
 
     @staticmethod

@@ -701,6 +701,17 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="embeddings.jsonl:2: bad embedding"):
             load_corpus(tmp_path / "store")
 
+    @pytest.mark.parametrize("chunk_id", [["D01-c1"], 7], ids=["list-id", "int-id"])
+    def test_mistyped_chunk_id_is_named(self, tmp_path, chunk_id):
+        save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), tmp_path / "store")
+        path = tmp_path / "store" / "embeddings.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({"chunk_id": chunk_id, "embedding": [0.0] * 64})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"embeddings.jsonl:2: bad embedding: chunk_id: expected a string, got {chunk_id!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(tmp_path / "store")
+
     def test_load_reruns_integrity_checks(self, tmp_path):
         corpus = make_corpus(tmp_path)
         save_corpus(corpus, tmp_path / "store")

@@ -992,6 +992,18 @@ class TestAblationSemantics:
                 assert cb.weight == 1.0
         assert any(c.weight < 1.0 for a, _ in pairs for c in a.contributions)
 
+    def test_tokenless_evidence_keeps_every_weight_at_one(self, tmp_path):
+        # No chunk holds a token of two or more characters, so with the
+        # penalty on no chunk is redundant to another, equal texts included.
+        manifest = make_manifest()
+        for document in manifest["documents"]:
+            for chunk in document["chunks"]:
+                chunk["text"] = "- ! a"
+        corpus = embed_chunks(make_corpus(tmp_path, manifest), HashEmbedder())
+        audited = [record for record in run(corpus, scenarios=("TY3",)).records if record.failure is None]
+        assert any(len(record.contributions) > 1 for record in audited)
+        assert all(c.weight == 1.0 for record in audited for c in record.contributions)
+
     def test_threshold_toggle_changes_only_tau(self, corpus):
         base = run(corpus)
         off = run(corpus, flags=AblationFlags(use_dynamic_threshold=False))

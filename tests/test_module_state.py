@@ -14,6 +14,8 @@ Only `core.py` reads a check's applicability flag, in
 `AnalysisDocument.applicable_checks`; every other module reads that tuple.
 Only `evaluation._cell` makes a `TokenUsage`: every method records into
 the one its cell passes down, so a cell's tokens are counted in one place.
+Only the modules that hash long inputs, hold vectors or fit weights import
+numpy; the audit cell's scoring and threshold arithmetic is plain floats.
 """
 
 import ast
@@ -189,3 +191,14 @@ def test_only_core_reads_the_applicability_flag():
                 found.append(f"{path.name}:{node.lineno}: .is_applicable")
             found.extend(f"{path.name}:{node.lineno}: {name}" for name in sorted(_names(node) & _RETIRED_NAMES))
     assert found == []
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy"
+
+
+def test_only_hashing_vectors_and_fitting_import_numpy():
+    importers = {scope.partition(":")[0] for scope in _scopes_in_package(_imports_numpy)}
+    assert importers == {"_rng.py", "corpus.py", "calibration.py"}

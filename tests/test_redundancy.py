@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimaudit.redundancy import (
-    NoVocabularyError,
     chunk_redundancy,
     cosine,
     document_weight,
@@ -68,9 +67,18 @@ class TestTfIdfFit:
         assert w_shared == pytest.approx(0.5797, abs=5e-5)
         assert w_shared == pytest.approx(float(highprec_shared_term_weight()), abs=1e-12)
 
-    def test_all_empty_corpus_raises(self):
-        with pytest.raises(NoVocabularyError, match="no vocabulary"):
-            tfidf_fit(["", "  ", "! ?"])
+    def test_a_tokenless_chunk_list_fits_an_empty_vocabulary(self):
+        chunks = ["", "  ", "! ?", "a b"]
+        model = tfidf_fit(chunks)
+        assert (model.vocabulary, model.document_frequency) == ({}, {})
+        assert [model.transform(chunk) for chunk in chunks] == [{}, {}, {}, {}]
+        assert redundancy_for_texts(chunks) == [0.0, 0.0, 0.0, 0.0]
+        # Among chunks with tokens, a tokenless one is redundant to nothing.
+        assert redundancy_for_texts(["ab cd", "", "ab cd"]) == [0.0, 0.0, pytest.approx(1.0)]
+
+    def test_an_empty_chunk_list_is_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            tfidf_fit([])
 
     def test_vectors_are_unit_norm_or_empty(self):
         chunks = ["ab cd ef", "cd cd gh", "zz", ""]

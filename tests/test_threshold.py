@@ -23,15 +23,15 @@ from test_core import make_claim
 class TestEncodeFeatures:
     def test_max_ratings_settled(self):
         claim = make_claim(specificity=10, testability=10, required_standard=RequiredStandard.SETTLED_SCIENCE)
-        np.testing.assert_allclose(encode_features(claim), [1.0, 1.0, 1, 0, 0])
+        assert encode_features(claim) == (1.0, 1.0, 1.0, 0.0, 0.0)
 
     def test_min_ratings_plausible(self):
         claim = make_claim(specificity=1, testability=1, required_standard=RequiredStandard.PLAUSIBLE_EVIDENCE)
-        np.testing.assert_allclose(encode_features(claim), [0.1, 0.1, 0, 0, 1])
+        assert encode_features(claim) == (0.1, 0.1, 0.0, 0.0, 1.0)
 
     def test_mid_ratings_robust(self):
         claim = make_claim(specificity=5, testability=8, required_standard=RequiredStandard.ROBUST_STUDY)
-        np.testing.assert_allclose(encode_features(claim), [0.5, 0.8, 0, 1, 0])
+        assert encode_features(claim) == (0.5, 0.8, 0.0, 1.0, 0.0)
 
 
 class TestRidgePredict:
@@ -46,6 +46,12 @@ class TestRidgePredict:
         features = encode_features(make_claim())
         assert ridge_predict(high, features) == 1.0
         assert ridge_predict(low, features) == 0.0
+
+    def test_terms_are_summed_left_to_right_before_the_intercept(self):
+        # 1e16 + 1 rounds back to 1e16, so the 1 is lost before -1e16 cancels;
+        # an exact sum would keep it and predict 1.5, clipped to 1.0.
+        model = RidgeModel(weights=(1e16, 1.0, -1e16, 0.0, 0.0), intercept=0.5, gamma=1.0)
+        assert ridge_predict(model, (1.0, 1.0, 1.0, 0.0, 0.0)) == 0.5
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
