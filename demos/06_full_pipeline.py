@@ -43,7 +43,7 @@ def main() -> None:
 
     sample = next(record for record in report.records if record.method == "audit")
     print(f"\none audit record in detail ({sample.claim_id} under {sample.scenario}):")
-    print(f"  verdict={sample.verdict} (truth: {sample.ground_truth}), "
+    print(f"  verdict={sample.verdict.value} (truth: {sample.ground_truth.value}), "
           f"score={sample.hv:.4f} vs threshold={sample.tau:.4f}")
     stance_names = {1: "supports", 0: "neutral", -1: "refutes"}
     for contribution in sample.contributions:

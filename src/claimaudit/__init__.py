@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # on first access, so `import claimaudit` loads no submodule.
 _EXPORTS = {
     "audit": (
-        "AuditParseError", "AuditRequest", "PaperToAudit", "PromptBudgetError", "build_audit_prompt", "mock_audit",
+        "AuditRequest", "PaperToAudit", "PromptBudgetError", "build_audit_prompt", "mock_audit",
         "mock_audit_with_usage", "parse_audit_response", "run_audit",
     ),
     "baselines": ("BaselineVerdict", "MassFunction", "run_ciber", "run_cot", "run_flare", "run_selfrag", "wbu_fuse"),

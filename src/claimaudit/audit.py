@@ -29,17 +29,13 @@ from .core import (
     SCORE_LABELS,
     STANCE_LABELS,
 )
-from .llm import Asker, LlmReply, TokenUsage, approx_token_count, extract_json_object
+from .llm import Asker, LlmReply, TokenUsage, approx_token_count
 
 logger = logging.getLogger(__name__)
 
 _PLACEHOLDER = re.compile(r"\{\{([A-Z_]+)\}\}")
 _SCORE_NAMES = {value: name for name, value in SCORE_LABELS.items()}
 _STANCE_NAMES = {value: name for name, value in STANCE_LABELS.items()}
-
-
-class AuditParseError(ValueError):
-    """The audit response does not match the wire contract (retryable)."""
 
 
 class PromptBudgetError(ValueError):
@@ -161,44 +157,36 @@ def build_audit_prompt(req: AuditRequest, *, templates: Path | None = None) -> s
     )
 
 
-def _extract_json(raw: str) -> Any:
-    try:
-        return extract_json_object(raw)
-    except ValueError:
-        raise AuditParseError("audit response is not valid JSON") from None
-
-
-def parse_audit_response(raw: str, req: AuditRequest) -> list[AuditResult]:
-    """Validate the wire payload and map labels to numeric scores/stances.
+def parse_audit_response(payload: dict[str, Any], req: AuditRequest) -> list[AuditResult]:
+    """Validate the reply's JSON object and map labels to numeric scores/stances.
 
     Every value is read by its JSON type; a wrong type, an unknown label
-    or a duplicate paper makes the response unparseable, hence retryable.
-    Unknown paper ids are dropped with a warning, and so is a score on a
-    check the paper's analysis marks inapplicable: an auditor may
-    over-answer, and such scores do not count. Any requested paper left
-    unanswered makes the response incomplete, hence retryable too.
+    or a duplicate paper raises ValueError, so the response is
+    unparseable, hence retryable. Unknown paper ids are dropped with a
+    warning, and so is a score on a check the paper's analysis marks
+    inapplicable: an auditor may over-answer, and such scores do not
+    count. Any requested paper left unanswered makes the response
+    incomplete, hence retryable too.
     """
-    error = AuditParseError
-    payload = json_value("audit response", _extract_json(raw), dict, error)
     applicable = {paper.paper_id: paper.analysis.applicable_checks for paper in req.papers}
     results: dict[str, AuditResult] = {}
-    for i, entry in enumerate(json_array("all_papers_audit", payload.get("all_papers_audit"), dict, error)):
+    for i, entry in enumerate(json_array("all_papers_audit", payload.get("all_papers_audit"), dict)):
         at = f"all_papers_audit[{i}]"
-        paper_id = json_value(f"{at}.paper_id", entry.get("paper_id"), str, error)
+        paper_id = json_value(f"{at}.paper_id", entry.get("paper_id"), str)
         if paper_id not in applicable:
             logger.warning("dropping audit for unknown paper id %r", paper_id)
             continue
         if paper_id in results:
-            raise AuditParseError(f"duplicate audit entry for paper {paper_id!r}")
-        stance = json_value(f"{at}.stance", entry.get("stance"), str, error, STANCE_LABELS)
+            raise ValueError(f"duplicate audit entry for paper {paper_id!r}")
+        stance = json_value(f"{at}.stance", entry.get("stance"), str, among=STANCE_LABELS)
         scores: dict[CheckId, float] = {}
         reasoning: dict[CheckId, str] = {}
-        for name, cell in json_value(f"{at}.checks", entry.get("checks"), dict, error).items():
-            check = CheckId[json_value(f"{at}.checks", name, str, error, CheckId.__members__)]
+        for name, cell in json_value(f"{at}.checks", entry.get("checks"), dict).items():
+            check = CheckId[json_value(f"{at}.checks", name, str, among=CheckId.__members__)]
             where = f"{at}.checks.{name}"
-            json_value(where, cell, dict, error)
-            score = SCORE_LABELS[json_value(f"{where}.score", cell.get("score"), str, error, SCORE_LABELS)]
-            why = json_optional(f"{where}.reasoning", cell.get("reasoning"), str, error, default="")
+            json_value(where, cell, dict)
+            score = SCORE_LABELS[json_value(f"{where}.score", cell.get("score"), str, among=SCORE_LABELS)]
+            why = json_optional(f"{where}.reasoning", cell.get("reasoning"), str, default="")
             if check not in applicable[paper_id]:
                 logger.warning("dropping audit score for inapplicable check %s", check.name)
                 continue
@@ -209,7 +197,7 @@ def parse_audit_response(raw: str, req: AuditRequest) -> list[AuditResult]:
         )
     missing = sorted(applicable.keys() - results.keys())
     if missing:
-        raise AuditParseError(f"audit response is missing papers: {missing}")
+        raise ValueError(f"audit response is missing papers: {missing}")
     return list(results.values())
 
 

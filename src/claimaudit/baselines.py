@@ -2,12 +2,12 @@
 
 Each driver runs a fixed chain of turns through the run's `Asker` (its
 client, retry policy, reply memo and template directory), records every
-turn into the `TokenUsage` it is given, and validates every structured
-reply. A required turn that fails (a client error, or a reply
-unparseable after the retries) raises the Asker's own error out of the
-driver, named by the turn's schema title; a failed optional turn falls
-back: a CIBER probe adds vacuous mass, a FLARE full review keeps the
-first verdict.
+turn into the `TokenUsage` it is given, and validates the JSON object
+the Asker reads from every structured reply. A required turn that fails
+(a client error, or a reply unparseable after the retries) raises the
+Asker's own error out of the driver, named by the turn's schema title; a
+failed optional turn falls back: a CIBER probe adds vacuous mass, a FLARE
+full review keeps the first verdict.
 
 COT     one pass: verdict + justification.
 SELFRAG two turns: per-passage critiques feed a synthesis verdict,
@@ -24,16 +24,14 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import Any, Mapping, Protocol, Sequence
 
 from ._files import json_array, json_optional, json_value
 from .audit import load_template, render_template
 from .core import Claim, Verdict
-from .llm import Asker, LlmError, TokenUsage, extract_json_object
+from .llm import Asker, LlmError, TokenUsage
 
 logger = logging.getLogger(__name__)
-
-T = TypeVar("T")
 
 RELEVANT = "Relevant"
 IRRELEVANT = "Irrelevant"
@@ -219,28 +217,25 @@ def snippet_paper_ids(snippets: Sequence[EvidenceLike]) -> list[str]:
     return list(dict.fromkeys(snippet.doc_id for snippet in snippets))
 
 
-def _read_confidence(payload: Mapping[str, Any]) -> float:
+def _read_confidence(payload: dict[str, Any]) -> float:
     confidence = json_optional("confidence", payload.get("confidence"), float, default=50.0)
     if not 0 <= confidence <= 100:
         raise ValueError(f"confidence must be in 0..100, got {confidence!r}")
     return confidence / 100.0
 
 
-def _read_verdict(payload: Any) -> tuple[Verdict, str, float]:
-    json_value("verdict payload", payload, dict)
+def _read_verdict(payload: dict[str, Any]) -> tuple[Verdict, str, float]:
     label = json_value("verdict", payload.get("verdict"), str, among=_BASELINE_VERDICTS)
     justification = json_optional("justification", payload.get("justification"), str, default="")
     return _BASELINE_VERDICTS[label], justification, _read_confidence(payload)
 
 
-def _read_probe(payload: Any) -> tuple[Verdict, float]:
-    json_value("probe payload", payload, dict)
+def _read_probe(payload: dict[str, Any]) -> tuple[Verdict, float]:
     label = json_value("verdict", payload.get("verdict"), str, among=_PROBE_VERDICTS)
     return _PROBE_VERDICTS[label], _read_confidence(payload)
 
 
-def _read_critiques(payload: Any) -> list[Critique]:
-    json_value("critiques payload", payload, dict)
+def _read_critiques(payload: dict[str, Any]) -> list[Critique]:
     return [
         Critique(
             passage_id=json_optional(f"critiques[{i}].passage_id", entry.get("passage_id"), str, default=""),
@@ -254,30 +249,15 @@ def _read_critiques(payload: Any) -> list[Critique]:
     ]
 
 
-def _read_flare_initial(payload: Any) -> tuple[Verdict, str, float, str]:
+def _read_flare_initial(payload: dict[str, Any]) -> tuple[Verdict, str, float, str]:
     verdict, justification, confidence = _read_verdict(payload)
     request = json_optional("request_full_review", payload.get("request_full_review"), str, default="None")
     return verdict, justification, confidence, request
 
 
-@dataclass
-class _Chain:
-    """One driver run: its asker, and the cell's usage every turn records into."""
-
-    asker: Asker
-    usage: TokenUsage
-
-    def prompt(self, name: str, mapping: Mapping[str, str]) -> str:
-        """Render the run's copy of template `name`."""
-        return render_template(load_template(name, self.asker.templates), mapping)
-
-    def ask(self, prompt: str, schema: Mapping[str, Any], read: Callable[[Any], T]) -> T:
-        """One structured turn; `read` validates the reply's JSON object, and a failure is the Asker's."""
-
-        def parse(text: str) -> T:
-            return read(extract_json_object(text))
-
-        return self.asker.ask(prompt, schema, parse, self.usage)
+def _prompt(asker: Asker, name: str, mapping: Mapping[str, str]) -> str:
+    """Render the run's copy of template `name`: the one in `asker.templates`, else the packaged one."""
+    return render_template(load_template(name, asker.templates), mapping)
 
 
 def enforce_synthesis_rules(model_verdict: Verdict, critiques: Sequence[Critique]) -> Verdict:
@@ -304,36 +284,37 @@ def _require_snippets(snippets: Sequence[EvidenceLike]) -> None:
         raise ValueError("baseline run needs at least one evidence snippet")
 
 
-def _cot_turn(chain: _Chain, claim: Claim, snippets: Sequence[EvidenceLike]) -> tuple[Verdict, str, float]:
-    prompt = chain.prompt("cot_verdict", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS": render_snippets(snippets)})
-    return chain.ask(prompt, COT_VERDICT_SCHEMA, _read_verdict)
+def _cot_turn(
+    asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage
+) -> tuple[Verdict, str, float]:
+    prompt = _prompt(asker, "cot_verdict", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS": render_snippets(snippets)})
+    return asker.ask(prompt, COT_VERDICT_SCHEMA, _read_verdict, usage)
 
 
 def run_cot(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage) -> BaselineVerdict:
     """Single-pass verdict with justification."""
     _require_snippets(snippets)
-    chain = _Chain(asker, usage)
-    verdict, justification, _ = _cot_turn(chain, claim, snippets)
+    verdict, justification, _ = _cot_turn(asker, claim, snippets, usage)
     return BaselineVerdict(verdict, justification)
 
 
 def run_selfrag(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usage: TokenUsage) -> BaselineVerdict:
     """Critique turn feeding a synthesis turn, with rules re-enforced."""
     _require_snippets(snippets)
-    chain = _Chain(asker, usage)
     rendered = render_snippets(snippets)
-    critique_prompt = chain.prompt(
-        "selfrag_critique", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered}
+    critique_prompt = _prompt(
+        asker, "selfrag_critique", {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered}
     )
-    critiques = chain.ask(critique_prompt, SELFRAG_CRITIQUES_SCHEMA, _read_critiques)
+    critiques = asker.ask(critique_prompt, SELFRAG_CRITIQUES_SCHEMA, _read_critiques, usage)
     critiques_json = json.dumps(
         {"critiques": [critique.__dict__ for critique in critiques]}, indent=2
     )
-    synthesis_prompt = chain.prompt(
+    synthesis_prompt = _prompt(
+        asker,
         "selfrag_synthesis",
         {"CLAIM_TEXT": claim.text, "EVIDENCE_SNIPPETS_WITH_IDS": rendered, "CRITIQUES_JSON": critiques_json},
     )
-    model_verdict, justification, _ = chain.ask(synthesis_prompt, SELFRAG_VERDICT_SCHEMA, _read_verdict)
+    model_verdict, justification, _ = asker.ask(synthesis_prompt, SELFRAG_VERDICT_SCHEMA, _read_verdict, usage)
     final = enforce_synthesis_rules(model_verdict, critiques)
     if final is not model_verdict:
         justification = f"{justification} [adjusted to {final.value} by the synthesis rules]"
@@ -350,10 +331,10 @@ def run_flare(
     keeps the first verdict.
     """
     _require_snippets(snippets)
-    chain = _Chain(asker, usage)
     rendered = render_snippets(snippets)
     paper_ids = snippet_paper_ids(snippets)
-    initial_prompt = chain.prompt(
+    initial_prompt = _prompt(
+        asker,
         "flare_initial",
         {
             "CLAIM_TEXT": claim.text,
@@ -362,7 +343,7 @@ def run_flare(
             "EVIDENCE_SNIPPETS": rendered,
         },
     )
-    verdict, justification, _, request = chain.ask(initial_prompt, FLARE_INITIAL_SCHEMA, _read_flare_initial)
+    verdict, justification, _, request = asker.ask(initial_prompt, FLARE_INITIAL_SCHEMA, _read_flare_initial, usage)
     if request == "None":
         return BaselineVerdict(verdict, justification)
     if request not in paper_ids:
@@ -372,7 +353,8 @@ def run_flare(
     if full_text is None:
         logger.warning("paper %r has no stored full text; keeping the first verdict", request)
         return BaselineVerdict(verdict, justification)
-    review_prompt = chain.prompt(
+    review_prompt = _prompt(
+        asker,
         "flare_full_review",
         {
             "PAPER_ID": request,
@@ -382,7 +364,7 @@ def run_flare(
         },
     )
     try:
-        verdict, justification, _ = chain.ask(review_prompt, FLARE_FINAL_SCHEMA, _read_verdict)
+        verdict, justification, _ = asker.ask(review_prompt, FLARE_FINAL_SCHEMA, _read_verdict, usage)
     except (LlmError, ValueError) as exc:
         logger.warning("full-review turn failed (%s); keeping the first verdict", exc)
     return BaselineVerdict(verdict, justification)
@@ -412,15 +394,14 @@ def run_ciber(asker: Asker, claim: Claim, snippets: Sequence[EvidenceLike], usag
     Refutes / Neutral outcome maps to Valid / Invalid / Unverifiable.
     """
     _require_snippets(snippets)
-    chain = _Chain(asker, usage)
     rendered = render_snippets(snippets)
-    cot_verdict, _, cot_confidence = _cot_turn(chain, claim, snippets)
+    cot_verdict, _, cot_confidence = _cot_turn(asker, claim, snippets, usage)
     pairs: list[tuple[Verdict, float]] = [(cot_verdict, cot_confidence)]
     probe_answers: list[str] = []
     for index, question in enumerate(claim.probe_questions):
-        prompt = chain.prompt("ciber_probe", {"PROBE_QUESTION": question, "EVIDENCE_SNIPPETS": rendered})
+        prompt = _prompt(asker, "ciber_probe", {"PROBE_QUESTION": question, "EVIDENCE_SNIPPETS": rendered})
         try:
-            probe_verdict, confidence = chain.ask(prompt, CIBER_PROBE_SCHEMA, _read_probe)
+            probe_verdict, confidence = asker.ask(prompt, CIBER_PROBE_SCHEMA, _read_probe, usage)
         except (LlmError, ValueError) as exc:
             logger.warning("probe %d failed: %s", index + 1, exc)
             probe_answers.append("failed")

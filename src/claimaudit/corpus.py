@@ -412,10 +412,12 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 
     `manifest.json` holds every document with its analysis and chunks
     inline, so `load_corpus` is `ingest` plus the `embeddings.jsonl` merge.
-    Both files are streamed, one document or one vector at a time.
+    Both files are streamed, one document or one vector at a time. The
+    vectors are written (or removed) first, so a failure between the two
+    writes never leaves a new manifest beside an earlier corpus's vectors.
     """
-    write_atomic(Path(directory) / "manifest.json", _manifest_parts(corpus))
     save_embeddings(corpus, directory)
+    write_atomic(Path(directory) / "manifest.json", _manifest_parts(corpus))
 
 
 def save_embeddings(corpus: Corpus, directory: str | Path) -> None:

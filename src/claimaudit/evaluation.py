@@ -114,11 +114,11 @@ def _audit(ctx: RunContext, claim: Claim, chunks: Sequence[EvidenceChunk], usage
             tau = threshold_for_claim(claim, n_evidence_docs(chunks), ctx.cfg, ctx.ridge)
         else:
             tau = FIXED_TAU
-        return {**fields, "verdict": hv_verdict(score, tau).value, "hv": score, "tau": tau}
+        return {**fields, "verdict": hv_verdict(score, tau), "hv": score, "tau": tau}
     supports = sum(1 for result in results if result.stance == STANCE_SUPPORTS)
     refutes = sum(1 for result in results if result.stance == STANCE_REFUTES)
     majority = Verdict.VALID if supports > refutes else Verdict.INVALID
-    return {**fields, "verdict": majority.value}
+    return {**fields, "verdict": majority}
 
 
 def _full_texts(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> dict[str, str]:
@@ -136,35 +136,28 @@ def _full_texts(corpus: Corpus, chunks: Sequence[EvidenceChunk]) -> dict[str, st
 # call.
 _CELLS: dict[str, Callable[[RunContext, Claim, Sequence[EvidenceChunk], TokenUsage], CellFields]] = {
     "audit": _audit,
-    "cot": lambda ctx, claim, chunks, usage: {
-        "verdict": run_cot(ctx.asker, claim, chunks, usage).verdict.value
-    },
-    "selfrag": lambda ctx, claim, chunks, usage: {
-        "verdict": run_selfrag(ctx.asker, claim, chunks, usage).verdict.value
-    },
+    "cot": lambda ctx, claim, chunks, usage: {"verdict": run_cot(ctx.asker, claim, chunks, usage).verdict},
+    "selfrag": lambda ctx, claim, chunks, usage: {"verdict": run_selfrag(ctx.asker, claim, chunks, usage).verdict},
     "flare": lambda ctx, claim, chunks, usage: {
-        "verdict": run_flare(ctx.asker, claim, chunks, _full_texts(ctx.corpus, chunks), usage).verdict.value
+        "verdict": run_flare(ctx.asker, claim, chunks, _full_texts(ctx.corpus, chunks), usage).verdict
     },
-    "ciber": lambda ctx, claim, chunks, usage: {
-        "verdict": run_ciber(ctx.asker, claim, chunks, usage).verdict.value
-    },
+    "ciber": lambda ctx, claim, chunks, usage: {"verdict": run_ciber(ctx.asker, claim, chunks, usage).verdict},
 }
 
 
 def _cell(ctx: RunContext, method: str, claim: Claim, chunks: Sequence[EvidenceChunk]) -> CellFields:
-    """The record fields of one nonempty cell; a cell whose method raises is a failure, with no tokens.
+    """The record fields of one nonempty cell; a cell whose method raises is a failure.
 
     The cell's one `TokenUsage` is made here and counts every turn its
-    method asked, memo hits included.
+    method asked, memo hits included, whether the cell answered or failed.
     """
-    n_docs = n_evidence_docs(chunks)
     usage = TokenUsage()
     try:
         fields = _CELLS[method](ctx, claim, chunks, usage)
     except (LlmError, ValueError) as exc:
-        return {"n_evidence_docs": n_docs, "failure": str(exc)}
+        fields = {"failure": str(exc)}
     return {
-        "n_evidence_docs": n_docs,
+        "n_evidence_docs": n_evidence_docs(chunks),
         **fields,
         "tokens_in": usage.tokens_in,
         "tokens_out": usage.tokens_out,
@@ -185,7 +178,7 @@ def _claim_records(
     send the same prompt (a CIBER probe holds no claim text), so one
     worker can run all of a claim's cells without a lock.
     """
-    record = partial(VerdictRecord, claim_id=claim.id, ground_truth=claim.ground_truth.value)
+    record = partial(VerdictRecord, claim_id=claim.id, ground_truth=claim.ground_truth)
     cells = [(method, label) for method in methods for label in scenario_labels]
     try:
         evidence, mode = evidence_for_claim(ctx.corpus, claim, retrieval_k)

@@ -81,28 +81,31 @@ class TokenUsage:
             self.approximate = True
 
 
-def extract_json_object(raw: str) -> Any:
-    """Parse the JSON object in a reply, tolerating markdown fences.
+def extract_json_object(raw: str) -> dict[str, Any]:
+    """The JSON object in a reply, tolerating markdown fences.
 
     Providers ignore structured-output hints often enough that the
-    parser accepts a fenced or prose-wrapped object; anything else,
-    a reply nested deeper than the recursion limit included, raises
-    ValueError so the caller can retry.
+    parser accepts a fenced or prose-wrapped object: the outermost
+    `{...}` is tried only when the whole text is not JSON. Anything
+    else, a whole reply that is JSON but no object and one nested deeper
+    than the recursion limit included, raises ValueError so the caller
+    can retry.
     """
     text = raw.strip()
     if text.startswith("```"):
         text = re.sub(r"^```[a-zA-Z]*\s*", "", text)
         text = re.sub(r"\s*```$", "", text)
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
         start, end = text.find("{"), text.rfind("}")
-        if start != -1 and end > start:
-            try:
-                return json.loads(text[start : end + 1])
-            except (json.JSONDecodeError, RecursionError):
-                pass
-        raise ValueError("reply does not contain a JSON object") from None
+        try:
+            payload = json.loads(text[start : end + 1]) if start != -1 and end > start else None
+        except (json.JSONDecodeError, RecursionError):
+            payload = None
+    if not isinstance(payload, dict):
+        raise ValueError("reply does not contain a JSON object")
+    return payload
 
 
 # The longest Retry-After a turn waits; a server asking for more fails the turn at once.
@@ -127,22 +130,27 @@ class Asker:
     templates: Path | None = None
     memo: ReplyMemo | None = None
 
-    def ask(self, prompt: str, schema: Mapping[str, Any], parse: Callable[[str], T], usage: TokenUsage) -> T:
-        """One structured turn: ask, record usage, parse the reply text.
+    def ask(
+        self, prompt: str, schema: Mapping[str, Any], read: Callable[[dict[str, Any]], T], usage: TokenUsage
+    ) -> T:
+        """One structured turn: ask, record usage, read the reply's JSON object.
 
-        The one retry loop: a retryable transport error or a ValueError (a
-        reply `parse` rejects) asks again, up to `retries` more times,
-        after 1, 2, 4 s, ... or the server's Retry-After; a Retry-After over
-        MAX_RETRY_AFTER_S fails the turn at once. This is the one place
-        that names a failed turn: every error it raises and every retry
-        warning it logs starts with the schema's title ("LLM" without
-        one), e.g. `cot_verdict request failed after 4 attempts: ...` or
-        `batch_audit_response reply unparseable after 4 attempts: ...`.
-        Any other client error (LlmError) propagates at once, unchanged.
+        The reply text is read once, here, by `extract_json_object`, and
+        `read` takes the object it returns. The one retry loop: a
+        retryable transport error or a ValueError (a reply that holds no
+        JSON object, or one `read` rejects) asks again, up to `retries`
+        more times, after 1, 2, 4 s, ... or the server's Retry-After; a
+        Retry-After over MAX_RETRY_AFTER_S fails the turn at once. This is
+        the one place that names a failed turn: every error it raises and
+        every retry warning it logs starts with the schema's title ("LLM"
+        without one), e.g. `cot_verdict request failed after 4 attempts:
+        ...` or `batch_audit_response reply unparseable after 4 attempts:
+        ...`. Any other client error (LlmError) propagates at once,
+        unchanged.
 
         With a `memo`, a (schema title, prompt) pair reaches the client at
-        most once: a reply that parsed is stored, and a later turn with the
-        same pair records that reply's usage again and parses its text
+        most once: a reply that was read is stored, and a later turn with
+        the same pair records that reply's usage again and reads its text
         without a call. An unparseable reply or a client error is never
         stored, so the next turn with that pair asks the client anew.
         """
@@ -152,7 +160,7 @@ class Asker:
         if memo is not None and key in memo:
             reply = memo[key]
             usage.record(prompt, reply)
-            return parse(reply.text)
+            return read(extract_json_object(reply.text))
 
         attempts = 0
         while True:
@@ -162,7 +170,7 @@ class Asker:
             try:
                 reply = self.client.complete(prompt, schema=schema)
                 usage.record(prompt, reply)
-                parsed = parse(reply.text)
+                parsed = read(extract_json_object(reply.text))
             except LlmTransportError as exc:
                 if not exc.retryable:
                     raise

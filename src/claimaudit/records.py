@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Sequence
 
 from ._files import JsonRecord, read_json_lines
 from .core import Verdict, map_verdict
@@ -140,8 +140,8 @@ class VerdictRecord(JsonRecord):
     claim_id: str
     method: str
     scenario: str
-    verdict: str | None = None
-    ground_truth: str
+    verdict: Verdict | None = None
+    ground_truth: Verdict
     hv: float | None = None
     tau: float | None = None
     tallies: Tallies | None = None
@@ -153,18 +153,11 @@ class VerdictRecord(JsonRecord):
     tokens_approximate: bool = False
     failure: str | None = None
 
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "VerdictRecord":
-        record = super().from_json(payload)
-        labels = [member.value for member in Verdict]
-        for name, label in (("verdict", record.verdict), ("ground_truth", record.ground_truth)):
-            if label not in (*labels, None):
-                raise ValueError(f"{name}: expected one of {labels}, got {label!r}")
-        if (record.verdict is None) == (record.failure is None):
+    def __post_init__(self) -> None:
+        if (self.verdict is None) == (self.failure is None):
             raise ValueError(
-                f"needs exactly one of verdict and failure, got verdict {record.verdict!r}, failure {record.failure!r}"
+                f"needs exactly one of verdict and failure, got verdict {self.verdict!r}, failure {self.failure!r}"
             )
-        return record
 
 
 def record_line(record: VerdictRecord) -> str:
@@ -207,8 +200,7 @@ def _cell_metrics(records: Sequence[VerdictRecord]) -> tuple[CellMetrics, ...]:
         failures = len(members) - len(scored)
         if scored:
             cm = ConfusionMatrix.from_labels(
-                [Verdict(record.verdict) for record in scored],
-                [Verdict(record.ground_truth) for record in scored],
+                [record.verdict for record in scored], [record.ground_truth for record in scored]
             )
             f1_value: float | None = macro_f1(cm)
             mcc_value: float | None = mcc(cm)

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimaudit.audit import (
-    AuditParseError,
     AuditRequest,
     BATCH_AUDIT_SCHEMA,
     PaperToAudit,
@@ -178,34 +177,30 @@ class TestParseAuditResponse:
     def test_round_trip_is_identity_on_scores(self):
         request = make_request(papers=[make_paper("D01"), make_paper("D02", applicable={CheckId.C3})])
         results = mock_audit(request, seed=5)
-        parsed = parse_audit_response(render_audit_response(results), request)
+        parsed = parse_audit_response(json.loads(render_audit_response(results)), request)
         assert parsed == results
 
     def test_score_and_stance_mapping(self):
-        raw = json.dumps(
-            {
-                "all_papers_audit": [
-                    {
-                        "paper_id": "D01",
-                        "stance": "Supports",
-                        "checks": {
-                            "C1": {"score": "Pass", "reasoning": "clean"},
-                            "C6": {"score": "Fail", "reasoning": "underpowered"},
-                        },
-                    }
-                ]
-            }
-        )
-        (result,) = parse_audit_response(raw, make_request())
+        payload = {
+            "all_papers_audit": [
+                {
+                    "paper_id": "D01",
+                    "stance": "Supports",
+                    "checks": {
+                        "C1": {"score": "Pass", "reasoning": "clean"},
+                        "C6": {"score": "Fail", "reasoning": "underpowered"},
+                    },
+                }
+            ]
+        }
+        (result,) = parse_audit_response(payload, make_request())
         assert result.stance == STANCE_SUPPORTS
         assert result.audit.scores == {CheckId.C1: 1.0, CheckId.C6: 0.0}
         assert result.audit.reasoning[CheckId.C6] == "underpowered"
 
     def test_neutral_stance_maps_to_zero(self):
-        raw = json.dumps(
-            {"all_papers_audit": [{"paper_id": "D01", "stance": "Neutral", "checks": {}}]}
-        )
-        (result,) = parse_audit_response(raw, make_request())
+        payload = {"all_papers_audit": [{"paper_id": "D01", "stance": "Neutral", "checks": {}}]}
+        (result,) = parse_audit_response(payload, make_request())
         assert result.stance == 0
         assert result.audit == AuditVector(scores={}, reasoning={})
 
@@ -213,24 +208,22 @@ class TestParseAuditResponse:
         request = make_request(
             papers=[make_paper("D01", applicable={CheckId.C1}), make_paper("D02", applicable=set())]
         )
-        raw = json.dumps(
-            {
-                "all_papers_audit": [
-                    {
-                        "paper_id": "D01",
-                        "stance": "Supports",
-                        "checks": {
-                            "C1": {"score": "Pass", "reasoning": "ok"},
-                            "C2": {"score": "Uncertain", "reasoning": "over-answered"},
-                            "C5": {"score": "Fail", "reasoning": "over-answered"},
-                        },
+        payload = {
+            "all_papers_audit": [
+                {
+                    "paper_id": "D01",
+                    "stance": "Supports",
+                    "checks": {
+                        "C1": {"score": "Pass", "reasoning": "ok"},
+                        "C2": {"score": "Uncertain", "reasoning": "over-answered"},
+                        "C5": {"score": "Fail", "reasoning": "over-answered"},
                     },
-                    {"paper_id": "D02", "stance": "Neutral", "checks": {"C1": {"score": "Pass"}}},
-                ]
-            }
-        )
+                },
+                {"paper_id": "D02", "stance": "Neutral", "checks": {"C1": {"score": "Pass"}}},
+            ]
+        }
         with caplog.at_level("WARNING", logger="claimaudit.audit"):
-            first, second = parse_audit_response(raw, request)
+            first, second = parse_audit_response(payload, request)
         assert first.audit == AuditVector(scores={CheckId.C1: 1.0}, reasoning={CheckId.C1: "ok"})
         assert second.audit == AuditVector(scores={}, reasoning={})
         assert [record.getMessage() for record in caplog.records] == [
@@ -244,38 +237,32 @@ class TestParseAuditResponse:
     def test_parsed_scores_are_in_domain_and_applicable(self, applicable, answered):
         request = make_request(papers=[make_paper("D01", applicable=applicable)])
         checks = {check.name: {"score": label} for check, label in answered.items()}
-        raw = json.dumps({"all_papers_audit": [{"paper_id": "D01", "stance": "Neutral", "checks": checks}]})
-        (result,) = parse_audit_response(raw, request)
+        payload = {"all_papers_audit": [{"paper_id": "D01", "stance": "Neutral", "checks": checks}]}
+        (result,) = parse_audit_response(payload, request)
         assert result.audit.scores == {
             check: {"Pass": 1.0, "Uncertain": 0.5, "Fail": 0.0}[label]
             for check, label in answered.items()
             if check in applicable
         }
 
-    def test_fenced_response_is_accepted(self):
-        request = make_request()
-        raw = "```json\n" + render_audit_response(mock_audit(request, 1)) + "\n```"
-        assert parse_audit_response(raw, request) == mock_audit(request, 1)
-
     def test_unknown_paper_id_dropped_with_warning(self, caplog):
         request = make_request()
         good = json.loads(render_audit_response(mock_audit(request, 1)))
         good["all_papers_audit"].append({"paper_id": "GHOST", "stance": "Neutral", "checks": {}})
         with caplog.at_level("WARNING"):
-            parsed = parse_audit_response(json.dumps(good), request)
+            parsed = parse_audit_response(good, request)
         assert [r.paper_id for r in parsed] == ["D01"]
         assert "GHOST" in caplog.text
 
     def test_missing_requested_paper_is_retryable(self):
         request = make_request(papers=[make_paper("D01"), make_paper("D02")])
-        partial = render_audit_response(mock_audit(make_request(papers=[make_paper("D01")]), 1))
-        with pytest.raises(AuditParseError, match="D02"):
+        partial = json.loads(render_audit_response(mock_audit(make_request(papers=[make_paper("D01")]), 1)))
+        with pytest.raises(ValueError, match="D02"):
             parse_audit_response(partial, request)
 
     @pytest.mark.parametrize(
         "raw",
         [
-            "not json at all",
             '{"wrong_key": []}',
             '{"all_papers_audit": "not an array"}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Maybe", "checks": {}}]}',
@@ -293,19 +280,18 @@ class TestParseAuditResponse:
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C1": {"score": ["Pass"]}}}]}',
             '{"all_papers_audit": [{"paper_id": "D01", "stance": "Supports", "checks": {"C1": {"score": "Pass", '
             '"reasoning": 3}}}]}',
-            '[{"paper_id": "D01", "stance": "Supports", "checks": {}}]',
         ],
     )
-    def test_malformed_payloads_raise_parse_error(self, raw):
-        with pytest.raises(AuditParseError):
-            parse_audit_response(raw, make_request())
+    def test_malformed_payloads_raise_value_error(self, raw):
+        with pytest.raises(ValueError):
+            parse_audit_response(json.loads(raw), make_request())
 
     def test_duplicate_paper_entry_raises(self):
         request = make_request()
         good = json.loads(render_audit_response(mock_audit(request, 1)))
         good["all_papers_audit"] *= 2
-        with pytest.raises(AuditParseError, match="duplicate"):
-            parse_audit_response(json.dumps(good), request)
+        with pytest.raises(ValueError, match="duplicate"):
+            parse_audit_response(good, request)
 
 
 class TestMockAudit:
@@ -406,6 +392,11 @@ class TestRunAudit:
         (result,) = run_audit(Asker(_QueueClient([raw]), sleep=lambda _: None), request, TokenUsage())
         assert set(result.audit.scores) == {CheckId.C1}
 
+    def test_fenced_reply_is_accepted(self):
+        request = make_request()
+        fenced = "```json\n" + render_audit_response(mock_audit(request, 1)) + "\n```"
+        assert run_audit(Asker(_QueueClient([fenced]), sleep=None), request, TokenUsage()) == mock_audit(request, 1)
+
     def test_parse_retry_then_success(self):
         request = make_request()
         canned = render_audit_response(mock_audit(request, seed=1))
@@ -419,7 +410,8 @@ class TestRunAudit:
     def test_exhausted_parse_retries_fail_the_claim(self):
         client = _QueueClient(["junk"] * 4)
         sleeps = []
-        with pytest.raises(ValueError, match="^batch_audit_response reply unparseable after 4 attempts: "):
+        message = "^batch_audit_response reply unparseable after 4 attempts: reply does not contain a JSON object$"
+        with pytest.raises(ValueError, match=message):
             run_audit(Asker(client, sleep=sleeps.append), make_request(), TokenUsage())
         assert sleeps == [1.0, 2.0, 4.0]
 

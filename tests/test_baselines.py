@@ -352,7 +352,7 @@ class TestRunCot:
             ('{"verdict": "Valid", "confidence": "high"}', "confidence: expected a number, got 'high'"),
             ('{"verdict": "Valid", "confidence": true}', "confidence: expected a number, got True"),
             ('{"verdict": "Valid", "confidence": 1%s}' % ("0" * 400), "confidence: expected a number, got an integer"),
-            ("[1, 2]", "verdict payload: expected an object, got [1, 2]"),
+            ("[1, 2]", "reply does not contain a JSON object"),
         ],
         ids=[
             "list-verdict", "object-verdict", "int-justification", "string-confidence", "bool-confidence",

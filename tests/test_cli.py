@@ -15,6 +15,7 @@ from claimaudit import cli, records
 from claimaudit.cli import main
 from claimaudit.calibration import default_grid
 from claimaudit.config import LlmSettings, RunConfig, load_config
+from claimaudit.core import Verdict
 from claimaudit.corpus import SCENARIO_LABELS, load_corpus
 from claimaudit.evaluation import ALL_METHODS, AblationFlags, VerdictRecord, dump_records, load_records, run_matrix
 from claimaudit.scoring import HvParams
@@ -706,7 +707,7 @@ class TestReport:
     def test_malformed_record_names_its_line(self, tmp_path, capsys, spoil):
         config_path = setup_workspace(tmp_path)
         good = VerdictRecord(
-            claim_id="C1", method="cot", scenario="TY0", ground_truth="Valid", failure="no answer"
+            claim_id="C1", method="cot", scenario="TY0", ground_truth=Verdict.VALID, failure="no answer"
         ).to_json()
         (tmp_path / "out").mkdir()
         lines = [json.dumps(good), json.dumps(spoil(good))]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from claimaudit._rng import fnv1a64
+from claimaudit import corpus as corpus_module
 from claimaudit.core import CheckId, SchemaError, UncertainGroundTruthError, Verdict
 from claimaudit.corpus import (
     Corpus,
@@ -618,6 +619,22 @@ class TestSaveLoad:
         assert loaded == corpus
         assert loaded.vectors["D01-c0"] == corpus.vectors["D01-c0"]
         assert sorted(path.name for path in (tmp_path / "store").iterdir()) == ["embeddings.jsonl", "manifest.json"]
+
+    def test_a_failed_vector_write_leaves_the_earlier_store_whole(self, tmp_path, monkeypatch):
+        store = tmp_path / "store"
+        save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), store)
+        before = {path.name: path.read_bytes() for path in store.iterdir()}
+        payload = make_manifest()
+        payload["documents"][0]["chunks"][0]["text"] = "Aspirin changes nothing."
+        changed = embed_chunks(make_corpus(tmp_path, payload), HashEmbedder())
+
+        def fail(corpus, directory):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(corpus_module, "save_embeddings", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_corpus(changed, store)
+        assert {path.name: path.read_bytes() for path in store.iterdir()} == before
 
     def test_store_files_equal_the_whole_payload_dumps(self, tmp_path):
         corpus = embed_chunks(ingest(FIXTURES / "manifest.json"), HashEmbedder())

@@ -189,8 +189,8 @@ def _record(**overrides) -> VerdictRecord:
         claim_id="K01",
         method="audit",
         scenario="TY0",
-        verdict="Valid",
-        ground_truth="Valid",
+        verdict=Verdict.VALID,
+        ground_truth=Verdict.VALID,
         hv=0.75,
         tau=0.625,
         tallies=Tallies(h_support=1.2, h_refute=0.3, h_neutral=0.0),
@@ -219,7 +219,7 @@ class TestVerdictRecord:
         assert VerdictRecord.from_json(record.to_json()) == record
 
     def test_dump_and_load_round_trip(self, tmp_path):
-        records = [_record(), _record(claim_id="K02", verdict="Invalid")]
+        records = [_record(), _record(claim_id="K02", verdict=Verdict.INVALID)]
         path = tmp_path / "records.jsonl"
         path.write_text(dump_records(records), encoding="utf-8")
         assert load_records(path) == records
@@ -257,8 +257,14 @@ class _OutageClient(_CountingClient):
 
 
 class _WordSaladClient(_CountingClient):
+    """Answers every turn with the same text, which holds no JSON."""
+
+    def __init__(self, text="word salad"):
+        super().__init__()
+        self.text = text
+
     def answer(self, prompt, schema):
-        return LlmReply(text="word salad")
+        return LlmReply(text=self.text)
 
 
 class _DeepNestingClient(_CountingClient):
@@ -448,9 +454,26 @@ class TestRunMatrix:
             assert reference.failure is None
             assert record.failure.startswith(failure_start)
             assert record.verdict is None
-            assert (record.tokens_in, record.tokens_out) == (0, 0)
             assert record.retrieval_mode == reference.retrieval_mode
             assert record.n_evidence_docs == reference.n_evidence_docs >= 1
+        # A failed cell keeps what its turns spent: nothing where the client
+        # raised, and four unparseable replies to its first turn's one prompt.
+        spent = {(record.tokens_in, record.tokens_out, record.tokens_approximate) for record in unanswered.records}
+        if isinstance(client, _WordSaladClient):
+            salad = 4 * approx_token_count("word salad")
+            assert spent == {(4 * approx_token_count(prompt), salad, True) for _, prompt in client.sent}
+        else:
+            assert spent == {(0, 0, False)}
+
+    def test_a_reply_without_json_fails_every_method_with_one_text(self, corpus):
+        report = run_matrix(
+            corpus, ALL_METHODS, ("TY0", "TY5"), AblationFlags(), PARAMS, RIDGE, CFG,
+            seed=7, mock=False, client=_WordSaladClient("no JSON here"), retries=2, sleep=lambda _: None,
+        )
+        assert {(record.method, record.failure) for record in report.records} == {
+            (method, f"{FIRST_TURNS[method]} reply unparseable after 3 attempts: reply does not contain a JSON object")
+            for method in ALL_METHODS
+        }
 
     def test_document_without_applicable_checks_contributes_nothing(self, tmp_path, caplog):
         payload = make_manifest()

@@ -76,7 +76,7 @@ unit = st.floats(0.0, 1.0)
 nonnegative = st.floats(0.0, 1e6)
 positive = st.floats(1e-6, 1e6)
 optional_numbers = st.none() | numbers
-labels = st.sampled_from([member.value for member in Verdict])
+verdicts = st.sampled_from(Verdict)
 
 tallies = st.builds(Tallies, h_support=nonnegative, h_refute=nonnegative, h_neutral=nonnegative)
 contributions = st.builds(
@@ -112,8 +112,8 @@ def verdict_records(draw):
         claim_id=draw(texts),
         method=draw(texts),
         scenario=draw(texts),
-        verdict=draw(labels) if answered else None,
-        ground_truth=draw(labels),
+        verdict=draw(verdicts) if answered else None,
+        ground_truth=draw(verdicts),
         hv=draw(optional_numbers),
         tau=draw(optional_numbers),
         tallies=draw(st.none() | tallies),
@@ -326,8 +326,11 @@ class TestRecordCodec:
     @pytest.mark.parametrize(
         ("load", "record", "what"),
         [
-            (load_records, VerdictRecord(claim_id="K", method="m", scenario="s", ground_truth="Valid", failure="down"),
-             "verdict record"),
+            (
+                load_records,
+                VerdictRecord(claim_id="K", method="m", scenario="s", ground_truth=Verdict.VALID, failure="down"),
+                "verdict record",
+            ),
             (load_calibration_records, CalibrationRecord(
                 specificity=5, testability=5, required_standard=RequiredStandard.ROBUST_STUDY, boldness_target=0.5,
                 tallies=Tallies(1.0, 0.0, 0.0), human_verdict="Support", confidence=50,
@@ -349,7 +352,7 @@ class TestRecordCodec:
     def test_a_nested_field_is_named_by_its_position(self):
         payload = _through_json_text(
             VerdictRecord(
-                claim_id="K", method="audit", scenario="TY0", verdict="Valid", ground_truth="Valid",
+                claim_id="K", method="audit", scenario="TY0", verdict=Verdict.VALID, ground_truth=Verdict.VALID,
                 contributions=(make_contribution("D1", 1, 0.5, 1.0), make_contribution("D2", 1, 0.5, 1.0)),
             ).to_json()
         )

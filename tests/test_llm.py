@@ -82,6 +82,11 @@ class TestExtractJsonObject:
         with pytest.raises(ValueError):
             extract_json_object('{"a": [1, 2')
 
+    @pytest.mark.parametrize("raw", ["[1, 2]", '[{"a": 1}]', '"{}"', "null", "3"])
+    def test_json_that_is_no_object_raises_without_a_fallback(self, raw):
+        with pytest.raises(ValueError, match="^reply does not contain a JSON object$"):
+            extract_json_object(raw)
+
     @pytest.mark.parametrize(
         "raw", ["[" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000], ids=["array", "object"]
     )
@@ -94,8 +99,9 @@ class TestAsker:
     def test_last_parse_error_names_the_attempts_made(self):
         transcript = ScriptedTranscript({prompt_fingerprint("p"): "word salad"})
         usage, sleeps = TokenUsage(), []
-        with pytest.raises(ValueError, match=r"^t reply unparseable after 2 attempts: .*JSON") as info:
-            Asker(transcript, retries=1, sleep=sleeps.append).ask("p", {"title": "t"}, extract_json_object, usage)
+        message = "^t reply unparseable after 2 attempts: reply does not contain a JSON object$"
+        with pytest.raises(ValueError, match=message) as info:
+            Asker(transcript, retries=1, sleep=sleeps.append).ask("p", {"title": "t"}, dict, usage)
         assert isinstance(info.value.__cause__, ValueError)
         assert (sleeps, usage.tokens_out) == ([1.0], 2 * approx_token_count("word salad"))
 
@@ -104,7 +110,7 @@ class TestAsker:
         usage, asker = TokenUsage(), Asker(client, retries=0, sleep=None, memo={})
 
         def ask(title):
-            return asker.ask("p", {"title": title}, extract_json_object, usage)
+            return asker.ask("p", {"title": title}, dict, usage)
 
         assert ask("t") == ask("t") == {"a": 1}
         assert (client.calls, usage.tokens_in, usage.tokens_out) == (1, 10, 6)
@@ -116,7 +122,7 @@ class TestAsker:
         usage, asker = TokenUsage(), Asker(client, retries=0, sleep=None, memo={})
 
         def ask():
-            return asker.ask("p", {"title": "t"}, extract_json_object, usage)
+            return asker.ask("p", {"title": "t"}, dict, usage)
 
         with pytest.raises(ValueError, match="unparseable after 1 attempt:"):
             ask()
@@ -192,13 +198,21 @@ def _chat_payload(text, usage=None):
     return payload
 
 
+# A reply text that holds a JSON object, and the reader of its one value.
+OK = '{"answer": "ok"}'
+
+
+def _answer(payload):
+    return payload["answer"]
+
+
 def _client(session, **kwargs):
     return HttpChatClient(base_url="http://llm.test/v1/", model="test-model", api_key="k", session=session, **kwargs)
 
 
 def _ask(session, sleeps, **kwargs):
-    """One unstructured turn through an `Asker` over a fake session; the reply text."""
-    return Asker(_client(session, **kwargs), sleep=sleeps.append).ask("p", {}, str, TokenUsage())
+    """One turn through an `Asker` over a fake session; the reply's answer."""
+    return Asker(_client(session, **kwargs), sleep=sleeps.append).ask("p", {}, _answer, TokenUsage())
 
 
 class TestHttpChatClient:
@@ -230,13 +244,13 @@ class TestHttpChatClient:
         assert "response_format" not in call["json"]
 
     @pytest.mark.parametrize(
-        "payload", [_chat_payload("hi"), {**_chat_payload("hi"), "usage": None}], ids=["absent-usage", "null-usage"]
+        "payload", [_chat_payload(OK), {**_chat_payload(OK), "usage": None}], ids=["absent-usage", "null-usage"]
     )
     def test_reply_without_usage_counts_approximately(self, payload):
-        usage = TokenUsage()
-        assert Asker(_client(_FakeSession([_FakeResponse(payload)])), retries=0).ask("hello", {}, str, usage) == "hi"
+        usage, asker = TokenUsage(), Asker(_client(_FakeSession([_FakeResponse(payload)])), retries=0)
+        assert asker.ask("hello", {}, _answer, usage) == "ok"
         assert (usage.tokens_in, usage.tokens_out, usage.approximate) == (
-            approx_token_count("hello"), approx_token_count("hi"), True
+            approx_token_count("hello"), approx_token_count(OK), True
         )
 
     def test_schema_requests_structured_output(self):
@@ -255,7 +269,7 @@ class TestHttpChatClient:
 
     def test_retries_with_exponential_backoff_then_succeeds(self):
         session = _FakeSession(
-            [requests.ConnectionError("down"), _FakeResponse({}, status=500), _FakeResponse(_chat_payload("ok"))]
+            [requests.ConnectionError("down"), _FakeResponse({}, status=500), _FakeResponse(_chat_payload(OK))]
         )
         sleeps = []
         assert _ask(session, sleeps) == "ok"
@@ -304,7 +318,7 @@ class TestHttpChatClient:
 
     def test_rate_limit_honours_numeric_retry_after(self):
         session = _FakeSession(
-            [_FakeResponse({}, status=429, headers={"Retry-After": "7"}), _FakeResponse(_chat_payload("ok"))]
+            [_FakeResponse({}, status=429, headers={"Retry-After": "7"}), _FakeResponse(_chat_payload(OK))]
         )
         sleeps = []
         assert _ask(session, sleeps) == "ok"
@@ -312,7 +326,7 @@ class TestHttpChatClient:
 
     def test_retry_after_over_the_cap_fails_the_turn_at_once(self):
         session = _FakeSession(
-            [_FakeResponse({}, status=429, headers={"Retry-After": "86400"}), _FakeResponse(_chat_payload("ok"))]
+            [_FakeResponse({}, status=429, headers={"Retry-After": "86400"}), _FakeResponse(_chat_payload(OK))]
         )
         sleeps = []
         with pytest.raises(LlmTransportError, match="retry after 86400 s, over the 60 s cap") as info:
@@ -322,20 +336,20 @@ class TestHttpChatClient:
     def test_retry_after_at_the_cap_is_honoured(self):
         wait = f"{MAX_RETRY_AFTER_S:g}"
         session = _FakeSession(
-            [_FakeResponse({}, status=429, headers={"Retry-After": wait}), _FakeResponse(_chat_payload("ok"))]
+            [_FakeResponse({}, status=429, headers={"Retry-After": wait}), _FakeResponse(_chat_payload(OK))]
         )
         sleeps = []
         assert _ask(session, sleeps) == "ok"
         assert sleeps == [MAX_RETRY_AFTER_S]
 
     def test_rate_limit_without_retry_after_backs_off(self):
-        session = _FakeSession([_FakeResponse({}, status=429), _FakeResponse(_chat_payload("ok"))])
+        session = _FakeSession([_FakeResponse({}, status=429), _FakeResponse(_chat_payload(OK))])
         sleeps = []
         assert _ask(session, sleeps) == "ok"
         assert sleeps == [1.0]
 
     def test_server_error_is_retried(self):
-        session = _FakeSession([_FakeResponse({}, status=503), _FakeResponse(_chat_payload("ok"))])
+        session = _FakeSession([_FakeResponse({}, status=503), _FakeResponse(_chat_payload(OK))])
         sleeps = []
         assert _ask(session, sleeps) == "ok"
         assert sleeps == [1.0]
@@ -348,11 +362,11 @@ class TestHttpChatClient:
         sleeps = []
         asker = Asker(_client(session), sleep=sleeps.append)
         with pytest.raises(ValueError, match="^t reply unparseable after 4 attempts: "):
-            asker.ask("p", {"title": "t"}, extract_json_object, TokenUsage())
+            asker.ask("p", {"title": "t"}, dict, TokenUsage())
         assert (len(session.calls), sleeps) == (4, [1.0, 2.0, 4.0])
 
     def test_backoff_leaves_the_in_flight_slot_free(self):
-        session = _FakeSession([_FakeResponse({}, status=503)] * 2 + [_FakeResponse(_chat_payload("ok"))])
+        session = _FakeSession([_FakeResponse({}, status=503)] * 2 + [_FakeResponse(_chat_payload(OK))])
         client = _client(session, max_in_flight=1)
         free = []
 
@@ -362,7 +376,7 @@ class TestHttpChatClient:
                 client._gate.release()
             free.append(acquired)
 
-        assert Asker(client, sleep=sleep).ask("p", {}, str, TokenUsage()) == "ok"
+        assert Asker(client, sleep=sleep).ask("p", {}, _answer, TokenUsage()) == "ok"
         assert free == [True, True]
 
 
@@ -402,7 +416,7 @@ class TestDrawnTransport:
         session, sleeps = _FakeSession(outcomes), []
         asker = Asker(_client(session), retries=retries, sleep=sleeps.append)
         try:
-            asker.ask("p", {"title": "t"}, extract_json_object, TokenUsage())
+            asker.ask("p", {"title": "t"}, dict, TokenUsage())
         except (LlmTransportError, ValueError):
             pass
         assert len(session.calls) <= retries + 1

@@ -5,11 +5,13 @@ one place decides which audit checks count, and one counts a cell's tokens.
 A `global` statement lets one call change what every later call in the
 process sees; per-run values belong to the objects a run creates (the
 `Asker` carries the template directory, for one). Every LLM call goes
-through `Asker.ask`, so no second retry loop can wrap a client call. The
-manifest and LLM reply readers go through `_files`' typed readers, so a
-wrong type fails by name instead of being checked by hand or coerced; a
-stored record's field types are read by the codec alone, so its
-`__post_init__` checks only values the types admit.
+through `Asker.ask`, so no second retry loop can wrap a client call, and
+only `Asker.ask` reads a reply's text as a JSON object, so every method
+fails a reply without one with the same text. The manifest and LLM reply
+readers go through `_files`' typed readers, so a wrong type fails by name
+instead of being checked by hand or coerced; a stored record's field
+types are read by the codec alone, so its `__post_init__` checks only
+values the types admit.
 Only `core.py` reads a check's applicability flag, in
 `AnalysisDocument.applicable_checks`; every other module reads that tuple.
 Only `evaluation._cell` makes a `TokenUsage`: every method records into
@@ -98,6 +100,13 @@ def test_only_the_asker_calls_a_client():
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "complete"
 
     assert _scopes_in_package(is_complete_call) == ["llm.py:Asker.ask"]
+
+
+def test_only_the_asker_reads_a_reply_as_json():
+    def is_extract_call(node):
+        return isinstance(node, ast.Call) and "extract_json_object" in _names(node.func)
+
+    assert set(_scopes_in_package(is_extract_call)) == {"llm.py:Asker.ask"}
 
 
 def _is_token_usage(node):
