@@ -1,4 +1,4 @@
-"""File helpers shared across the package: atomic writes, JSON-lines reads, JSON value checks and the record codec."""
+"""File helpers shared across the package: atomic writes, file reads, JSON value checks and the record codec."""
 
 from __future__ import annotations
 
@@ -50,19 +50,32 @@ def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
         raise
 
 
+def read_text(path: str | Path, what: str, error: type[ValueError] = ValueError, parse: Callable[[str], T] = str) -> T:
+    """`parse` of the file's UTF-8 text; a bad byte or a `parse` error raises `error("<path>: bad <what>: ...")`."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise error(f"{path}: bad {what}: {exc}") from exc
+
+
+def read_json(
+    path: str | Path, what: str, error: type[ValueError] = ValueError, parse: Callable[[Any], T] = lambda value: value
+) -> T:
+    """`parse` of the file's JSON value; text that is not JSON or nests too deep is named as `read_text` names it."""
+    return read_text(path, what, error, lambda text: parse(json.loads(text)))
+
+
 def read_json_lines(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
     """Parse each non-blank line of a JSON-lines file with `parse`, in file order.
 
-    A line that is not JSON or nests deeper than the recursion limit, or
-    that `parse` rejects with ValueError, KeyError or TypeError, raises
-    ValueError("<path>:<line>: bad <what>: ...").
+    A line `read_json` would reject raises ValueError("<path>:<line>: bad <what>: ...").
     """
     items = []
-    with Path(path).open(encoding="utf-8") as handle:
+    with Path(path).open("rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
-                if line.strip():
-                    items.append(parse(json.loads(line)))
+                if (text := line.decode("utf-8")).strip():
+                    items.append(parse(json.loads(text)))
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad {what}: {exc}") from exc
     return items

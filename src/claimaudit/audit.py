@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _string_json
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from ._files import json_array, json_optional, json_value
+from ._files import json_array, json_optional, json_value, read_text
 from ._rng import DeterministicStream
 from .config import DEFAULT_TOKEN_BUDGET
 from .core import (
@@ -52,7 +52,7 @@ def load_template(name: str, directory: Path | None = None) -> str:
     if directory is not None:
         override = directory / f"{name}.txt"
         if override.exists():
-            return override.read_text(encoding="utf-8")
+            return read_text(override, "template")
     return (resources.files(__package__) / "templates" / f"{name}.txt").read_text(encoding="utf-8")
 
 

@@ -13,9 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ._files import JsonRecord, json_value, read_json_lines, write_atomic
+from ._files import JsonRecord, json_value, read_json, read_json_lines, write_atomic
 from ._rng import DeterministicStream
 # `default_grid` is kept here for the callers that import it from this module.
 from .config import Grid, default_grid  # noqa: F401
@@ -182,10 +182,10 @@ def save_params(path: str | Path, params: HvParams, ridge: RidgeModel) -> None:
 
 
 def load_params(path: str | Path) -> tuple[HvParams, RidgeModel]:
-    try:
-        payload = json_value("params", json.loads(Path(path).read_text(encoding="utf-8")), dict)
+    def read(payload: Any) -> tuple[HvParams, RidgeModel]:
+        payload = json_value("params", payload, dict)
         # `ridge` sits beside the scoring params' own keys.
         ridge = RidgeModel.from_json(payload.pop("ridge"))
         return HvParams.from_json(payload), ridge
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: bad params: {exc}") from exc
+
+    return read_json(path, "params", parse=read)

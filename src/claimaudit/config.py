@@ -14,14 +14,13 @@ loads only the runners it calls.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Container
 
-from ._files import json_array, json_optional, json_value
+from ._files import json_array, json_optional, json_value, read_json
 from .core import RequiredStandard
 from .scoring import HvParams
 from .threshold import CLAMP_HI_DEFAULT, CLAMP_LO_DEFAULT, DEFAULT_PRIORS, ConfigError, ThresholdConfig
@@ -203,12 +202,9 @@ class _Section:
 def load_config(config_path: str | Path) -> RunConfig:
     """Parse, interpolate, and validate a run configuration file."""
     path = Path(config_path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    payload = read_json(path, "config", ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
     root = _Section(

@@ -16,12 +16,14 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ._files import JsonRecord, json_array, json_id_path, json_object, json_value, read_json_lines, write_atomic
+from ._files import (
+    JsonRecord, json_array, json_id_path, json_object, json_value, read_json, read_json_lines, write_atomic
+)
 from ._rng import fnv1a64
 from .config import DEFAULT_EMBED_DIM, DEFAULT_RETRIEVAL_K, SCENARIO_LABELS
 from .core import AnalysisDocument, Claim, SchemaError
@@ -267,13 +269,7 @@ def _build_corpus(payload: Any) -> Corpus:
 
 def ingest(manifest_path: str | Path) -> Corpus:
     """Load and integrity-check a corpus manifest."""
-    path = Path(manifest_path)
-    with path.open(encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise CorpusIntegrityError(f"{path}: manifest is not valid JSON: {exc}") from None
-    corpus = _build_corpus(payload)
+    corpus = _build_corpus(read_json(manifest_path, "manifest", CorpusIntegrityError))
     logger.info(
         "ingested %d documents (%d chunks), %d claims, %d scenarios",
         len(corpus.documents),
@@ -455,14 +451,21 @@ def load_corpus(directory: str | Path, *, embeddings: bool = True) -> Corpus:
     return load_embeddings(corpus, root) if embeddings else corpus
 
 
-def _vector_line(line: Mapping[str, Any]) -> tuple[str, memoryview]:
-    """One `embeddings.jsonl` line as (chunk id, packed vector); the id must be a string, every entry a number."""
+def _vector_line(seen: set[str], line: Mapping[str, Any]) -> tuple[str, memoryview]:
+    """One `embeddings.jsonl` line as (chunk id, packed vector); the id must be a new string, every entry a number.
+
+    `seen` holds the ids of the earlier lines, and the line adds its own.
+    """
     entries = json_value("embedding", line["embedding"], list)
     # One pass over the entry types; `array` would take a bool as a number.
     if not set(map(type, entries)) <= {int, float}:
         bad = next(entry for entry in entries if type(entry) not in (int, float))
         raise ValueError(f"embedding: expected numbers, got {bad!r}")
-    return json_value("chunk_id", line["chunk_id"], str), _packed(entries)
+    chunk_id = json_value("chunk_id", line["chunk_id"], str)
+    if chunk_id in seen:
+        raise ValueError(f"chunk_id: {chunk_id!r} has an embedding on an earlier line")
+    seen.add(chunk_id)
+    return chunk_id, _packed(entries)
 
 
 def load_embeddings(corpus: Corpus, directory: str | Path) -> Corpus:
@@ -471,5 +474,5 @@ def load_embeddings(corpus: Corpus, directory: str | Path) -> Corpus:
     if not embeddings_path.exists():
         return corpus
     chunks = corpus._chunk_index
-    lines = read_json_lines(embeddings_path, "embedding", _vector_line)
+    lines = read_json_lines(embeddings_path, "embedding", partial(_vector_line, set()))
     return replace(corpus, vectors={chunk_id: vector for chunk_id, vector in lines if chunk_id in chunks})

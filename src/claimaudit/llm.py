@@ -108,7 +108,8 @@ def extract_json_object(raw: str) -> dict[str, Any]:
     return payload
 
 
-# The longest Retry-After a turn waits; a server asking for more fails the turn at once.
+# The longest wait between a turn's attempts: the backoff stops growing here, and
+# a server asking for a longer Retry-After fails the turn at once.
 MAX_RETRY_AFTER_S = 60.0
 
 
@@ -139,8 +140,8 @@ class Asker:
         `read` takes the object it returns. The one retry loop: a
         retryable transport error or a ValueError (a reply that holds no
         JSON object, or one `read` rejects) asks again, up to `retries`
-        more times, after 1, 2, 4 s, ... or the server's Retry-After; a
-        Retry-After over MAX_RETRY_AFTER_S fails the turn at once. This is
+        more times, after 1, 2, 4, ... s, at most MAX_RETRY_AFTER_S, or the
+        server's Retry-After; a longer Retry-After fails the turn at once. This is
         the one place that names a failed turn: every error it raises and
         every retry warning it logs starts with the schema's title ("LLM"
         without one), e.g. `cot_verdict request failed after 4 attempts:
@@ -166,7 +167,8 @@ class Asker:
         while True:
             attempts += 1
             made = f"{attempts} attempt{'s' * (attempts > 1)}"
-            wait = float(2 ** (attempts - 1))
+            # An int power, which never overflows as a float's would.
+            wait = float(min(2 ** (attempts - 1), MAX_RETRY_AFTER_S))
             try:
                 reply = self.client.complete(prompt, schema=schema)
                 usage.record(prompt, reply)

@@ -74,7 +74,7 @@ class TestLoadConfig:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{", encoding="utf-8")
-        with pytest.raises(ConfigError, match="not valid JSON"):
+        with pytest.raises(ConfigError, match="config.json: bad config: Expecting property name"):
             load_config(path)
 
     def test_manifest_must_exist(self, tmp_path):
@@ -714,6 +714,67 @@ class TestReport:
         (tmp_path / "out" / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["--config", str(config_path), "report"]) == 1
         assert "records.jsonl:2: bad verdict record: " in capsys.readouterr().err
+
+
+def _bad_byte(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:1] + b"\xff" + data[1:])
+
+
+def _too_deep(path: Path) -> None:
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+
+
+def _bad_byte_on_line_2(path: Path) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = b'{"chunk_id": "\xff"}\n'
+    path.write_bytes(b"".join(lines))
+
+
+_VERIFY = ["verify", "--mock", "--seed", "7"]
+# (file, what it holds, commands that make it, command that reads it, spoilers and the line they name)
+_INPUTS = [
+    ("config.json", "config", [], ["report"], [(_bad_byte, ""), (_too_deep, "")]),
+    ("manifest.json", "manifest", [], ["ingest"], [(_bad_byte, ""), (_too_deep, "")]),
+    ("out/store/manifest.json", "manifest", [["ingest"]], ["embed"], [(_bad_byte, ""), (_too_deep, "")]),
+    ("out/params.json", "params", [["calibrate"]], _VERIFY, [(_bad_byte, ""), (_too_deep, "")]),
+    ("calibration.jsonl", "calibration record", [], ["calibrate"], [(_bad_byte_on_line_2, ":2")]),
+    ("out/records.jsonl", "verdict record", [_VERIFY], ["report"], [(_bad_byte_on_line_2, ":2")]),
+    ("out/store/embeddings.jsonl", "embedding", [["embed"]], _VERIFY, [(_bad_byte_on_line_2, ":2")]),
+]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        ("name", "what", "setup", "command", "spoil", "line"),
+        [(name, what, setup, command, *spoil) for name, what, setup, command, spoils in _INPUTS for spoil in spoils],
+        ids=[f"{name}-{spoil.__name__.strip('_')}" for name, _, _, _, spoils in _INPUTS for spoil, _ in spoils],
+    )
+    def test_a_file_that_is_not_utf8_or_nests_too_deep_is_named(
+        self, tmp_path, capsys, name, what, setup, command, spoil, line
+    ):
+        config_path = setup_workspace(tmp_path)
+        for made_by in setup:
+            assert main(["--config", str(config_path), *made_by]) == 0
+        spoil(tmp_path / name)
+        capsys.readouterr()
+        assert main(["--config", str(config_path), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{tmp_path / name}{line}: bad {what}: " in err
+
+    def test_a_template_that_is_not_utf8_fails_its_cells_by_name(self, tmp_path):
+        (tmp_path / "templates").mkdir()
+        template = tmp_path / "templates" / "cot_verdict.txt"
+        template.write_bytes(b"\xff {{CLAIM_TEXT}}")
+        config_path = setup_workspace(tmp_path, {"paths": {
+            "manifest": "manifest.json", "calibration": "calibration.jsonl", "output": "out", "templates": "templates"
+        }})
+        assert main(["--config", str(config_path), "embed"]) == 0
+        assert main(["--config", str(config_path), *_VERIFY, "--method", "cot", "--method", "audit"]) == 0
+        rows = load_records(tmp_path / "out" / "records.jsonl")
+        failures = {row.failure for row in rows if row.method == "cot"}
+        assert len(failures) == 1 and next(iter(failures)).startswith(f"{template}: bad template: 'utf-8' codec")
+        assert all(row.failure is None for row in rows if row.method == "audit")
 
 
 class TestStartup:

@@ -718,6 +718,18 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="embeddings.jsonl:2: bad embedding"):
             load_corpus(tmp_path / "store")
 
+    def test_a_chunk_id_on_two_lines_is_named(self, tmp_path):
+        # A dict of the lines would keep the later vector for the first chunk and none for the second.
+        save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), tmp_path / "store")
+        path = tmp_path / "store" / "embeddings.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])["chunk_id"]
+        lines[2] = json.dumps({**json.loads(lines[2]), "chunk_id": first})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"embeddings.jsonl:3: bad embedding: chunk_id: {first!r} has an embedding on an earlier line"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(tmp_path / "store")
+
     @pytest.mark.parametrize("chunk_id", [["D01-c1"], 7], ids=["list-id", "int-id"])
     def test_mistyped_chunk_id_is_named(self, tmp_path, chunk_id):
         save_corpus(embed_chunks(make_corpus(tmp_path), HashEmbedder()), tmp_path / "store")

@@ -130,6 +130,27 @@ class TestAsker:
         assert (ask(), client.calls) == ({"a": 1}, 2)
 
 
+    @pytest.mark.parametrize("retries", [12, 1100])
+    def test_backoff_doubles_up_to_the_cap_and_never_overflows(self, retries):
+        client, sleeps = _Unavailable(), []
+        with pytest.raises(LlmTransportError, match=f"^t request failed after {retries + 1} attempts: busy$"):
+            Asker(client, retries=retries, sleep=sleeps.append).ask("p", {"title": "t"}, dict, TokenUsage())
+        assert client.calls == retries + 1
+        assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0] + [MAX_RETRY_AFTER_S] * (retries - 6)
+        assert MAX_RETRY_AFTER_S == 60.0
+
+
+class _Unavailable(LlmClient):
+    """Fails every call with a retryable transport error."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, prompt, *, schema=None):
+        self.calls += 1
+        raise LlmTransportError("busy", retryable=True)
+
+
 class _Replies(LlmClient):
     """Answers each call with the next reply of a fixed list."""
 

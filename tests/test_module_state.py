@@ -1,17 +1,21 @@
 """The package keeps no module-level state that its functions rebind,
-one place applies the retry policy, JSON from outside is read by type,
-one place decides which audit checks count, and one counts a cell's tokens.
+one place applies the retry policy, one module reads files, JSON from
+outside is read by type, one place decides which audit checks count, and
+one counts a cell's tokens.
 
 A `global` statement lets one call change what every later call in the
 process sees; per-run values belong to the objects a run creates (the
 `Asker` carries the template directory, for one). Every LLM call goes
 through `Asker.ask`, so no second retry loop can wrap a client call, and
 only `Asker.ask` reads a reply's text as a JSON object, so every method
-fails a reply without one with the same text. The manifest and LLM reply
-readers go through `_files`' typed readers, so a wrong type fails by name
-instead of being checked by hand or coerced; a stored record's field
-types are read by the codec alone, so its `__post_init__` checks only
-values the types admit.
+fails a reply without one with the same text. Only `_files` opens or
+reads a file (the packaged prompt templates aside), so a byte that is not
+UTF-8, text that is not JSON and nesting past the recursion limit are
+named by the file's path (and line) the same way for every input. The
+manifest and LLM reply readers go through `_files`' typed readers, so a
+wrong type fails by name instead of being checked by hand or coerced; a
+stored record's field types are read by the codec alone, so its
+`__post_init__` checks only values the types admit.
 Only `core.py` reads a check's applicability flag, in
 `AnalysisDocument.applicable_checks`; every other module reads that tuple.
 Only `evaluation._cell` makes a `TokenUsage`: every method records into
@@ -107,6 +111,23 @@ def test_only_the_asker_reads_a_reply_as_json():
         return isinstance(node, ast.Call) and "extract_json_object" in _names(node.func)
 
     assert set(_scopes_in_package(is_extract_call)) == {"llm.py:Asker.ask"}
+
+
+def _reads_a_file(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "open") or (
+        isinstance(func, ast.Attribute)
+        and (func.attr in ("open", "read_text", "read_bytes") or ast.unparse(func) == "json.load")
+    )
+
+
+def test_only_files_reads_a_file():
+    # `_files.read_text` is called by name; a method call of that name reads a file directly.
+    readers = [scope for scope in _scopes_in_package(_reads_a_file) if not scope.startswith("_files.py:")]
+    # The one exception: the packaged template, a package resource rather than a path.
+    assert readers == ["audit.py:load_template"]
 
 
 def _is_token_usage(node):
