@@ -51,10 +51,14 @@ def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
 
 
 def read_text(path: str | Path, what: str, error: type[ValueError] = ValueError, parse: Callable[[str], T] = str) -> T:
-    """`parse` of the file's UTF-8 text; a bad byte or a `parse` error raises `error("<path>: bad <what>: ...")`."""
+    """`parse` of the file's UTF-8 text.
+
+    A file that cannot be read (missing, a directory, no permission), a
+    bad byte or a `parse` error raises `error("<path>: bad <what>: ...")`.
+    """
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise error(f"{path}: bad {what}: {exc}") from exc
 
 
@@ -68,10 +72,15 @@ def read_json(
 def read_json_lines(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
     """Parse each non-blank line of a JSON-lines file with `parse`, in file order.
 
-    A line `read_json` would reject raises ValueError("<path>:<line>: bad <what>: ...").
+    A line `read_json` would reject raises ValueError("<path>:<line>: bad <what>: ..."),
+    and a file that cannot be opened ValueError("<path>: bad <what>: ...").
     """
     items = []
-    with Path(path).open("rb") as handle:
+    try:
+        handle = Path(path).open("rb")
+    except OSError as exc:
+        raise ValueError(f"{path}: bad {what}: {exc}") from exc
+    with handle:
         for line_no, line in enumerate(handle, start=1):
             try:
                 if (text := line.decode("utf-8")).strip():

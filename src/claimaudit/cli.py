@@ -12,6 +12,7 @@ import argparse
 import inspect
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -104,6 +105,13 @@ def _load_or_default_params(cfg: RunConfig) -> tuple[HvParams, RidgeModel]:
     return cfg.hv, constant_boldness_model()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: `verify --mock` runs one worker per CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
     corpus = _cli.ingest(cfg.manifest)
     _cli.save_corpus(corpus, cfg.store)
@@ -172,6 +180,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         token_budget=cfg.token_budget,
         retries=cfg.llm.retries,
         templates=cfg.templates,
+        workers=_usable_cpus() if args.mock else 1,
     )
     records_path = cfg.output / "records.jsonl"
     write_atomic(records_path, map(_cli.record_line, report.records))

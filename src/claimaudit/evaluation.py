@@ -7,8 +7,10 @@ here for the callers that import them from this module.
 
 from __future__ import annotations
 
+import gc
 import logging
 import time
+import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -220,6 +222,7 @@ def run_matrix(
     retries: int = DEFAULT_RETRIES,
     sleep: Callable[[float], None] = time.sleep,
     templates: Path | None = None,
+    workers: int = 1,
 ) -> RunReport:
     """Produce one VerdictRecord per (claim, method, scenario) cell: each claim's `_claim_records`, in claim order.
 
@@ -227,7 +230,9 @@ def run_matrix(
     the matrix itself never aborts. An unknown or duplicated method or
     scenario is rejected before any cell runs. `templates` is the
     directory whose prompt templates shadow the packaged ones. The
-    report's cells are computed only if read.
+    report's cells are computed only if read. A mock run with `workers`
+    above 1 splits its claims across that many processes
+    (`_forked_blocks`) and writes the same records; a live run is serial.
     """
     for kind, names, known in (("methods", methods, _CELLS), ("scenarios", scenario_labels, corpus.scenarios)):
         if unknown := [name for name in names if name not in known]:
@@ -236,6 +241,8 @@ def run_matrix(
             raise ValueError(f"duplicated {kind}: {duplicated}")
     if not mock and client is None:
         raise ValueError("a live run needs an LLM client; pass client= or use mock=True")
+    if not mock and workers > 1:
+        raise ValueError(f"a live run is serial; workers={workers} needs mock=True")
     ctx = RunContext(
         corpus=corpus,
         flags=flags,
@@ -247,5 +254,75 @@ def run_matrix(
         asker=Asker(MockLlm(seed) if mock else client, retries, sleep, templates),  # type: ignore[arg-type]
         token_budget=token_budget,
     )
-    blocks = (_claim_records(ctx, claim, methods, scenario_labels, retrieval_k) for claim in corpus.claims.values())
+    claims = tuple(corpus.claims.values())
+
+    def run_claim(claim: Claim) -> list[VerdictRecord]:
+        return _claim_records(ctx, claim, methods, scenario_labels, retrieval_k)
+
+    processes = min(workers, len(claims))
+    blocks = _forked_blocks(run_claim, claims, processes) if processes > 1 else map(run_claim, claims)
     return RunReport(records=tuple(record for block in blocks for record in block))
+
+
+def _forked_blocks(
+    run_claim: Callable[[Claim], list[VerdictRecord]], claims: Sequence[Claim], processes: int
+) -> list[list[VerdictRecord]]:
+    """Every claim's `run_claim` block, in claim order, from `processes` contiguous ranges of at least one claim each.
+
+    The first range runs in this process, each other one in a forked
+    child that sends its blocks back. The first claim runs before the
+    fork, so every child inherits what it loads on first use (numpy, the
+    templates, the corpus's chunk index) instead of loading it again, and
+    the frozen GC leaves the inherited objects' pages shared. A child
+    that raises or dies fails the run, naming its claims and exit code.
+    Every child is joined, or terminated, before this returns or raises.
+    Without the fork start method the claims run here, one after another.
+    """
+    # Imported here: a serial run does not pay for loading it.
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(run_claim, claims))
+    context = multiprocessing.get_context("fork")
+    bounds = [len(claims) * i // processes for i in range(processes + 1)]
+    blocks = [run_claim(claims[0])]
+    children = []
+    gc.freeze()
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            assigned = claims[start:stop]
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_blocks, args=(sender, run_claim, assigned))
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork while another thread runs. Here
+                # that is numpy's OpenBLAS pool, idle between calls, which
+                # OpenBLAS's own fork handler stops and starts again.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                child.start()
+            children.append((child, receiver, assigned))
+            sender.close()
+        blocks.extend(map(run_claim, claims[1 : bounds[1]]))
+        for child, receiver, assigned in children:
+            try:
+                received = receiver.recv()
+            except EOFError:
+                received = None
+            child.join()
+            if child.exitcode or received is None:
+                raise RuntimeError(
+                    f"the worker for claims {assigned[0].id}..{assigned[-1].id} exited with code {child.exitcode}"
+                )
+            blocks.extend(received)
+    finally:
+        for child, receiver, _ in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            receiver.close()
+        gc.unfreeze()
+    return blocks
+
+
+def _send_blocks(sender: Any, run_claim: Callable[[Claim], list[VerdictRecord]], claims: Sequence[Claim]) -> None:
+    """A forked child's work: every claim's block, sent as one list; `multiprocessing` then ends it with `os._exit`."""
+    sender.send([run_claim(claim) for claim in claims])

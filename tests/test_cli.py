@@ -1,6 +1,7 @@
 """Config validation and CLI command tests (in-process, exit-code driven)."""
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from claimaudit.audit import load_template
-from claimaudit import cli, records
+from claimaudit import cli, evaluation, records
 from claimaudit.cli import main
 from claimaudit.calibration import default_grid
 from claimaudit.config import LlmSettings, RunConfig, load_config
@@ -312,6 +313,19 @@ class TestTemplateOverride:
         assert verify("custom", templates="templates") != clean
         assert verify("after") == clean
 
+    def test_an_unreadable_template_fails_its_cells_by_name(self, tmp_path, capsys):
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        config_path = tmp_path / "config.json"
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["paths"]["templates"] = "templates"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        template = tmp_path / "templates" / "cot_verdict.txt"
+        template.mkdir(parents=True)
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7", "--method", "cot"]) == 0
+        assert "wrote 40 verdict records (40 failures)" in capsys.readouterr().out
+        failures = {record.failure for record in load_records(tmp_path / "out" / "records.jsonl")}
+        assert failures == {f"{template}: bad template: [Errno 21] Is a directory: '{template}'"}
+
 
 class TestUsageErrors:
     def test_no_command_exits_2(self):
@@ -608,6 +622,60 @@ class TestVerify:
         assert f"params.json: bad params: params: expected an object, got {payload!r}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "records.jsonl").exists()
 
+    # Each file is made a directory, which passes the config's existence checks.
+    @pytest.mark.parametrize(
+        ("command", "name", "what"),
+        [
+            ("ingest", "config.json", "config"),
+            ("ingest", "manifest.json", "manifest"),
+            ("verify --mock", "manifest.json", "manifest"),
+            ("verify --mock", "out/params.json", "params"),
+            ("calibrate", "calibration.jsonl", "calibration record"),
+            ("report", "out/records.jsonl", "verdict record"),
+        ],
+        ids=["config", "ingest-manifest", "verify-manifest", "params", "calibration", "records"],
+    )
+    def test_an_unreadable_input_file_exits_1_naming_it(self, tmp_path, capsys, command, name, what):
+        config_path = setup_workspace(tmp_path)
+        path = tmp_path / name
+        if path.exists():
+            path.unlink()
+        path.mkdir(parents=True)
+        assert main(["--config", str(config_path), *command.split()]) == 1
+        assert capsys.readouterr().err == f"error: {path}: bad {what}: [Errno 21] Is a directory: '{path}'\n"
+
+    def test_one_claim_id_runs_in_one_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(evaluation, "_forked_blocks", None)  # calling it would raise
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "embed"]) == 0
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7", "--claim-id", "K01"]) == 0
+        assert {record.claim_id for record in load_records(tmp_path / "out" / "records.jsonl")} == {"K01"}
+
+    @pytest.mark.parametrize("code", [None, 3], ids=["raises", "exits-3"])
+    def test_a_failed_worker_exits_1_and_keeps_the_records_file(self, tmp_path, monkeypatch, capsys, code):
+        config_path = setup_workspace(tmp_path)
+        assert main(["--config", str(config_path), "embed"]) == 0
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "7"]) == 0
+        records_path = tmp_path / "out" / "records.jsonl"
+        before = records_path.read_bytes()
+        parent, lookup = os.getpid(), evaluation.evidence_for_claim
+
+        def failing(corpus, claim, *args):
+            # K02, the second of two claims, is the forked worker's.
+            if claim.id == "K02" and os.getpid() != parent:
+                if code is None:
+                    raise RuntimeError("claim blew up")
+                os._exit(code)
+            return lookup(corpus, claim, *args)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "evidence_for_claim", failing)
+        assert main(["--config", str(config_path), "verify", "--mock", "--seed", "8"]) == 1
+        assert f"error: the worker for claims K02..K02 exited with code {code or 1}\n" in capsys.readouterr().err
+        assert records_path.read_bytes() == before
+        assert multiprocessing.active_children() == []
+
     def test_unknown_claim_id_exits_1(self, tmp_path, capsys):
         config_path = setup_workspace(tmp_path)
         assert main(["--config", str(config_path), "verify", "--mock", "--claim-id", "K99"]) == 1
@@ -881,6 +949,23 @@ class TestAcrossInterpreters:
         self._run(python, tmp_path, "ingest", "embed", "report")
         for name in ("store/manifest.json", "store/embeddings.jsonl", "report.json"):
             assert (tmp_path / "out" / name).read_bytes() == (reference / name).read_bytes(), name
+
+    @pytest.mark.parametrize("version", ["3.12", "3.13"])
+    def test_forked_verify_writes_the_same_records_without_a_fork_warning(self, reference, tmp_path, version):
+        # From 3.12 a fork beside a running thread warns, and numpy's BLAS pool
+        # is one; `run_matrix` silences that warning around its forks.
+        python = shutil.which(f"python{version}")
+        if python is None or subprocess.run([python, "-c", "import numpy"], capture_output=True, timeout=60).returncode:
+            pytest.skip(f"no python{version} with numpy that starts")
+        shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src"), "PYTHONWARNINGS": "always::DeprecationWarning"}
+        result = subprocess.run(
+            [python, "-m", "claimaudit.cli", "--config", "config.json", "verify", "--mock", "--seed", "7"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "multi-threaded" not in result.stderr
+        assert (tmp_path / "out" / "records.jsonl").read_bytes() == (reference / "records.jsonl").read_bytes()
 
 
 class TestShippedFixtures:

@@ -5,8 +5,13 @@ import gc
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
+import sys
 import threading
+import time
+import warnings
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -66,6 +71,10 @@ from json_strategies import or_any
 from oracles import cohen_kappa_exact, gwet_ac1_exact, macro_f1_exact, mcc_exact
 from scripted_llm import ScriptedTranscript
 from test_corpus import make_corpus, make_manifest, replicated_fixture_manifest
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import corpusgen  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCENARIOS = ("TY0", "TY1", "TY3", "TY5")
@@ -538,11 +547,12 @@ class TestCellDispatch:
 
 
 def _run_fixtures(
-    corpus, scenarios, *, mock, client=None, methods=ALL_METHODS, templates=None, token_budget=DEFAULT_TOKEN_BUDGET
+    corpus, scenarios, *, mock, client=None, methods=ALL_METHODS, templates=None, token_budget=DEFAULT_TOKEN_BUDGET,
+    workers=1,
 ):
     return run_matrix(
-        corpus, methods, scenarios, AblationFlags(), PARAMS, RIDGE, CFG,
-        seed=7, mock=mock, client=client, sleep=lambda _: None, templates=templates, token_budget=token_budget,
+        corpus, methods, scenarios, AblationFlags(), PARAMS, RIDGE, CFG, seed=7, mock=mock, client=client,
+        sleep=lambda _: None, templates=templates, token_budget=token_budget, workers=workers,
     ).records
 
 
@@ -940,6 +950,87 @@ class _BarrierDouble(_LiveDouble):
         if self.calls == 1:
             self.barrier.wait()
         return super().answer(prompt, schema)
+
+
+class TestWorkers:
+    """`run_matrix(workers=N)` forks N - 1 children on the mock path and writes the records one process writes."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """The shipped fixtures (pinned evidence) and a seeded replica corpus whose claims retrieve."""
+        fixture = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+        replica = corpusgen.build_manifest(fixture, scale=3, n_claims=10, seed=3, pinned=False)
+        return {
+            "fixtures": ingest(FIXTURES / "manifest.json"),
+            "replica": embed_chunks(make_corpus(tmp_path_factory.mktemp("replica"), replica), HashEmbedder()),
+        }
+
+    @staticmethod
+    def _bytes(corpus, workers):
+        records = _run_fixtures(corpus, SCENARIOS, mock=True, workers=workers)
+        return dump_records(records), json.dumps(build_report(records).to_json(), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", ["fixtures", "replica"])
+    @pytest.mark.parametrize("workers", [2, 3, "claims+1"])
+    def test_the_worker_count_does_not_change_the_bytes(self, corpora, name, workers):
+        corpus = corpora[name]
+        workers = len(corpus.claims) + 1 if workers == "claims+1" else workers
+        with warnings.catch_warnings(record=True) as caught:
+            # Python 3.12+ would warn on each fork here: numpy's BLAS pool is running.
+            warnings.simplefilter("always")
+            forked = self._bytes(corpus, workers)
+        assert [str(warning.message) for warning in caught if "multi-threaded" in str(warning.message)] == []
+        assert forked == self._bytes(corpus, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_without_the_fork_start_method_the_claims_run_here(self, corpora, monkeypatch):
+        corpus = corpora["fixtures"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        lookups = []
+        lookup = evaluation.evidence_for_claim
+        monkeypatch.setattr(evaluation, "evidence_for_claim", lambda *args: lookups.append(args[1].id) or lookup(*args))
+        assert self._bytes(corpus, 3) == self._bytes(corpus, 1)
+        assert lookups == list(corpus.claims) * 2
+
+    @pytest.mark.parametrize("code", [None, 3], ids=["raises", "exits-3"])
+    def test_a_failed_worker_fails_the_run_naming_its_claims_and_exit_code(self, corpora, monkeypatch, code):
+        parent, lookup = os.getpid(), evaluation.evidence_for_claim
+
+        def failing(corpus, claim, *args):
+            # Three workers over the 10 fixture claims: K01-K03 here, K04-K06 and K07-K10 in children.
+            if claim.id == "K08" and os.getpid() != parent:
+                if code is None:
+                    raise RuntimeError("claim blew up")
+                os._exit(code)
+            return lookup(corpus, claim, *args)
+
+        monkeypatch.setattr(evaluation, "evidence_for_claim", failing)
+        with pytest.raises(RuntimeError, match=rf"^the worker for claims K07\.\.K10 exited with code {code or 1}$"):
+            _run_fixtures(corpora["fixtures"], SCENARIOS, mock=True, workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_terminates_every_worker(self, corpora, monkeypatch):
+        parent, lookup = os.getpid(), evaluation.evidence_for_claim
+
+        def lookup_or_stall(corpus, claim, *args):
+            if os.getpid() != parent:
+                time.sleep(20)
+            elif claim.id == "K02":
+                raise KeyboardInterrupt
+            return lookup(corpus, claim, *args)
+
+        monkeypatch.setattr(evaluation, "evidence_for_claim", lookup_or_stall)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _run_fixtures(corpora["fixtures"], SCENARIOS, mock=True, workers=3)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - start < 10
+
+    def test_a_live_run_with_workers_is_refused_before_any_call(self, corpora):
+        client = _CountingClient()
+        with pytest.raises(ValueError, match="a live run is serial; workers=2 needs mock=True"):
+            _run_fixtures(corpora["fixtures"], SCENARIOS, mock=False, client=client, workers=2)
+        assert client.calls == 0
 
 
 class TestTemplateDirectory:

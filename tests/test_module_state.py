@@ -22,6 +22,9 @@ Only `evaluation._cell` makes a `TokenUsage`: every method records into
 the one its cell passes down, so a cell's tokens are counted in one place.
 Only the modules that hash long inputs, hold vectors or fit weights import
 numpy; the audit cell's scoring and threshold arithmetic is plain floats.
+Only `evaluation._forked_blocks` starts processes, through the context it
+names, "fork": the platform default start method differs (Linux's becomes
+forkserver in Python 3.14), and a worker must inherit the parent's warm state.
 """
 
 import ast
@@ -58,22 +61,27 @@ def test_no_global_statement(path):
 
 
 def _enclosing(node, matches, scope=""):
-    """The enclosing qualified name of every node under `node` that `matches`."""
+    """(enclosing qualified name, node) of every node under `node` that `matches`."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from _enclosing(child, matches, f"{scope}{child.name}.")
             continue
         if matches(child):
-            yield scope.rstrip(".")
+            yield scope.rstrip("."), child
         yield from _enclosing(child, matches, scope)
 
 
-def _scopes_in_package(matches):
+def _found_in_package(matches):
+    """(`<module>:<scope>`, node) of every node in the package that `matches`."""
     return [
-        f"{path.name}:{scope}"
+        (f"{path.name}:{scope}", node)
         for path in MODULES
-        for scope in _enclosing(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), matches)
+        for scope, node in _enclosing(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), matches)
     ]
+
+
+def _scopes_in_package(matches):
+    return [scope for scope, _ in _found_in_package(matches)]
 
 
 def _module_containers():
@@ -221,6 +229,27 @@ def test_only_core_reads_the_applicability_flag():
                 found.append(f"{path.name}:{node.lineno}: .is_applicable")
             found.extend(f"{path.name}:{node.lineno}: {name}" for name in sorted(_names(node) & _RETIRED_NAMES))
     assert found == []
+
+
+# Names whose call starts a process, or picks the start method a later start uses.
+_PROCESS_STARTERS = {
+    "fork", "forkpty", "spawnv", "spawnl", "posix_spawn", "system", "Popen", "Pool", "ProcessPoolExecutor",
+    "Process", "get_context", "set_start_method",
+}
+
+
+def test_only_evaluation_starts_processes_and_through_the_fork_context():
+    def starts_a_process(node):
+        return isinstance(node, ast.Call) and bool(_names(node.func) & _PROCESS_STARTERS)
+
+    starts = [
+        f"{scope}: {ast.unparse(node.func)}({', '.join(map(ast.unparse, node.args))})"
+        for scope, node in _found_in_package(starts_a_process)
+    ]
+    assert starts == [
+        "evaluation.py:_forked_blocks: multiprocessing.get_context('fork')",
+        "evaluation.py:_forked_blocks: context.Process()",
+    ]
 
 
 def _imports_numpy(node):

@@ -9,6 +9,7 @@ tests fail instead.
 import importlib
 import importlib.util
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ import claimaudit.cli as cli
 import claimaudit.evaluation as evaluation
 from claimaudit.audit import mock_audit, render_audit_response
 from claimaudit.llm import Asker, MockLlm, TokenUsage
+from claimaudit.records import RunReport
 
 from scripted_llm import ScriptedTranscript, prompt_fingerprint
 from test_audit import make_request
@@ -83,6 +85,9 @@ def test_baselines_load_templates_through_their_module_attribute(monkeypatch):
 
 
 def test_verify_runs_the_matrix_and_each_lookup_through_the_traced_attributes(monkeypatch, tmp_path):
+    # A lookup made in a forked worker is made in that worker's copy of the
+    # spy, so the matrix runs in this process alone.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     runs = _spy(monkeypatch, cli, "run_matrix")
     lookups = _spy(monkeypatch, evaluation, "evidence_for_claim")
     config_path = tmp_path / "config.json"
@@ -92,6 +97,28 @@ def test_verify_runs_the_matrix_and_each_lookup_through_the_traced_attributes(mo
     assert len(runs) == 1
     claims = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))["claims"]
     assert [args[1].id for args in lookups] == [claim["id"] for claim in claims]
+
+
+@pytest.mark.parametrize(
+    ("flags", "affinity", "workers"),
+    [(["--mock"], {0, 1, 2}, 3), (["--mock"], None, 5), ([], {0, 1, 2}, 1)],
+    ids=["mock-affinity", "mock-cpu-count", "live"],
+)
+def test_verify_passes_one_worker_per_usable_cpu_on_the_mock_path_only(monkeypatch, tmp_path, flags, affinity, workers):
+    # The sibling of the test above: the worker count it pins to 1.
+    runs = []
+    monkeypatch.setattr(cli, "run_matrix", lambda *args, **kwargs: runs.append(kwargs) or RunReport())
+    monkeypatch.setattr(cli, "HttpChatClient", lambda **kwargs: None)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    config_path = tmp_path / "config.json"
+    paths = {"manifest": str(FIXTURES / "manifest.json"), "output": str(tmp_path / "out")}
+    config_path.write_text(json.dumps({"paths": paths}), encoding="utf-8")
+    assert cli.main(["--config", str(config_path), "verify", *flags]) == 0
+    assert [kwargs["workers"] for kwargs in runs] == [workers]
 
 
 PIPELINE = ("ingest", "embed", "calibrate", "verify --mock --seed 7", "report")
